@@ -5,7 +5,7 @@ sine-tone datasets for desk-scale experiments."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -55,9 +55,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -301,50 +298,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             t._accumulate(piece)
 
     return _node(out_data, tuple(tensors), bw)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first operand."""
-    a, b = _ensure(a), _ensure(b)
-    take_a = a.data >= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        a._accumulate(g * take_a)
-        b._accumulate(g * ~take_a)
-
-    return _node(out_data, (a, b), bw)
-
-
-_PRIMITIVES = {
-    "add": lambda a, b: a + b,
-    "subtract": lambda a, b: a - b,
-    "multiply": lambda a, b: a * b,
-    "divide": lambda a, b: a / b,
-    "matmul": lambda a, b: a @ b,
-    "reshape": lambda a, shape: a.reshape(shape),
-    "transpose": lambda a, axes=None: a.transpose(axes) if axes else a.transpose(),
-    "concat": lambda ts, axis=0: concat(ts, axis),
-    "slice": lambda a, key: a[key],
-    "sum": lambda a, axis=None, keepdims=False: a.sum(axis, keepdims),
-    "mean": lambda a, axis=None, keepdims=False: a.mean(axis, keepdims),
-    "sigmoid": lambda a: a.sigmoid(),
-    "tanh": lambda a: a.tanh(),
-    "relu": lambda a: a.relu(),
-    "exp": lambda a: a.exp(),
-    "log": lambda a: a.log(),
-    "softmax": lambda a, axis=-1: a.softmax(axis),
-    "maximum": maximum,
-}
-
-
-def apply_primitive(op_kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch a primitive by name. Raises UsageError on unknown kinds."""
-    try:
-        fn = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise UsageError(f"unknown primitive {op_kind!r}") from None
-    return fn(*args, **kwargs)
 
 
 def backward(loss: Tensor):

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import audio_io, dsp, eval as evaluation, training
-from .errors import ConfigError, KwspotError, UsageError
+from .errors import ConfigError, KwspotError, UsageError, read_text
 from .models import ARCHITECTURES, ModelConfig, build_model
 
 # key -> (parser, default); every key is documented in the README
@@ -43,52 +42,56 @@ CONFIG_KEYS = {
     "test_ratio": (float, 0.1),
 }
 
+# synth spec key -> (parser, default); None marks a required key
+SYNTH_KEYS = {
+    "n_classes": (int, None),
+    "clips_per_class": (int, None),
+    "sample_rate": (int, None),
+    "class_frequencies": (lambda s: tuple(float(v) for v in s.split(",")), None),
+    "noise_amplitude": (float, 0.0),
+    "seed": (int, 0),
+}
 
-def _parse_value(key: str, raw: str, where: str):
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"{where}: unknown config key {key!r}")
-    parser, _ = CONFIG_KEYS[key]
+
+def _parse_value(keys: dict, key: str, raw: str, where: str):
+    if key not in keys:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    parser, _ = keys[key]
     try:
         return parser(raw.strip())
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: cannot parse {key} = {raw.strip()!r}") from None
 
 
+def _read_key_values(path, keys: dict) -> dict:
+    """The defaults of `keys` updated from the `key = value` lines of a
+    file (None: defaults only); `#` starts a comment."""
+    values = {key: default for key, (_, default) in keys.items()}
+    if path is None:
+        return values
+    for lineno, line in enumerate(read_text(path, ConfigError).splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        values[key] = _parse_value(keys, key, raw, f"{path}:{lineno}")
+    return values
+
+
 def parse_config(path=None, overrides=None) -> dict:
     """Merged configuration; precedence: overrides > file > defaults."""
-    config = {key: default for key, (_, default) in CONFIG_KEYS.items()}
-    if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            config[key] = _parse_value(key, raw, f"{path}:{lineno}")
+    config = _read_key_values(path, CONFIG_KEYS)
     for key, raw in (overrides or {}).items():
-        config[key] = _parse_value(key, str(raw), "command line")
+        config[key] = _parse_value(CONFIG_KEYS, key, str(raw), "command line")
     return config
 
 
-def _dsp_config(cfg: dict) -> dsp.DspConfig:
-    return dsp.DspConfig(
-        sample_rate=cfg["sample_rate"], frame_len=cfg["frame_len"],
-        hop_len=cfg["hop_len"], n_fft=cfg["n_fft"],
-        pre_emphasis_alpha=cfg["pre_emphasis_alpha"],
-        n_mel_filters=cfg["n_mel_filters"], n_mfcc=cfg["n_mfcc"],
-        fmin=cfg["fmin"], fmax=cfg["fmax"], log_floor=cfg["log_floor"],
-        window=cfg["window"],
-    )
-
-
-def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        max_epochs=cfg["max_epochs"], batch_size=cfg["batch_size"],
-        base_lr=cfg["base_lr"], lr_decay=cfg["lr_decay"],
-        patience=cfg["patience"], seed=cfg["seed"],
-    )
+def _from_config(cls, cfg: dict):
+    """A config dataclass (DspConfig, TrainConfig) built from its keys."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def _print_header(command: str, cfg: dict):
@@ -117,7 +120,7 @@ def _cmd_featurize(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("featurize", cfg)
     clip = audio_io.read_wav(args.wav)
-    features = dsp.mfcc_pipeline(clip, _dsp_config(cfg), cfg["feature_kind"])
+    features = dsp.mfcc_pipeline(clip, _from_config(dsp.DspConfig, cfg), cfg["feature_kind"])
     rows = "\n".join(
         ",".join(f"{v:.6f}" for v in frame) for frame in features.values
     )
@@ -129,35 +132,13 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _read_synth_spec(path) -> tuple:
-    keys = {
-        "n_classes": int, "clips_per_class": int, "sample_rate": int,
-        "class_frequencies": lambda s: tuple(float(v) for v in s.split(",")),
-        "noise_amplitude": float, "seed": int,
-    }
-    values = {"noise_amplitude": 0.0, "seed": 0}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ConfigError(f"{path}:{lineno}: unknown synth key {key!r}")
-        try:
-            values[key] = keys[key](raw.strip())
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: cannot parse {key}") from None
-    missing = {"n_classes", "clips_per_class", "sample_rate", "class_frequencies"} - set(values)
-    if missing:
-        raise ConfigError(f"{path}: missing synth keys {sorted(missing)}")
-    seed = values.pop("seed")
-    return audio_io.SynthSpec(**values), seed
-
-
 def _cmd_synth(args) -> int:
-    spec, seed = _read_synth_spec(args.spec)
-    index = audio_io.synth_dataset(spec, seed)
+    values = _read_key_values(args.spec, SYNTH_KEYS)
+    missing = sorted(key for key, value in values.items() if value is None)
+    if missing:
+        raise ConfigError(f"{args.spec}: missing synth keys {missing}")
+    seed = values.pop("seed")
+    index = audio_io.synth_dataset(audio_io.SynthSpec(**values), seed)
     out = Path(args.out)
     counters: dict[str, int] = {}
     for clip, label in index.entries:
@@ -184,7 +165,7 @@ def _cmd_train(args) -> int:
     train_idx, val_idx, _ = audio_io.split_dataset(
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )
-    dsp_cfg = _dsp_config(cfg)
+    dsp_cfg = _from_config(dsp.DspConfig, cfg)
     kind = cfg["feature_kind"]
     train_data = training.featurize_index(train_idx, dsp_cfg, kind)
     val_data = training.featurize_index(val_idx, dsp_cfg, kind)
@@ -196,7 +177,7 @@ def _cmd_train(args) -> int:
         seed=cfg["seed"],
     )
     model = build_model(model_cfg)
-    train_cfg = _train_config(cfg)
+    train_cfg = _from_config(training.TrainConfig, cfg)
     model, history = training.fit(model, train_data, val_data, train_cfg)
     training.save_checkpoint(
         model, args.out, train_config=train_cfg, labels=index.label_set
@@ -218,7 +199,7 @@ def _cmd_eval(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("eval", cfg)
     report = evaluation.evaluate(
-        model, index, _dsp_config(cfg), cfg["feature_kind"]
+        model, index, _from_config(dsp.DspConfig, cfg), cfg["feature_kind"]
     )
     evaluation.emit_report(report, args.out, args.format)
     print(
@@ -229,18 +210,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    lines = Path(args.metrics).read_text().strip().splitlines()
-    header = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds"
-    if not lines or lines[0] != header:
-        raise ConfigError(f"{args.metrics}: not a kwspot metrics CSV")
+    records = training.read_metrics_csv(args.metrics)
     print(f"{'epoch':>5} {'train_loss':>11} {'train_acc':>10} "
           f"{'val_loss':>11} {'val_acc':>10} {'lr':>10}")
     best_epoch, best_acc = 0, -1.0
-    for line in lines[1:]:
-        epoch, tl, ta, vl, va, lr, _ = line.split(",")
-        print(f"{epoch:>5} {tl:>11} {ta:>10} {vl:>11} {va:>10} {lr:>10}")
-        if float(va) > best_acc:
-            best_epoch, best_acc = int(epoch), float(va)
+    for r in records:
+        print(f"{r.epoch:>5} {r.train_loss:>11.6f} {r.train_acc:>10.6f} "
+              f"{r.val_loss:>11.6f} {r.val_acc:>10.6f} {r.lr:>10.8g}")
+        if r.val_acc > best_acc:
+            best_epoch, best_acc = r.epoch, r.val_acc
     print(f"best epoch: {best_epoch} (val_acc {best_acc:.4f})")
     return 0
 

@@ -3,7 +3,7 @@ triangular mel filterbank, log compression and DCT-II."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all kwspot modules."""
+"""Exception hierarchy shared by all kwspot modules, and the one text-file
+read that maps undecodable bytes onto it."""
+
+from pathlib import Path
 
 
 class KwspotError(Exception):
@@ -47,3 +50,12 @@ class CheckpointError(KwspotError):
 
 class IoError(KwspotError):
     """Filesystem failure while writing an artifact."""
+
+
+def read_text(path, error: type) -> str:
+    """UTF-8 contents of a text file; undecodable bytes raise `error`
+    naming the file and the offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None

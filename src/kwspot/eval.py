@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, dsp
-from .errors import DataError, IoError
+from .errors import DataError, IoError, read_text
 from .models import Model, predict
 
 
@@ -124,17 +124,24 @@ def emit_report(report: EvalReport, path, fmt: str = "csv"):
 
 
 def parse_report_csv(path):
-    """Re-parse an emitted CSV into (per-keyword map, overall, n_samples)."""
-    lines = Path(path).read_text().strip().splitlines()
+    """Re-parse an emitted CSV into (per-keyword map, overall, n_samples).
+    A foreign file or a malformed row raises DataError."""
+    lines = read_text(path, DataError).strip().splitlines()
     if not lines or lines[0] != "label,accuracy,n":
         raise DataError(f"{path}: not a kwspot report CSV")
     per_keyword, overall, n_samples = {}, None, None
-    for line in lines[1:]:
-        label, acc, n = line.split(",")
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            label, acc, n = line.split(",")
+            acc, n = float(acc), int(n)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: expected label,accuracy,n, got {line!r}"
+            ) from None
         if label == "__overall__":
-            overall, n_samples = float(acc), int(n)
+            overall, n_samples = acc, n
         else:
-            per_keyword[label] = float(acc)
+            per_keyword[label] = acc
     if overall is None:
         raise DataError(f"{path}: missing __overall__ row")
     return per_keyword, overall, n_samples

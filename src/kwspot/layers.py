@@ -42,12 +42,6 @@ class LstmParams:
 
 
 @dataclass
-class AttentionParams:
-    query_proj: Tensor  # summary dim x key dim
-    scale: float
-
-
-@dataclass
 class BnStats:
     """Running mean/variance buffers updated in train mode."""
     mean: np.ndarray
@@ -193,8 +187,6 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") ->
         return out.relu()
     if activation == "tanh":
         return out.tanh()
-    if activation == "softmax":
-        return out.softmax(axis=-1)
     raise ShapeError(f"dense: unknown activation {activation!r}")
 
 

@@ -11,7 +11,7 @@ multilayer_attention as attention_rnn plus a three-stage chained attention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class Model:
     bn_stats: dict        # name -> BnStats
     mode: str = "train"
 
-    def parameters(self):
-        return self.params
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -99,7 +96,7 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_lstm(rng, params, bn_stats, prefix, in_dim, hidden):
+def _init_lstm(rng, params, prefix, in_dim, hidden):
     for gate in ("i", "f", "o", "g"):
         params[f"{prefix}_W{gate}"] = Tensor(
             _glorot(rng, (in_dim, hidden)), requires_grad=True
@@ -173,15 +170,15 @@ def build_model(config: ModelConfig) -> Model:
         params["fc2_W"] = Tensor(_glorot(rng, (dh, n_cls)), requires_grad=True)
         params["fc2_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
     elif config.arch == "cnn_bilstm":
-        _init_lstm(rng, params, bn_stats, "lstm1f", seq_dim, hidden)
-        _init_lstm(rng, params, bn_stats, "lstm1b", seq_dim, hidden)
+        _init_lstm(rng, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(rng, params, "lstm1b", seq_dim, hidden)
         params["out_W"] = Tensor(_glorot(rng, (2 * hidden, n_cls)), requires_grad=True)
         params["out_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
     else:
-        _init_lstm(rng, params, bn_stats, "lstm1f", seq_dim, hidden)
-        _init_lstm(rng, params, bn_stats, "lstm1b", seq_dim, hidden)
-        _init_lstm(rng, params, bn_stats, "lstm2f", 2 * hidden, hidden)
-        _init_lstm(rng, params, bn_stats, "lstm2b", 2 * hidden, hidden)
+        _init_lstm(rng, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(rng, params, "lstm1b", seq_dim, hidden)
+        _init_lstm(rng, params, "lstm2f", 2 * hidden, hidden)
+        _init_lstm(rng, params, "lstm2b", 2 * hidden, hidden)
         params["query_proj"] = Tensor(
             _glorot(rng, (2 * hidden, 2 * hidden)), requires_grad=True
         )

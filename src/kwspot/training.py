@@ -12,7 +12,7 @@ import numpy as np
 
 from . import audio_io, dsp
 from .autodiff import Tensor, backward
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, read_text
 from .models import Model, ModelConfig, build_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
@@ -27,15 +27,12 @@ class TrainConfig:
     lr_decay: float = 0.97
     patience: int = 10
     seed: int = 0
-    metric: str = "val_accuracy"
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if not self.patience < self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
-        if self.metric != "val_accuracy":
-            raise ConfigError(f"unsupported metric {self.metric!r}")
 
 
 @dataclass
@@ -104,10 +101,6 @@ def adam_step(params: dict, state: AdamState, lr: float):
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
     """Multiplicative decay; epoch is 0-based."""
     return config.base_lr * config.lr_decay ** epoch
-
-
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def evaluate_arrays(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 64):
@@ -185,14 +178,35 @@ def fit(model: Model, train_data, val_data, config: TrainConfig, val_metric=None
     return model, history
 
 
+METRICS_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds"
+
+
 def write_metrics_csv(history: TrainHistory, path):
-    lines = ["epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds"]
+    lines = [METRICS_HEADER]
     for r in history.records:
         lines.append(
             f"{r.epoch},{r.train_loss:.6f},{r.train_acc:.6f},"
             f"{r.val_loss:.6f},{r.val_acc:.6f},{r.lr:.8g},{r.wall_time:.3f}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_metrics_csv(path) -> list:
+    """The EpochRecords of a file written by write_metrics_csv. A foreign
+    file or a malformed row raises ConfigError."""
+    lines = read_text(path, ConfigError).strip().splitlines()
+    if not lines or lines[0] != METRICS_HEADER:
+        raise ConfigError(f"{path}: not a kwspot metrics CSV")
+    records = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            epoch, *values = line.split(",")
+            records.append(EpochRecord(int(epoch), *(float(v) for v in values)))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{path}:{lineno}: expected {METRICS_HEADER}, got {line!r}"
+            ) from None
+    return records
 
 
 def featurize_index(index, dsp_config, kind: str = "log_mel"):
@@ -246,9 +260,9 @@ def _iter_arrays(model: Model):
 
 
 def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
-                    labels=None, history: TrainHistory | None = None):
-    """Serialize parameters and running statistics; history is not part of
-    the wire format and is persisted separately via write_metrics_csv."""
+                    labels=None):
+    """Serialize parameters and running statistics; the training history is
+    persisted separately via write_metrics_csv."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
@@ -264,13 +278,14 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
+    def __init__(self, path):
+        self.path = path
+        self.raw = Path(path).read_bytes()
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise CheckpointError("truncated checkpoint file")
+            raise CheckpointError(f"{self.path}: truncated checkpoint file")
         out = self.raw[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -278,19 +293,29 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{self.path}: {what} at byte {self.pos - len(raw)} is not UTF-8"
+            ) from None
+
 
 def load_checkpoint(path):
-    """Returns (model, metadata dict). Rejects bad magic, version and
-    truncation with CheckpointError."""
-    reader = _Reader(Path(path).read_bytes())
+    """Returns (model, metadata dict). Rejects bad magic, version,
+    truncation, undecodable text and an array that is unknown, missing or
+    stored twice with CheckpointError."""
+    reader = _Reader(path)
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    meta_raw = reader.take(reader.u32()).decode("utf-8")
     meta = {}
-    for line in meta_raw.splitlines():
+    for line in reader.text("metadata").splitlines():
         key, _, value = line.partition("=")
         meta[key] = value
     try:
@@ -304,23 +329,33 @@ def load_checkpoint(path):
             dropout_rate=float(meta["dropout_rate"]),
             seed=int(meta["seed"]),
         )
-    except (KeyError, ValueError) as exc:
+        model = build_model(config)
+    except (KeyError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
-    model = build_model(config)
     expected = dict(_iter_arrays(model))
+    loaded = set()
     while reader.pos < len(reader.raw):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = reader.text("array name")
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = int(np.prod(shape)) if rank else 1
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         if name not in expected:
             raise CheckpointError(f"{path}: unknown parameter {name!r}")
+        if name in loaded:
+            raise CheckpointError(f"{path}: array {name!r} is stored twice")
         if expected[name].shape != values.shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {values.shape}, "
                 f"expected {expected[name].shape}"
             )
         expected[name][...] = values
+        loaded.add(name)
+    missing = [name for name in expected if name not in loaded]
+    if missing:
+        raise CheckpointError(
+            f"{path}: missing array {missing[0]!r} "
+            f"({len(missing)} of {len(expected)} arrays absent)"
+        )
     model.set_mode("infer")
     return model, meta

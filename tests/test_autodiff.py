@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from kwspot.autodiff import (
-    Tensor, apply_primitive, backward, concat, grad_check, maximum,
-)
+from kwspot.autodiff import Tensor, backward, concat, grad_check
 from kwspot.errors import ShapeError, UsageError
 
 
@@ -39,12 +37,6 @@ class TestForwardValues:
         a = (Tensor(x).tanh() @ Tensor(x)).data
         b = (Tensor(x).tanh() @ Tensor(x)).data
         assert np.array_equal(a, b)
-
-    def test_apply_primitive_dispatch(self):
-        out = apply_primitive("add", Tensor([1.0]), Tensor([2.0]))
-        assert out.data[0] == 3.0
-        with pytest.raises(UsageError):
-            apply_primitive("fused_qr_decomposition", Tensor([1.0]))
 
 
 class TestBackward:
@@ -132,14 +124,6 @@ def test_concat_gradient():
     b = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     params = [a, b]
     assert grad_check(lambda: (concat(params, axis=1) ** 2.0).sum(), params) < 1e-6
-
-
-def test_maximum_gradient_and_ties():
-    a = Tensor(np.array([1.0, 5.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([1.0, 3.0, 4.0]), requires_grad=True)
-    backward(maximum(a, b).sum())
-    assert np.array_equal(a.grad, [1.0, 1.0, 0.0])  # tie routes to first
-    assert np.array_equal(b.grad, [0.0, 0.0, 1.0])
 
 
 def test_broadcast_gradient():

@@ -3,6 +3,8 @@ import pytest
 
 from kwspot.cli import parse_config, run_cli
 from kwspot.errors import ConfigError
+from kwspot.models import ModelConfig, build_model
+from kwspot.training import save_checkpoint
 
 
 SYNTH_SPEC = """\
@@ -87,6 +89,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path)
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"sample_rate = 4000\nfmin = \xff\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg"):
+            parse_config(path)
+        code = run_cli(["train", "--data", str(tmp_path), "--config", str(path),
+                        "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "bad.cfg" in capsys.readouterr().err
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("\n# comment\nsample_rate = 4000  # inline\n\n")
@@ -106,6 +118,28 @@ class TestSynth:
         code = run_cli(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
         assert code == 1
         assert "missing synth keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        (b"n_classes = 2\nbanana = 1\n", "bad.spec:2: unknown key 'banana'"),
+        (b"n_classes 2\n", "bad.spec:1: expected key = value"),
+        (b"n_classes = \xff\n", "bad.spec: not UTF-8"),
+    ])
+    def test_bad_spec_line(self, tmp_path, capsys, body, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(body)
+        code = run_cli(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_optional_keys_default(self, tmp_path):
+        spec = tmp_path / "min.spec"
+        spec.write_text(
+            "n_classes = 2\nclips_per_class = 1\nsample_rate = 4000\n"
+            "class_frequencies = 400, 800\n"
+        )
+        out = tmp_path / "d"
+        assert run_cli(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        assert len(list(out.rglob("*.wav"))) == 2
 
 
 class TestFeaturize:
@@ -188,5 +222,29 @@ class TestTrainEval:
 
     def test_report_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "other.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        assert run_cli(["report", "--metrics", str(path)]) == 1
+        header = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds\n"
+        bodies = [
+            (b"a,b,c\n1,2,3\n", "not a kwspot metrics CSV"),
+            ((header + "1,0.5,0.5\n").encode(), "other.csv:2"),
+            ((header + "1,0.5,0.5,0.5,high,0.001,0.1\n").encode(), "other.csv:2"),
+            (header.encode() + b"\xff\n", "not UTF-8"),
+        ]
+        for body, message in bodies:
+            path.write_bytes(body)
+            assert run_cli(["report", "--metrics", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+    def test_eval_rejects_undecodable_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelConfig(
+            arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
+        )), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[12] = 0xFF  # first metadata byte
+        ckpt.write_bytes(bytes(blob))
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
+                        "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "model.ckpt: metadata" in capsys.readouterr().err

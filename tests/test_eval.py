@@ -112,6 +112,14 @@ class TestEmitAndParse:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             parse_report_csv(path)
+        path.write_bytes(b"label,accuracy,n\n\xff,0.5,2\n")
+        with pytest.raises(DataError, match=r"other\.csv"):
+            parse_report_csv(path)
+        for row in ("yes,0.9000", "yes,high,10", "__overall__,0.5000,ten",
+                    "yes,0.9,10,extra"):
+            path.write_text(f"label,accuracy,n\n{row}\n__overall__,0.5000,2\n")
+            with pytest.raises(DataError, match=r"other\.csv:2"):
+                parse_report_csv(path)
 
     def test_parse_requires_overall(self, tmp_path):
         path = tmp_path / "partial.csv"

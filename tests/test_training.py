@@ -9,7 +9,7 @@ from kwspot.models import ModelConfig, build_model, model_forward
 from kwspot.training import (
     AdamState, TrainConfig, adam_step, cross_entropy_loss, evaluate_arrays,
     featurize_index, fit, init_adam, load_checkpoint, lr_schedule,
-    save_checkpoint, train_epoch, write_metrics_csv,
+    read_metrics_csv, save_checkpoint, train_epoch, write_metrics_csv,
 )
 
 
@@ -35,10 +35,6 @@ class TestConfig:
     def test_patience_must_be_smaller(self):
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=5, patience=5)
-
-    def test_bad_metric(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(metric="val_loss")
 
 
 class TestCrossEntropy:
@@ -226,6 +222,11 @@ class TestFit:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[5]) == 1e-3
+        records = read_metrics_csv(path)
+        assert [r.epoch for r in records] == [r.epoch for r in history.records]
+        for got, want in zip(records, history.records):
+            assert got.lr == pytest.approx(want.lr, rel=1e-7)
+            assert got.val_acc == pytest.approx(want.val_acc, abs=5e-7)
 
 
 class TestEvaluateArrays:
@@ -300,6 +301,58 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError, match=r"cut\.ckpt"):
+                load_checkpoint(cut)
+
+    @staticmethod
+    def _array_offset(blob: bytes, name: str) -> int:
+        encoded = name.encode()
+        return blob.index(struct.pack("<I", len(encoded)) + encoded)
+
+    def test_missing_array_named(self, tmp_path):
+        # a file cut at an array boundary must not keep the seeded init
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:self._array_offset(blob, "conv0_bn_running_var")])
+        with pytest.raises(CheckpointError, match="conv0_bn_running_var"):
+            load_checkpoint(path)
+
+    def test_duplicate_array_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + blob[self._array_offset(blob, "conv0_bn_running_var"):])
+        with pytest.raises(CheckpointError, match="conv0_bn_running_var.*twice"):
+            load_checkpoint(path)
+
+    def test_undecodable_text_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        blob = path.read_bytes()
+        meta_len = struct.unpack("<I", blob[8:12])[0]
+        for offset, what in ((12, "metadata"), (12 + meta_len + 4, "array name")):
+            bad = bytearray(blob)
+            bad[offset] = 0xFF
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError, match=rf"model\.ckpt: {what}"):
+                load_checkpoint(path)
+
+    def test_invalid_metadata_value(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"arch=cnn", b"arch=rnn", 1))
+        with pytest.raises(CheckpointError, match="invalid metadata"):
             load_checkpoint(path)
 
     def test_size_audit(self, tmp_path):
