@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import audio_io, dsp, eval as evaluation, training
-from .errors import ConfigError, KwspotError, UsageError, read_text
+from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
 from .models import ARCHITECTURES, ModelConfig, build_model
 
 # key -> (parser, default); every key is documented in the README
@@ -138,7 +138,11 @@ def _cmd_synth(args) -> int:
     if missing:
         raise ConfigError(f"{args.spec}: missing synth keys {missing}")
     seed = values.pop("seed")
-    index = audio_io.synth_dataset(audio_io.SynthSpec(**values), seed)
+    try:
+        spec = audio_io.SynthSpec(**values)
+    except DatasetError as exc:
+        raise ConfigError(f"{args.spec}: {exc}") from None
+    index = audio_io.synth_dataset(spec, seed)
     out = Path(args.out)
     counters: dict[str, int] = {}
     for clip, label in index.entries:

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all kwspot modules, and the one text-file
-read that maps undecodable bytes onto it."""
+"""Exception hierarchy shared by all kwspot modules, the one text-file read
+that maps undecodable bytes onto it, and the one artifact write."""
 
+import os
 from pathlib import Path
 
 
@@ -59,3 +60,21 @@ def read_text(path, error: type) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def write_atomic(path, data):
+    """Replace `path` with `data` in one step: the bytes go to a temporary
+    file in the same directory, which is flushed to disk and then renamed
+    over the target. A failure leaves the previous file as it was and
+    removes the temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

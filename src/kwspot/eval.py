@@ -4,12 +4,11 @@ emission and re-parsing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import audio_io, dsp
-from .errors import DataError, IoError, read_text
+from .errors import DataError, IoError, read_text, write_atomic
 from .models import Model, predict
 
 
@@ -118,7 +117,7 @@ def emit_report(report: EvalReport, path, fmt: str = "csv"):
     else:
         raise DataError(f"unknown report format {fmt!r}")
     try:
-        Path(path).write_text(text)
+        write_atomic(path, text.encode("utf-8"))
     except OSError as exc:
         raise IoError(f"cannot write report to {path}: {exc}") from exc
 

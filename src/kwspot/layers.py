@@ -15,30 +15,24 @@ from .autodiff import Tensor, concat, custom_op
 from .errors import ShapeError
 
 
+# column blocks of LstmParams.W, U and b: input, forget, output, candidate
+LSTM_GATES = "ifog"
+
+
 @dataclass
 class ConvParams:
     kernels: Tensor  # out_ch x in_ch x kh x kw
-    bias: Tensor     # out_ch
     stride: tuple = (1, 1)
     padding: str = "valid"
 
 
 @dataclass
 class LstmParams:
-    """Per-gate weights: W_* map input -> hidden, U_* map hidden -> hidden."""
-    W_i: Tensor
-    W_f: Tensor
-    W_o: Tensor
-    W_g: Tensor
-    U_i: Tensor
-    U_f: Tensor
-    U_o: Tensor
-    U_g: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_g: Tensor
-    hidden_size: int
+    """All four gates side by side in LSTM_GATES order: W (d, 4h) maps the
+    input, U (h, 4h) the previous hidden state, b (4h)."""
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
 
 @dataclass
@@ -86,13 +80,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             cols[:, :, i, j] = xp[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw]
     kern = params.kernels.data
     out = np.einsum("ncijyx,ocij->noyx", cols, kern, optimize=True)
-    out += params.bias.data[None, :, None, None]
-
-    kernels, bias = params.kernels, params.bias
+    kernels = params.kernels
 
     def bw(g):
         kernels._accumulate(np.einsum("noyx,ncijyx->ocij", g, cols, optimize=True))
-        bias._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gcols = np.einsum("noyx,ocij->ncijyx", g, kern, optimize=True)
             gxp = np.zeros_like(xp)
@@ -101,7 +92,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
                     gxp[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw] += gcols[:, :, i, j]
             x._accumulate(gxp[:, :, pt:pt + h, pl:pl + w])
 
-    return custom_op(out, (x, kernels, bias), bw)
+    return custom_op(out, (x, kernels), bw)
 
 
 def max_pool(x: Tensor, window: tuple, stride: tuple | None = None) -> Tensor:
@@ -190,28 +181,21 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") ->
     raise ShapeError(f"dense: unknown activation {activation!r}")
 
 
-def lstm_step(x_t: Tensor, state: tuple, params: LstmParams) -> tuple:
-    """One LSTM cell update on a batch: returns (h', c')."""
-    h, c = state
-    i = (x_t @ params.W_i + h @ params.U_i + params.b_i).sigmoid()
-    f = (x_t @ params.W_f + h @ params.U_f + params.b_f).sigmoid()
-    o = (x_t @ params.W_o + h @ params.U_o + params.b_o).sigmoid()
-    g = (x_t @ params.W_g + h @ params.U_g + params.b_g).tanh()
-    c_new = f * c + i * g
-    h_new = o * c_new.tanh()
-    return h_new, c_new
-
-
 def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
-    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden."""
-    n, t_len, _ = seq.shape
-    hidden = params.hidden_size
-    h = Tensor(np.zeros((n, hidden)))
-    c = Tensor(np.zeros((n, hidden)))
+    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden. The
+    input projection of every step is one matmul ahead of the time loop."""
+    n, t_len, d = seq.shape
+    hidden = params.U.shape[0]
+    proj = (seq.reshape(n * t_len, d) @ params.W + params.b).reshape(n, t_len, 4 * hidden)
+    h = c = Tensor(np.zeros((n, hidden)))
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
     outputs = [None] * t_len
     for t in steps:
-        h, c = lstm_step(seq[:, t, :], (h, c), params)
+        z = proj[:, t, :] + h @ params.U
+        ifo = z[:, :3 * hidden].sigmoid()
+        i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
+        c = f * c + i * z[:, 3 * hidden:].tanh()
+        h = o * c.tanh()
         outputs[t] = h.reshape(n, 1, hidden)
     return concat(outputs, axis=1)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .layers import (
+    LSTM_GATES,
     BnStats,
     ConvParams,
     LstmParams,
@@ -97,28 +98,20 @@ def _glorot(rng, shape) -> np.ndarray:
 
 
 def _init_lstm(rng, params, prefix, in_dim, hidden):
-    for gate in ("i", "f", "o", "g"):
-        params[f"{prefix}_W{gate}"] = Tensor(
-            _glorot(rng, (in_dim, hidden)), requires_grad=True
-        )
-        params[f"{prefix}_U{gate}"] = Tensor(
-            _glorot(rng, (hidden, hidden)), requires_grad=True
-        )
-        bias = np.ones(hidden) if gate == "f" else np.zeros(hidden)
-        params[f"{prefix}_b{gate}"] = Tensor(bias, requires_grad=True)
-
-
-def _lstm_params(model, prefix, hidden) -> LstmParams:
-    p = model.params
-    return LstmParams(
-        W_i=p[f"{prefix}_Wi"], W_f=p[f"{prefix}_Wf"],
-        W_o=p[f"{prefix}_Wo"], W_g=p[f"{prefix}_Wg"],
-        U_i=p[f"{prefix}_Ui"], U_f=p[f"{prefix}_Uf"],
-        U_o=p[f"{prefix}_Uo"], U_g=p[f"{prefix}_Ug"],
-        b_i=p[f"{prefix}_bi"], b_f=p[f"{prefix}_bf"],
-        b_o=p[f"{prefix}_bo"], b_g=p[f"{prefix}_bg"],
-        hidden_size=hidden,
+    # each gate's blocks are drawn with that gate's own fans, W then U gate
+    # by gate; the forget gate's bias starts at 1
+    draws = [(_glorot(rng, (in_dim, hidden)), _glorot(rng, (hidden, hidden)))
+             for _ in LSTM_GATES]
+    for name, blocks in zip("WU", zip(*draws)):
+        params[f"{prefix}_{name}"] = Tensor(np.concatenate(blocks, axis=1), requires_grad=True)
+    params[f"{prefix}_b"] = Tensor(
+        np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES]),
+        requires_grad=True,
     )
+
+
+def _lstm_params(model, prefix) -> LstmParams:
+    return LstmParams(*(model.params[f"{prefix}_{name}"] for name in "WUb"))
 
 
 def _conv_stack_shape(config: ModelConfig):
@@ -205,13 +198,7 @@ def build_model(config: ModelConfig) -> Model:
 def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
     cfg = model.config
     for i, _ in enumerate(cfg.resolved_channels()):
-        kernel = model.params[f"conv{i}_kernel"]
-        conv = ConvParams(
-            kernels=kernel,
-            bias=Tensor(np.zeros(kernel.shape[0])),
-            stride=(1, 1),
-            padding="same",
-        )
+        conv = ConvParams(kernels=model.params[f"conv{i}_kernel"], padding="same")
         x = conv2d(x, conv)
         x = batch_norm(
             x,
@@ -245,7 +232,6 @@ def _forward(model: Model, batch: Tensor, rng=None):
     x = batch.reshape(n, 1, t, d)
     feat = _conv_blocks(model, x, rng)
     p = model.params
-    hidden = cfg.lstm_hidden
 
     if cfg.arch == "cnn":
         flat = feat.reshape(n, -1)
@@ -254,16 +240,12 @@ def _forward(model: Model, batch: Tensor, rng=None):
         return dense(h2, p["fc2_W"], p["fc2_b"], "none"), None
 
     seq = _to_sequence(feat)
-    l1 = bilstm_sequence(
-        seq, _lstm_params(model, "lstm1f", hidden), _lstm_params(model, "lstm1b", hidden)
-    )
+    l1 = bilstm_sequence(seq, _lstm_params(model, "lstm1f"), _lstm_params(model, "lstm1b"))
     if cfg.arch == "cnn_bilstm":
         pooled = l1.mean(axis=1)
         return dense(pooled, p["out_W"], p["out_b"], "none"), None
 
-    l2 = bilstm_sequence(
-        l1, _lstm_params(model, "lstm2f", hidden), _lstm_params(model, "lstm2b", hidden)
-    )
+    l2 = bilstm_sequence(l1, _lstm_params(model, "lstm2f"), _lstm_params(model, "lstm2b"))
     if cfg.arch == "attention_rnn":
         mid = l2.shape[1] // 2
         query = l2[:, mid, :] @ p["query_proj"]

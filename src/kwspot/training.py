@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,11 +13,11 @@ import numpy as np
 
 from . import audio_io, dsp
 from .autodiff import Tensor, backward
-from .errors import CheckpointError, ConfigError, DataError, read_text
+from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
 from .models import Model, ModelConfig, build_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def write_metrics_csv(history: TrainHistory, path):
             f"{r.epoch},{r.train_loss:.6f},{r.train_acc:.6f},"
             f"{r.val_loss:.6f},{r.val_acc:.6f},{r.lr:.8g},{r.wall_time:.3f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_metrics_csv(path) -> list:
@@ -222,7 +223,8 @@ def featurize_index(index, dsp_config, kind: str = "log_mel"):
 # ---- checkpoint format ------------------------------------------------
 # magic "KWSA" | u32 version | u32 metadata length | metadata (key=value
 # lines, UTF-8) | per parameter: u32 name length | name | u32 rank |
-# rank * u32 dims | raw little-endian float64 values
+# rank * u32 dims | raw little-endian float64 values | u32 CRC32 (zlib) of
+# every preceding byte
 
 
 def _model_metadata(model: Model, train_config: TrainConfig | None, labels) -> str:
@@ -273,8 +275,9 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
         blob += struct.pack("<I", len(encoded)) + encoded
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+        blob += np.ascontiguousarray(arr, dtype="<f8").data
+    blob += struct.pack("<I", zlib.crc32(blob))
+    write_atomic(path, blob)
 
 
 class _Reader:
@@ -297,7 +300,7 @@ class _Reader:
         """A u32-length-prefixed UTF-8 string."""
         raw = self.take(self.u32())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")  # raw may be a memoryview of the file
         except UnicodeDecodeError:
             raise CheckpointError(
                 f"{self.path}: {what} at byte {self.pos - len(raw)} is not UTF-8"
@@ -305,7 +308,7 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (model, metadata dict). Rejects bad magic, version,
+    """Returns (model, metadata dict). Rejects bad magic, version, checksum,
     truncation, undecodable text and an array that is unknown, missing or
     stored twice with CheckpointError."""
     reader = _Reader(path)
@@ -314,6 +317,10 @@ def load_checkpoint(path):
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
+    body, trailer = memoryview(reader.raw)[:-4], reader.raw[-4:]
+    if len(body) < reader.pos or zlib.crc32(body) != int.from_bytes(trailer, "little"):
+        raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated file)")
+    reader.raw = body
     meta = {}
     for line in reader.text("metadata").splitlines():
         key, _, value = line.partition("=")

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -45,3 +48,9 @@ def naive_dft_power(frame: np.ndarray, n_fft: int) -> np.ndarray:
         im = np.sum(x * np.sin(-2.0 * np.pi * k * n / n_fft))
         out[k] = re * re + im * im
     return out
+
+
+def write_sealed_checkpoint(path, body: bytes):
+    """Write a (mutated) checkpoint body with a valid CRC32 trailer, so that
+    loading it reaches the checks behind the checksum."""
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import write_sealed_checkpoint
 from kwspot.cli import parse_config, run_cli
 from kwspot.errors import ConfigError
 from kwspot.models import ModelConfig, build_model
@@ -123,6 +124,8 @@ class TestSynth:
         (b"n_classes = 2\nbanana = 1\n", "bad.spec:2: unknown key 'banana'"),
         (b"n_classes 2\n", "bad.spec:1: expected key = value"),
         (b"n_classes = \xff\n", "bad.spec: not UTF-8"),
+        (b"n_classes = 3\nclips_per_class = 1\nsample_rate = 4000\n"
+         b"class_frequencies = 400, 800\n", "bad.spec: need one frequency per class"),
     ])
     def test_bad_spec_line(self, tmp_path, capsys, body, message):
         spec = tmp_path / "bad.spec"
@@ -241,9 +244,9 @@ class TestTrainEval:
         save_checkpoint(build_model(ModelConfig(
             arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
         )), ckpt)
-        blob = bytearray(ckpt.read_bytes())
-        blob[12] = 0xFF  # first metadata byte
-        ckpt.write_bytes(bytes(blob))
+        body = bytearray(ckpt.read_bytes()[:-4])
+        body[12] = 0xFF  # first metadata byte
+        write_sealed_checkpoint(ckpt, bytes(body))
         code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path),
                         "--out", str(tmp_path / "r.csv")])
         assert code == 2

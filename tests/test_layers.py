@@ -4,12 +4,12 @@ import pytest
 from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import ShapeError
 from kwspot.layers import (
-    BnStats, ConvParams, LstmParams, attention, batch_norm, bilstm_sequence,
-    conv2d, dense, dropout, lstm_sequence, lstm_step, max_pool,
+    LSTM_GATES, BnStats, ConvParams, LstmParams, attention, batch_norm,
+    bilstm_sequence, conv2d, dense, dropout, lstm_sequence, max_pool,
 )
 
 
-def naive_conv2d(x, k, b, stride, padding):
+def naive_conv2d(x, k, stride, padding):
     n, c, h, w = x.shape
     oc, ic, kh, kw = k.shape
     sh, sw = stride
@@ -31,14 +31,13 @@ def naive_conv2d(x, k, b, stride, padding):
                         for i in range(kh):
                             for j in range(kw):
                                 acc += x[ni, ci, y * sh + i, xx * sw + j] * k[o, ci, i, j]
-                    out[ni, o, y, xx] = acc + b[o]
+                    out[ni, o, y, xx] = acc
     return out
 
 
 def _conv_params(rng, oc, ic, kh, kw, stride=(1, 1), padding="valid"):
     return ConvParams(
         kernels=Tensor(rng.normal(size=(oc, ic, kh, kw)), requires_grad=True),
-        bias=Tensor(rng.normal(size=oc), requires_grad=True),
         stride=stride, padding=padding,
     )
 
@@ -47,17 +46,13 @@ class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(2, 1, 4, 4)))
-        params = ConvParams(
-            kernels=Tensor(np.ones((1, 1, 1, 1))), bias=Tensor(np.zeros(1))
-        )
+        params = ConvParams(kernels=Tensor(np.ones((1, 1, 1, 1))))
         assert np.allclose(conv2d(x, params).data, x.data)
 
     def test_all_ones(self):
         x = Tensor(np.ones((1, 1, 5, 5)))
-        params = ConvParams(
-            kernels=Tensor(np.ones((1, 1, 3, 3))), bias=Tensor(np.array([0.5]))
-        )
-        assert np.allclose(conv2d(x, params).data, 9.5)
+        params = ConvParams(kernels=Tensor(np.ones((1, 1, 3, 3))))
+        assert np.allclose(conv2d(x, params).data, 9.0)
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(1)
@@ -75,16 +70,14 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(n, c, h, w)))
         params = _conv_params(rng, oc, c, kh, kw, stride, padding)
         out = conv2d(x, params)
-        ref = naive_conv2d(
-            x.data, params.kernels.data, params.bias.data, stride, padding
-        )
+        ref = naive_conv2d(x.data, params.kernels.data, stride, padding)
         assert np.abs(out.data - ref).max() < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
         params = _conv_params(rng, 3, 2, 3, 3, padding="same")
-        leaves = [x, params.kernels, params.bias]
+        leaves = [x, params.kernels]
         assert grad_check(
             lambda: (conv2d(x, params) ** 2.0).sum(), leaves
         ) < 1e-5
@@ -203,50 +196,68 @@ class TestDense:
 
 
 def _lstm_params(rng, in_dim, hidden, requires_grad=True, scale=1.0):
+    # one draw per gate block, all W blocks, then all U, then all b
     def t(shape):
-        return Tensor(scale * rng.normal(size=shape) / np.sqrt(max(shape)),
-                      requires_grad=requires_grad)
-    return LstmParams(
-        W_i=t((in_dim, hidden)), W_f=t((in_dim, hidden)),
-        W_o=t((in_dim, hidden)), W_g=t((in_dim, hidden)),
-        U_i=t((hidden, hidden)), U_f=t((hidden, hidden)),
-        U_o=t((hidden, hidden)), U_g=t((hidden, hidden)),
-        b_i=t((hidden,)), b_f=t((hidden,)), b_o=t((hidden,)), b_g=t((hidden,)),
-        hidden_size=hidden,
-    )
+        return Tensor(
+            np.concatenate([scale * rng.normal(size=shape) / np.sqrt(max(shape))
+                            for _ in LSTM_GATES], axis=-1),
+            requires_grad=requires_grad,
+        )
+    return LstmParams(W=t((in_dim, hidden)), U=t((hidden, hidden)), b=t((hidden,)))
 
 
 def _lstm_leaves(p):
-    return [p.W_i, p.W_f, p.W_o, p.W_g, p.U_i, p.U_f, p.U_o, p.U_g,
-            p.b_i, p.b_f, p.b_o, p.b_g]
+    return [p.W, p.U, p.b]
+
+
+def naive_lstm(x, W, U, b, reverse=False):
+    """Per-gate, per-step reference for lstm_sequence on N x T x d."""
+    n, t_len, _ = x.shape
+    hidden = U.shape[0]
+    block = {gate: slice(k * hidden, (k + 1) * hidden) for k, gate in enumerate(LSTM_GATES)}
+    h, c = np.zeros((n, hidden)), np.zeros((n, hidden))
+    out = np.zeros((n, t_len, hidden))
+    for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+        pre = {gate: x[:, t] @ W[:, s] + h @ U[:, s] + b[s] for gate, s in block.items()}
+        i, f, o = (1.0 / (1.0 + np.exp(-pre[gate])) for gate in "ifo")
+        c = f * c + i * np.tanh(pre["g"])
+        h = o * np.tanh(c)
+        out[:, t] = h
+    return out
 
 
 class TestLstm:
     def test_zero_weights_zero_state(self):
         params = _lstm_params(np.random.default_rng(11), 4, 3, scale=0.0)
-        h, c = lstm_step(
-            Tensor(np.ones((2, 4))), (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))),
-            params,
-        )
-        assert np.abs(h.data).max() == 0.0
+        out = lstm_sequence(Tensor(np.ones((2, 1, 4))), params)
+        assert np.abs(out.data).max() == 0.0
 
     def test_hidden_bounded(self):
         rng = np.random.default_rng(12)
         params = _lstm_params(rng, 4, 3, scale=5.0)
-        h = Tensor(rng.normal(size=(2, 3)))
-        c = Tensor(10.0 * rng.normal(size=(2, 3)))
-        h2, _ = lstm_step(Tensor(10.0 * rng.normal(size=(2, 4))), (h, c), params)
-        assert np.abs(h2.data).max() < 1.0
+        out = lstm_sequence(Tensor(10.0 * rng.normal(size=(2, 6, 4))), params)
+        assert np.abs(out.data).max() < 1.0
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_per_gate_reference(self, trial):
+        rng = np.random.default_rng(300 + trial)
+        n, d, hidden = rng.integers(1, 4), rng.integers(1, 6), rng.integers(1, 6)
+        t_len = 1 if trial < 4 else int(rng.integers(2, 8))
+        reverse = bool(trial % 2)
+        params = _lstm_params(rng, d, hidden, scale=2.0)
+        x = rng.normal(size=(n, t_len, d))
+        out = lstm_sequence(Tensor(x), params, reverse=reverse).data
+        ref = naive_lstm(x, params.W.data, params.U.data, params.b.data, reverse)
+        assert out.shape == (n, t_len, hidden)
+        assert np.abs(out - ref).max() < 1e-12
 
     def test_gradients_through_unrolled_steps(self):
         rng = np.random.default_rng(13)
         params = _lstm_params(rng, 3, 2, scale=2.0)
-        xs = rng.normal(size=(5, 2, 3))
+        seq = Tensor(rng.normal(size=(5, 2, 3)).transpose(1, 0, 2))
 
         def f():
-            h, c = Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2)))
-            for t in range(5):
-                h, c = lstm_step(Tensor(xs[t]), (h, c), params)
+            h = lstm_sequence(seq, params)[:, -1, :]
             return (h * h).sum()
 
         assert grad_check(f, _lstm_leaves(params)) < 1e-5
@@ -260,15 +271,13 @@ class TestBilstm:
         assert out.shape == (1, 98, 128)
 
     def test_single_timestep(self):
+        # one step runs the same either way, so each half is a forward pass
         rng = np.random.default_rng(15)
         fwd, bwd = _lstm_params(rng, 4, 3), _lstm_params(rng, 4, 3)
         seq = Tensor(rng.normal(size=(2, 1, 4)))
         out = bilstm_sequence(seq, fwd, bwd)
-        zeros = (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-        hf, _ = lstm_step(seq[:, 0, :], zeros, fwd)
-        hb, _ = lstm_step(seq[:, 0, :], zeros, bwd)
-        assert np.allclose(out.data[:, 0, :3], hf.data)
-        assert np.allclose(out.data[:, 0, 3:], hb.data)
+        assert np.allclose(out.data[:, :, :3], lstm_sequence(seq, fwd).data)
+        assert np.allclose(out.data[:, :, 3:], lstm_sequence(seq, bwd).data)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(16)

@@ -60,8 +60,9 @@ class TestBuild:
 
     def test_forget_gate_bias_ones(self):
         model = build_model(_small_config("cnn_bilstm"))
-        assert np.array_equal(model.params["lstm1f_bf"].data, np.ones(5))
-        assert np.array_equal(model.params["lstm1f_bi"].data, np.zeros(5))
+        bias = np.zeros(4 * 5)
+        bias[5:10] = 1.0  # gates i, f, o, g: only the forget gate starts at 1
+        assert np.array_equal(model.params["lstm1f_b"].data, bias)
 
     def test_param_name_audit(self):
         rnn = set(build_model(_small_config("attention_rnn")).params)

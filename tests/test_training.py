@@ -1,15 +1,20 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import write_sealed_checkpoint
+from kwspot import errors
 from kwspot.autodiff import Tensor, backward
-from kwspot.errors import CheckpointError, ConfigError, DataError
+from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
+from kwspot.eval import confusion_matrix, emit_report, report_from_confusion
 from kwspot.models import ModelConfig, build_model, model_forward
 from kwspot.training import (
-    AdamState, TrainConfig, adam_step, cross_entropy_loss, evaluate_arrays,
-    featurize_index, fit, init_adam, load_checkpoint, lr_schedule,
-    read_metrics_csv, save_checkpoint, train_epoch, write_metrics_csv,
+    AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
+    cross_entropy_loss, evaluate_arrays, featurize_index, fit, init_adam,
+    load_checkpoint, lr_schedule, read_metrics_csv, save_checkpoint,
+    train_epoch, write_metrics_csv,
 )
 
 
@@ -322,37 +327,59 @@ class TestCheckpoint:
         # a file cut at an array boundary must not keep the seeded init
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:self._array_offset(blob, "conv0_bn_running_var")])
+        body = path.read_bytes()[:-4]
+        write_sealed_checkpoint(path, body[:self._array_offset(body, "conv0_bn_running_var")])
         with pytest.raises(CheckpointError, match="conv0_bn_running_var"):
             load_checkpoint(path)
 
     def test_duplicate_array_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob + blob[self._array_offset(blob, "conv0_bn_running_var"):])
+        body = path.read_bytes()[:-4]
+        write_sealed_checkpoint(
+            path, body + body[self._array_offset(body, "conv0_bn_running_var"):]
+        )
         with pytest.raises(CheckpointError, match="conv0_bn_running_var.*twice"):
             load_checkpoint(path)
 
     def test_undecodable_text_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        blob = path.read_bytes()
-        meta_len = struct.unpack("<I", blob[8:12])[0]
+        body = path.read_bytes()[:-4]
+        meta_len = struct.unpack("<I", body[8:12])[0]
         for offset, what in ((12, "metadata"), (12 + meta_len + 4, "array name")):
-            bad = bytearray(blob)
+            bad = bytearray(body)
             bad[offset] = 0xFF
-            path.write_bytes(bytes(bad))
+            write_sealed_checkpoint(path, bytes(bad))
             with pytest.raises(CheckpointError, match=rf"model\.ckpt: {what}"):
                 load_checkpoint(path)
 
     def test_invalid_metadata_value(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob.replace(b"arch=cnn", b"arch=rnn", 1))
+        body = path.read_bytes()[:-4]
+        write_sealed_checkpoint(path, body.replace(b"arch=cnn", b"arch=rnn", 1))
         with pytest.raises(CheckpointError, match="invalid metadata"):
+            load_checkpoint(path)
+
+    def test_every_byte_flip_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(arch="cnn_bilstm"), path, labels=["a", "b", "c"])
+        blob = path.read_bytes()
+        bad = tmp_path / "flip.ckpt"
+        for offset in range(8, len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match=r"flip\.ckpt: checksum mismatch"):
+                load_checkpoint(bad)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: unsupported version 1"):
             load_checkpoint(path)
 
     def test_size_audit(self, tmp_path):
@@ -360,7 +387,7 @@ class TestCheckpoint:
         model, config = self._trained()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
-        expected = 4 + 4  # magic + version
+        expected = 4 + 4 + 4  # magic + version + CRC32 trailer
         meta_len = path.read_bytes()[8:12]
         expected += 4 + struct.unpack("<I", meta_len)[0]
         items = [(k, v.data) for k, v in model.params.items()]
@@ -370,3 +397,29 @@ class TestCheckpoint:
         for name, arr in items:
             expected += 8 + len(name) + 4 * arr.ndim + 8 * arr.size
         assert path.stat().st_size == expected
+
+
+class TestAtomicWrite:
+    HISTORY = TrainHistory(records=[EpochRecord(1, 0.5, 0.5, 0.5, 0.5, 1e-3, 0.1)])
+    REPORT = report_from_confusion(confusion_matrix([0, 1], [0, 1], 2, ["a", "b"]))
+    WRITERS = {
+        "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), OSError),
+        "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), OSError),
+        "report": (lambda path: emit_report(TestAtomicWrite.REPORT, path), IoError),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        write, error = self.WRITERS[writer]
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous contents")
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        # the new bytes are written in full; the failure comes before the rename
+        monkeypatch.setattr(errors.os, "fsync", fail)
+        with pytest.raises(error):
+            write(path)
+        assert path.read_bytes() == b"previous contents"
+        assert os.listdir(tmp_path) == ["artifact"]
