@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DspError
 
@@ -82,9 +83,7 @@ def frame_signal(signal: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray
     signal = np.asarray(signal, dtype=np.float64)
     if len(signal) < frame_len:
         raise DspError(f"signal of {len(signal)} samples shorter than frame {frame_len}")
-    count = n_frames(len(signal), frame_len, hop_len)
-    starts = np.arange(count) * hop_len
-    return np.stack([signal[s:s + frame_len] for s in starts])
+    return sliding_window_view(signal, frame_len)[::hop_len].copy()
 
 
 def apply_window(frames: np.ndarray, window: str = "hamming") -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, concat, custom_op
 from .errors import ShapeError
@@ -17,13 +18,6 @@ from .errors import ShapeError
 
 # column blocks of LstmParams.W, U and b: input, forget, output, candidate
 LSTM_GATES = "ifog"
-
-
-@dataclass
-class ConvParams:
-    kernels: Tensor  # out_ch x in_ch x kh x kw
-    stride: tuple = (1, 1)
-    padding: str = "valid"
 
 
 @dataclass
@@ -42,82 +36,53 @@ class BnStats:
     var: np.ndarray
 
 
-def _pad_amount(size: int, stride: int, k: int) -> int:
-    out = -(-size // stride)  # ceil
-    return max((out - 1) * stride + k - size, 0)
-
-
-def conv_output_hw(h: int, w: int, kh: int, kw: int, stride, padding: str):
-    sh, sw = stride
-    if padding == "same":
-        return -(-h // sh), -(-w // sw)
-    return (h - kh) // sh + 1, (w - kw) // sw + 1
-
-
-def conv2d(x: Tensor, params: ConvParams) -> Tensor:
-    """Cross-correlation of an NCHW batch with OIHW kernels."""
+def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Cross-correlation of an NCHW batch with OIHW kernels, one output per
+    input position: zeros pad (k-1)//2 rows and columns on the top and left
+    and the rest on the bottom and right."""
     n, c, h, w = x.shape
-    oc, ic, kh, kw = params.kernels.shape
+    _, ic, kh, kw = kernels.shape
     if ic != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {ic}")
-    sh, sw = params.stride
-    if params.padding == "same":
-        ph, pw = _pad_amount(h, sh, kh), _pad_amount(w, sw, kw)
-        pt, pl = ph // 2, pw // 2
-        pb, pr = ph - pt, pw - pl
-    elif params.padding == "valid":
-        pt = pb = pl = pr = 0
-    else:
-        raise ShapeError(f"conv2d: unknown padding {params.padding!r}")
-    oh, ow = conv_output_hw(h, w, kh, kw, params.stride, params.padding)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv2d: input {h}x{w} too small for kernel {kh}x{kw}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = np.empty((n, c, kh, kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw]
-    kern = params.kernels.data
-    out = np.einsum("ncijyx,ocij->noyx", cols, kern, optimize=True)
-    kernels = params.kernels
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    # im2col as a view: cols[n, c, y, x, i, j] = xp[n, c, y + i, x + j]
+    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    kern = kernels.data
+    out = np.einsum("ncyxij,ocij->noyx", cols, kern, optimize=True)
 
     def bw(g):
-        kernels._accumulate(np.einsum("noyx,ncijyx->ocij", g, cols, optimize=True))
+        kernels._accumulate(np.einsum("noyx,ncyxij->ocij", g, cols, optimize=True))
         if x.requires_grad:
             gcols = np.einsum("noyx,ocij->ncijyx", g, kern, optimize=True)
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw] += gcols[:, :, i, j]
+                    gxp[:, :, i:i + h, j:j + w] += gcols[:, :, i, j]
             x._accumulate(gxp[:, :, pt:pt + h, pl:pl + w])
 
     return custom_op(out, (x, kernels), bw)
 
 
-def max_pool(x: Tensor, window: tuple, stride: tuple | None = None) -> Tensor:
-    """Per-window maximum; gradient routes to the first argmax in scan order."""
-    stride = stride or window
+def max_pool(x: Tensor) -> Tensor:
+    """Maximum over non-overlapping 2x2 windows; an odd last row or column
+    is dropped. The gradient routes to the first maximum in scan order."""
     n, c, h, w = x.shape
-    kh, kw = window
-    sh, sw = stride
-    if kh > h or kw > w:
-        raise ShapeError(f"max_pool: window {window} exceeds input {h}x{w}")
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    cols = np.empty((n, c, kh * kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i * kw + j] = x.data[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw]
-    arg = cols.argmax(axis=2)  # first occurrence wins ties
-    out = np.take_along_axis(cols, arg[:, :, None], axis=2)[:, :, 0]
+    oh, ow = h // 2, w // 2
+    if oh == 0 or ow == 0:
+        raise ShapeError(f"max_pool: 2x2 window exceeds input {h}x{w}")
+    # cols[n, c, y, x, 2i + j] = x[n, c, 2y + i, 2x + j]
+    cols = (x.data[:, :, :2 * oh, :2 * ow].reshape(n, c, oh, 2, ow, 2)
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4))
+    arg = cols.argmax(axis=4)[..., None]  # first occurrence wins ties
+    out = np.take_along_axis(cols, arg, axis=4)[..., 0]
 
     def bw(g):
         gcols = np.zeros_like(cols)
-        np.put_along_axis(gcols, arg[:, :, None], g[:, :, None], axis=2)
+        np.put_along_axis(gcols, arg, g[..., None], axis=4)
         gx = np.zeros_like(x.data)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i:i + oh * sh:sh, j:j + ow * sw:sw] += gcols[:, :, i * kw + j]
+        gx[:, :, :2 * oh, :2 * ow] += (gcols.reshape(n, c, oh, ow, 2, 2)
+                                       .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow))
         x._accumulate(gx)
 
     return custom_op(out, (x,), bw)
@@ -132,15 +97,11 @@ def batch_norm(
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel normalization over an NCHW or NF batch."""
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-    else:
-        raise ShapeError(f"batch_norm expects rank 2 or 4 input, got {x.shape}")
+    """Per-channel normalization over an NCHW batch."""
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
+    axes = (0, 2, 3)
+    shape = (1, -1, 1, 1)
     g = gamma.reshape(shape)
     b = beta.reshape(shape)
     if mode == "train":
@@ -210,14 +171,9 @@ def bilstm_sequence(seq: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
 def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:
     """Scaled dot-product attention read.
 
-    query: (d_k,) or (N, d_k); keys: (T, d_k) or (N, T, d_k); values
-    likewise. Returns (context, weights) with weights summing to 1 per row.
+    query: (N, d_k); keys: (N, T, d_k); values: (N, T, d_v). Returns
+    (context (N, d_v), weights (N, T)) with weights summing to 1 per row.
     """
-    single = query.ndim == 1
-    if single:
-        query = query.reshape(1, -1)
-        keys = keys.reshape(1, *keys.shape)
-        values = values.reshape(1, *values.shape)
     n, t_len, d_k = keys.shape
     if query.shape[-1] != d_k:
         raise ShapeError(
@@ -226,6 +182,4 @@ def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:
     scores = (keys @ query.reshape(n, d_k, 1)).reshape(n, t_len) * (1.0 / np.sqrt(d_k))
     weights = scores.softmax(axis=1)
     context = (weights.reshape(n, 1, t_len) @ values).reshape(n, values.shape[2])
-    if single:
-        return context.reshape(-1), weights.reshape(-1)
     return context, weights

@@ -20,7 +20,6 @@ from .errors import ConfigError, ShapeError
 from .layers import (
     LSTM_GATES,
     BnStats,
-    ConvParams,
     LstmParams,
     attention,
     batch_norm,
@@ -64,7 +63,7 @@ class ModelConfig:
 @dataclass
 class Model:
     config: ModelConfig
-    params: dict          # name -> Tensor (requires_grad)
+    params: dict          # name -> Tensor (requires_grad in train mode)
     bn_stats: dict        # name -> BnStats
     mode: str = "train"
 
@@ -72,9 +71,13 @@ class Model:
         return sum(p.size for p in self.params.values())
 
     def set_mode(self, mode: str):
+        """Parameters require gradients only in train mode, so that an
+        infer-mode forward records no autodiff graph."""
         if mode not in ("train", "infer"):
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
+        for p in self.params.values():
+            p.requires_grad = mode == "train"
 
     def snapshot(self) -> dict:
         return {
@@ -198,8 +201,7 @@ def build_model(config: ModelConfig) -> Model:
 def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
     cfg = model.config
     for i, _ in enumerate(cfg.resolved_channels()):
-        conv = ConvParams(kernels=model.params[f"conv{i}_kernel"], padding="same")
-        x = conv2d(x, conv)
+        x = conv2d(x, model.params[f"conv{i}_kernel"])
         x = batch_norm(
             x,
             model.params[f"conv{i}_gamma"],
@@ -208,7 +210,7 @@ def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
             model.mode,
         )
         x = x.relu()
-        x = max_pool(x, (2, 2))
+        x = max_pool(x)
         x = dropout(x, cfg.dropout_rate, model.mode, rng)
     return x
 

@@ -18,8 +18,7 @@ from kwspot.eval import (
     confusion_matrix, emit_report, parse_report_csv, report_from_confusion,
 )
 from kwspot.layers import (
-    BnStats, ConvParams, attention, batch_norm, conv2d, dense, lstm_sequence,
-    max_pool,
+    BnStats, attention, batch_norm, conv2d, dense, lstm_sequence, max_pool,
 )
 from kwspot.models import (
     ARCHITECTURES, ModelConfig, build_model, model_forward,
@@ -138,21 +137,18 @@ def _layer_gradchecks():
     worst = 0.0
 
     x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
-    conv = ConvParams(
-        kernels=Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True),
-        padding="same",
-    )
+    kernels = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     # unused draw: it keeps every later check on its frozen data point
     # (shifting them puts one true LSTM gradient of -6e-8 at the
     # finite-difference noise floor)
     rng.normal(size=3)
     worst = max(worst, grad_check(
-        lambda: (conv2d(x, conv) ** 2.0).sum(), [x, conv.kernels]
+        lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
     ))
 
     xp = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
     worst = max(worst, grad_check(
-        lambda: (max_pool(xp, (2, 2)) ** 2.0).sum(), [xp]
+        lambda: (max_pool(xp) ** 2.0).sum(), [xp]
     ))
 
     xb = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
@@ -182,9 +178,9 @@ def _layer_gradchecks():
 
     worst = max(worst, grad_check(lstm_loss, _lstm_leaves(lstm)))
 
-    q = Tensor(rng.normal(size=3), requires_grad=True)
-    keys = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    values = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    q = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    keys = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
+    values = Tensor(rng.normal(size=(1, 5, 4)), requires_grad=True)
 
     def attn_loss():
         context, _ = attention(q, keys, values)
@@ -389,18 +385,18 @@ def test_criterion_7_attention_contracts():
             worst_sum = max(worst_sum, abs(w.data.sum() - 1.0))
             min_weight = min(min_weight, w.data.min())
     _, single = attention(
-        Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(1, 4))),
-        Tensor(rng.normal(size=(1, 2))),
+        Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 1, 4))),
+        Tensor(rng.normal(size=(1, 1, 2))),
     )
     elapsed = time.perf_counter() - t0
     ok = (
         worst_sum < 1e-12 and min_weight >= 0.0
-        and single.data[0] == 1.0 and elapsed < 5
+        and single.data[0, 0] == 1.0 and elapsed < 5
     )
     _verdict(
         7, "attention contracts", ok,
         f"sum deviation {worst_sum:.2e}, min weight {min_weight:.2e}, "
-        f"single-key weight {single.data[0]}, {elapsed:.1f}s",
+        f"single-key weight {single.data[0, 0]}, {elapsed:.1f}s",
     )
 
 

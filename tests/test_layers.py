@@ -4,60 +4,61 @@ import pytest
 from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import ShapeError
 from kwspot.layers import (
-    LSTM_GATES, BnStats, ConvParams, LstmParams, attention, batch_norm,
+    LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
     bilstm_sequence, conv2d, dense, dropout, lstm_sequence, max_pool,
 )
 
 
-def naive_conv2d(x, k, stride, padding):
+def naive_conv2d(x, k):
+    """Six-loop cross-correlation, zero "same" padding: (k-1)//2 on the top
+    and left, the rest on the bottom and right."""
     n, c, h, w = x.shape
     oc, ic, kh, kw = k.shape
-    sh, sw = stride
-    if padding == "same":
-        oh, ow = -(-h // sh), -(-w // sw)
-        ph = max((oh - 1) * sh + kh - h, 0)
-        pw = max((ow - 1) * sw + kw - w, 0)
-        x = np.pad(x, ((0, 0), (0, 0), (ph // 2, ph - ph // 2),
-                       (pw // 2, pw - pw // 2)))
-    else:
-        oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    out = np.zeros((n, oc, oh, ow))
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    x = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    out = np.zeros((n, oc, h, w))
     for ni in range(n):
         for o in range(oc):
-            for y in range(oh):
-                for xx in range(ow):
+            for y in range(h):
+                for xx in range(w):
                     acc = 0.0
                     for ci in range(c):
                         for i in range(kh):
                             for j in range(kw):
-                                acc += x[ni, ci, y * sh + i, xx * sw + j] * k[o, ci, i, j]
+                                acc += x[ni, ci, y + i, xx + j] * k[o, ci, i, j]
                     out[ni, o, y, xx] = acc
     return out
 
 
-def _conv_params(rng, oc, ic, kh, kw, stride=(1, 1), padding="valid"):
-    return ConvParams(
-        kernels=Tensor(rng.normal(size=(oc, ic, kh, kw)), requires_grad=True),
-        stride=stride, padding=padding,
-    )
+def _kernels(rng, oc, ic, kh, kw):
+    return Tensor(rng.normal(size=(oc, ic, kh, kw)), requires_grad=True)
 
 
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(2, 1, 4, 4)))
-        params = ConvParams(kernels=Tensor(np.ones((1, 1, 1, 1))))
-        assert np.allclose(conv2d(x, params).data, x.data)
+        assert np.allclose(conv2d(x, Tensor(np.ones((1, 1, 1, 1)))).data, x.data)
 
     def test_all_ones(self):
         x = Tensor(np.ones((1, 1, 5, 5)))
-        params = ConvParams(kernels=Tensor(np.ones((1, 1, 3, 3))))
-        assert np.allclose(conv2d(x, params).data, 9.0)
+        out = conv2d(x, Tensor(np.ones((1, 1, 3, 3)))).data[0, 0]
+        assert out.shape == (5, 5)
+        assert np.allclose(out[1:-1, 1:-1], 9.0)
+        assert np.allclose(out[[0, 0, -1, -1], [0, -1, 0, -1]], 4.0)
+        assert np.allclose(out[0, 1:-1], 6.0)
+
+    def test_even_kernel_pads_bottom_right(self):
+        # a 2x2 kernel pads (2-1)//2 = 0 rows on top and one at the bottom
+        x = Tensor(np.arange(9.0).reshape(1, 1, 3, 3))
+        out = conv2d(x, Tensor(np.ones((1, 1, 2, 2)))).data[0, 0]
+        assert np.array_equal(out[0], [8.0, 12.0, 7.0])
+        assert np.array_equal(out[-1], [13.0, 15.0, 8.0])
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 3, 4, 4))), _conv_params(rng, 2, 2, 3, 3))
+            conv2d(Tensor(np.zeros((1, 3, 4, 4))), _kernels(rng, 2, 2, 3, 3))
 
     @pytest.mark.parametrize("trial", range(50))
     def test_matches_naive(self, trial):
@@ -65,53 +66,71 @@ class TestConv2d:
         n, c, oc = rng.integers(1, 3), rng.integers(1, 3), rng.integers(1, 4)
         h, w = rng.integers(4, 8), rng.integers(4, 8)
         kh, kw = rng.integers(1, 4), rng.integers(1, 4)
-        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        padding = ["valid", "same"][rng.integers(0, 2)]
         x = Tensor(rng.normal(size=(n, c, h, w)))
-        params = _conv_params(rng, oc, c, kh, kw, stride, padding)
-        out = conv2d(x, params)
-        ref = naive_conv2d(x.data, params.kernels.data, stride, padding)
+        kernels = _kernels(rng, oc, c, kh, kw)
+        out = conv2d(x, kernels)
+        ref = naive_conv2d(x.data, kernels.data)
         assert np.abs(out.data - ref).max() < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
-        params = _conv_params(rng, 3, 2, 3, 3, padding="same")
-        leaves = [x, params.kernels]
+        kernels = _kernels(rng, 3, 2, 3, 3)
         assert grad_check(
-            lambda: (conv2d(x, params) ** 2.0).sum(), leaves
+            lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
+        ) < 1e-5
+
+    @pytest.mark.parametrize("kh,kw", [(2, 3), (1, 2), (2, 2)])
+    def test_gradients_uneven_pad(self, kh, kw):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
+        kernels = _kernels(rng, 3, 2, kh, kw)
+        assert grad_check(
+            lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
         ) < 1e-5
 
 
 class TestMaxPool:
     def test_simple(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        assert max_pool(x, (2, 2)).data.item() == 4.0
+        assert max_pool(x).data.item() == 4.0
 
     def test_tie_routes_to_first(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        backward(max_pool(x, (2, 2)).sum())
+        backward(max_pool(x).sum())
         assert np.array_equal(x.grad.reshape(-1), [1.0, 0.0, 0.0, 0.0])
+
+    def test_too_small(self):
+        with pytest.raises(ShapeError):
+            max_pool(Tensor(np.zeros((1, 1, 1, 4))))
 
     @pytest.mark.parametrize("trial", range(50))
     def test_matches_naive(self, trial):
         rng = np.random.default_rng(200 + trial)
-        h, w = rng.integers(4, 9), rng.integers(4, 9)
-        kh, kw = rng.integers(1, 4), rng.integers(1, 4)
+        h, w = rng.integers(2, 10), rng.integers(2, 10)
         x = rng.normal(size=(2, 2, h, w))
-        out = max_pool(Tensor(x), (kh, kw), (kh, kw)).data
-        oh, ow = h // kh, w // kw
+        x[0, 0, 0, :2] = x[0, 0, 1, 0]  # a tie in the first window
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool(xt)
+        g = rng.normal(size=out.shape)
+        backward((out * Tensor(g)).sum())
+        oh, ow = h // 2, w // 2
+        assert out.shape == (2, 2, oh, ow)
+        want_grad = np.zeros_like(x)
         for ni in range(2):
             for ci in range(2):
                 for y in range(oh):
                     for xx in range(ow):
-                        window = x[ni, ci, y * kh:(y + 1) * kh, xx * kw:(xx + 1) * kw]
-                        assert out[ni, ci, y, xx] == window.max()
+                        window = x[ni, ci, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2]
+                        assert out.data[ni, ci, y, xx] == window.max()
+                        i, j = divmod(int(np.argmax(window)), 2)
+                        want_grad[ni, ci, 2 * y + i, 2 * xx + j] = g[ni, ci, y, xx]
+        assert np.array_equal(xt.grad, want_grad)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-        assert grad_check(lambda: (max_pool(x, (2, 2)) ** 2.0).sum(), [x]) < 1e-5
+        assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
 
 
 class TestBatchNorm:
@@ -292,29 +311,29 @@ class TestBilstm:
 class TestAttention:
     def test_single_key(self):
         rng = np.random.default_rng(17)
-        q = Tensor(rng.normal(size=4))
-        keys = Tensor(rng.normal(size=(1, 4)))
-        values = Tensor(rng.normal(size=(1, 6)))
+        q = Tensor(rng.normal(size=(1, 4)))
+        keys = Tensor(rng.normal(size=(1, 1, 4)))
+        values = Tensor(rng.normal(size=(1, 1, 6)))
         context, weights = attention(q, keys, values)
-        assert weights.data[0] == 1.0
-        assert np.array_equal(context.data, values.data[0])
+        assert weights.data[0, 0] == 1.0
+        assert np.array_equal(context.data, values.data[:, 0])
 
     def test_identical_keys_uniform(self):
         rng = np.random.default_rng(18)
-        q = Tensor(rng.normal(size=3))
-        keys = Tensor(np.tile(rng.normal(size=3), (5, 1)))
-        values = Tensor(rng.normal(size=(5, 2)))
+        q = Tensor(rng.normal(size=(1, 3)))
+        keys = Tensor(np.tile(rng.normal(size=3), (1, 5, 1)))
+        values = Tensor(rng.normal(size=(1, 5, 2)))
         context, weights = attention(q, keys, values)
         assert np.abs(weights.data - 0.2).max() < 1e-12
-        assert np.allclose(context.data, values.data.mean(axis=0))
+        assert np.allclose(context.data, values.data.mean(axis=1))
 
     def test_weights_contract(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
             _, weights = attention(
-                Tensor(rng.normal(size=4)),
-                Tensor(rng.normal(size=(7, 4))),
-                Tensor(rng.normal(size=(7, 3))),
+                Tensor(rng.normal(size=(1, 4))),
+                Tensor(rng.normal(size=(1, 7, 4))),
+                Tensor(rng.normal(size=(1, 7, 3))),
             )
             assert np.all(weights.data >= 0)
             assert abs(weights.data.sum() - 1.0) < 1e-12
@@ -323,13 +342,13 @@ class TestAttention:
         # adding a constant vector component orthogonal shift: verify via
         # softmax property on raw scores
         rng = np.random.default_rng(20)
-        q = rng.normal(size=4)
-        keys = rng.normal(size=(6, 4))
+        q = rng.normal(size=(1, 4))
+        keys = rng.normal(size=(1, 6, 4))
         _, w1 = attention(Tensor(q), Tensor(keys), Tensor(keys))
         # shifting all scores equally: add a key-independent offset by
         # augmenting the key matrix with a constant column and the query
-        q2 = np.concatenate([q, [1.0]])
-        keys2 = np.concatenate([keys, np.full((6, 1), 3.21)], axis=1)
+        q2 = np.concatenate([q, [[1.0]]], axis=1)
+        keys2 = np.concatenate([keys, np.full((1, 6, 1), 3.21)], axis=2)
         scale_fix = np.sqrt(5) / np.sqrt(4)
         _, w2 = attention(Tensor(q2 * scale_fix), Tensor(keys2), Tensor(keys))
         assert np.abs(w1.data - w2.data).max() < 1e-12
@@ -350,5 +369,6 @@ class TestAttention:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             attention(
-                Tensor(np.zeros(3)), Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 2)))
+                Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4, 5))),
+                Tensor(np.zeros((1, 4, 2))),
             )

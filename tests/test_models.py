@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kwspot import models
+from kwspot.autodiff import backward
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.models import (
     ARCHITECTURES, Model, ModelConfig, build_model, model_forward,
@@ -123,6 +125,41 @@ class TestForward:
         together = model_forward(model, x).data
         alone = np.stack([model_forward(model, x[i:i + 1]).data[0] for i in range(2)])
         assert np.abs(together - alone).max() < 1e-10
+
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_infer_records_no_graph(self, arch):
+        model = build_model(_small_config(arch))
+        x = np.random.default_rng(7).normal(size=(2, 16, 12))
+        model.set_mode("infer")
+        logits = model_forward(model, x)
+        assert logits._parents == () and not logits.requires_grad
+        model.set_mode("train")
+        backward(model_forward(model, x).sum())
+        assert all(p.grad is not None for p in model.params.values())
+
+    def test_layer_call_sites(self, monkeypatch):
+        # the per-site layer metrics of perfbench wrap these module
+        # attributes and probe each call site of one forward
+        calls = dict.fromkeys((
+            "conv2d", "batch_norm", "max_pool", "dropout", "bilstm_sequence",
+            "attention", "dense",
+        ), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
+        model = build_model(_small_config("multilayer_attention", conv_channels=(3, 4)))
+        model_forward(model, np.zeros((1, 16, 12)))
+        assert calls == {
+            "conv2d": 2, "batch_norm": 2, "max_pool": 2, "dropout": 2,
+            "bilstm_sequence": 2, "attention": 3, "dense": 2,
+        }
 
 
 class TestMultilayerAttention:
