@@ -62,8 +62,10 @@ class Tensor:
         if not self.requires_grad:
             return
         g = _unbroadcast(g, self.data.shape)
+        # the first gradient is stored as given, possibly a view shared with
+        # other tensors: nothing may write into a .grad in place
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad = self.grad + g
 

@@ -4,6 +4,7 @@ triangular mel filterbank, log compression and DCT-II."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,11 +114,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def build_mel_filterbank(config: DspConfig) -> MelFilterBank:
     """Triangular filters with centers equally spaced on the mel scale.
 
     Row m rises linearly on [f(m-1), f(m)] and falls on [f(m), f(m+1)].
-    Adjacent edges partition unity on interior bins.
+    Adjacent edges partition unity on interior bins. Built once per config
+    (DspConfig is frozen, so hashable); every caller shares the read-only
+    arrays.
     """
     m = config.n_mel_filters
     mels = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax), m + 2)
@@ -137,6 +141,8 @@ def build_mel_filterbank(config: DspConfig) -> MelFilterBank:
         falling = (k > center) & (k <= right)
         weights[row, rising] = (k[rising] - left) / (center - left)
         weights[row, falling] = (right - k[falling]) / (right - center)
+    weights.flags.writeable = False
+    bins.flags.writeable = False
     return MelFilterBank(weights=weights, center_bins=bins)
 
 

@@ -1,8 +1,9 @@
 """Neural building blocks on top of the autodiff engine.
 
-Convolution and max pooling are implemented as custom primitives with
-hand-written backward passes (im2col / scatter-add); everything else is
-composed from the engine's elementwise and matmul primitives.
+Convolution (im2col as a strided view), 2x2 max pooling (four strided
+views) and batch normalization (the closed-form backward) are custom
+primitives with hand-written backward passes; everything else is composed
+from the engine's elementwise and matmul primitives.
 """
 
 from __future__ import annotations
@@ -67,22 +68,28 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 def max_pool(x: Tensor) -> Tensor:
     """Maximum over non-overlapping 2x2 windows; an odd last row or column
     is dropped. The gradient routes to the first maximum in scan order."""
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
         raise ShapeError(f"max_pool: 2x2 window exceeds input {h}x{w}")
-    # cols[n, c, y, x, 2i + j] = x[n, c, 2y + i, 2x + j]
-    cols = (x.data[:, :, :2 * oh, :2 * ow].reshape(n, c, oh, 2, ow, 2)
-            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4))
-    arg = cols.argmax(axis=4)[..., None]  # first occurrence wins ties
-    out = np.take_along_axis(cols, arg, axis=4)[..., 0]
+    # one strided view per window position, in scan order
+    windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
+               for i in (0, 1) for j in (0, 1)]
+    views = [x.data[key] for key in windows]
+    # the earlier view goes second: np.maximum returns its second argument
+    # on equal values, so a tie of 0.0 and -0.0 keeps the first one's sign
+    out = np.maximum(views[1], views[0])
+    for view in views[2:]:
+        np.maximum(view, out, out=out)
 
     def bw(g):
-        gcols = np.zeros_like(cols)
-        np.put_along_axis(gcols, arg, g[..., None], axis=4)
         gx = np.zeros_like(x.data)
-        gx[:, :, :2 * oh, :2 * ow] += (gcols.reshape(n, c, oh, ow, 2, 2)
-                                       .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow))
+        free = np.ones(out.shape, dtype=bool)
+        for key, view in zip(windows, views):
+            hit = view == out
+            hit &= free
+            free ^= hit
+            gx[key] += g * hit
         x._accumulate(gx)
 
     return custom_op(out, (x,), bw)
@@ -97,24 +104,51 @@ def batch_norm(
     momentum: float = 0.9,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Per-channel normalization over an NCHW batch."""
+    """Per-channel normalization over an NCHW batch: gamma * xhat + beta with
+    xhat = (x - mean) / sqrt(var + eps), from the batch's statistics in train
+    mode (which also updates the running ones) and the running ones
+    otherwise."""
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     axes = (0, 2, 3)
     shape = (1, -1, 1, 1)
-    g = gamma.reshape(shape)
-    b = beta.reshape(shape)
+    count = x.size // x.shape[1]
     if mode == "train":
-        mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-        stats.mean = momentum * stats.mean + (1 - momentum) * mu.data.reshape(-1)
-        stats.var = momentum * stats.var + (1 - momentum) * var.data.reshape(-1)
-        xhat = (x - mu) * ((var + eps) ** -0.5)
+        mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / count)
+        xhat = x.data - mu
+        var = (xhat * xhat).sum(axis=axes, keepdims=True) * (1.0 / count)
+        stats.mean = momentum * stats.mean + (1 - momentum) * mu.reshape(-1)
+        stats.var = momentum * stats.var + (1 - momentum) * var.reshape(-1)
     else:
-        mu = Tensor(stats.mean.reshape(shape))
-        var = Tensor(stats.var.reshape(shape))
-        xhat = (x - mu) * ((var + eps) ** -0.5)
-    return g * xhat + b
+        xhat = x.data - stats.mean.reshape(shape)
+        var = stats.var.reshape(shape)
+    inv_std = (var + eps) ** -0.5
+    xhat *= inv_std
+    out = gamma.data.reshape(shape) * xhat
+    out += beta.data.reshape(shape)
+
+    def bw(g):
+        # closed form of Ioffe & Szegedy 2015 (arXiv 1502.03167); in train
+        # mode the batch statistics depend on x, which adds the mean terms
+        x_train = x.requires_grad and mode == "train"
+        if beta.requires_grad or x_train:
+            sum_g = g.sum(axis=axes)
+            beta._accumulate(sum_g)
+        if gamma.requires_grad or x_train:
+            sum_g_xhat = np.einsum("nchw,nchw->c", g, xhat)
+            gamma._accumulate(sum_g_xhat)
+        if x.requires_grad:
+            scale = gamma.data.reshape(shape) * inv_std
+            if x_train:
+                gx = xhat * (sum_g_xhat * (-1.0 / count)).reshape(shape)
+                gx += g
+                gx -= (sum_g * (1.0 / count)).reshape(shape)
+                gx *= scale
+            else:
+                gx = g * scale
+            x._accumulate(gx)
+
+    return custom_op(out, (x, gamma, beta), bw)
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:

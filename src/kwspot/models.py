@@ -100,11 +100,10 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_lstm(rng, params, prefix, in_dim, hidden):
+def _init_lstm(draw, params, prefix, in_dim, hidden):
     # each gate's blocks are drawn with that gate's own fans, W then U gate
     # by gate; the forget gate's bias starts at 1
-    draws = [(_glorot(rng, (in_dim, hidden)), _glorot(rng, (hidden, hidden)))
-             for _ in LSTM_GATES]
+    draws = [(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
     for name, blocks in zip("WU", zip(*draws)):
         params[f"{prefix}_{name}"] = Tensor(np.concatenate(blocks, axis=1), requires_grad=True)
     params[f"{prefix}_b"] = Tensor(
@@ -135,15 +134,27 @@ def _conv_stack_shape(config: ModelConfig):
 
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize all parameters of the chosen architecture."""
-    out_c, out_h, out_w = _conv_stack_shape(config)
     rng = np.random.default_rng(config.seed)
+    return _make_model(config, lambda shape: _glorot(rng, shape))
+
+
+def empty_model(config: ModelConfig) -> Model:
+    """The parameters and buffers of build_model(config) with zeros in place
+    of the random draws, for a checkpoint load to overwrite."""
+    return _make_model(config, np.zeros)
+
+
+def _make_model(config: ModelConfig, draw) -> Model:
+    """The one definition of each architecture's parameter names and shapes;
+    draw(shape) gives each randomly initialized weight, in a fixed order."""
+    out_c, out_h, out_w = _conv_stack_shape(config)
     params: dict[str, Tensor] = {}
     bn_stats: dict[str, BnStats] = {}
     channels = config.resolved_channels()
     in_c = 1
     for i, c in enumerate(channels):
         params[f"conv{i}_kernel"] = Tensor(
-            _glorot(rng, (c, in_c, 3, 3)), requires_grad=True
+            draw((c, in_c, 3, 3)), requires_grad=True
         )
         # no conv bias: the following batch norm subtracts the per-channel
         # mean, so a bias here would be a zero-gradient redundant parameter
@@ -159,40 +170,40 @@ def build_model(config: ModelConfig) -> Model:
 
     if config.arch == "cnn":
         flat = out_c * out_h * out_w
-        params["fc0_W"] = Tensor(_glorot(rng, (flat, dh)), requires_grad=True)
+        params["fc0_W"] = Tensor(draw((flat, dh)), requires_grad=True)
         params["fc0_b"] = Tensor(np.zeros(dh), requires_grad=True)
-        params["fc1_W"] = Tensor(_glorot(rng, (dh, dh)), requires_grad=True)
+        params["fc1_W"] = Tensor(draw((dh, dh)), requires_grad=True)
         params["fc1_b"] = Tensor(np.zeros(dh), requires_grad=True)
-        params["fc2_W"] = Tensor(_glorot(rng, (dh, n_cls)), requires_grad=True)
+        params["fc2_W"] = Tensor(draw((dh, n_cls)), requires_grad=True)
         params["fc2_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
     elif config.arch == "cnn_bilstm":
-        _init_lstm(rng, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(rng, params, "lstm1b", seq_dim, hidden)
-        params["out_W"] = Tensor(_glorot(rng, (2 * hidden, n_cls)), requires_grad=True)
+        _init_lstm(draw, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(draw, params, "lstm1b", seq_dim, hidden)
+        params["out_W"] = Tensor(draw((2 * hidden, n_cls)), requires_grad=True)
         params["out_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
     else:
-        _init_lstm(rng, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(rng, params, "lstm1b", seq_dim, hidden)
-        _init_lstm(rng, params, "lstm2f", 2 * hidden, hidden)
-        _init_lstm(rng, params, "lstm2b", 2 * hidden, hidden)
+        _init_lstm(draw, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(draw, params, "lstm1b", seq_dim, hidden)
+        _init_lstm(draw, params, "lstm2f", 2 * hidden, hidden)
+        _init_lstm(draw, params, "lstm2b", 2 * hidden, hidden)
         params["query_proj"] = Tensor(
-            _glorot(rng, (2 * hidden, 2 * hidden)), requires_grad=True
+            draw((2 * hidden, 2 * hidden)), requires_grad=True
         )
         if config.arch == "multilayer_attention":
             t, d = config.input_shape
             params["stage1_proj"] = Tensor(
-                _glorot(rng, (d, seq_dim)), requires_grad=True
+                draw((d, seq_dim)), requires_grad=True
             )
             params["stage2_proj"] = Tensor(
-                _glorot(rng, (seq_dim, 2 * hidden)), requires_grad=True
+                draw((seq_dim, 2 * hidden)), requires_grad=True
             )
-            params["head0_W"] = Tensor(_glorot(rng, (2 * hidden, dh)), requires_grad=True)
+            params["head0_W"] = Tensor(draw((2 * hidden, dh)), requires_grad=True)
             params["head0_b"] = Tensor(np.zeros(dh), requires_grad=True)
-            params["head1_W"] = Tensor(_glorot(rng, (dh, n_cls)), requires_grad=True)
+            params["head1_W"] = Tensor(draw((dh, n_cls)), requires_grad=True)
             params["head1_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
         else:
             params["out_W"] = Tensor(
-                _glorot(rng, (2 * hidden, n_cls)), requires_grad=True
+                draw((2 * hidden, n_cls)), requires_grad=True
             )
             params["out_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
     return Model(config=config, params=params, bn_stats=bn_stats, mode="train")

@@ -14,7 +14,7 @@ import numpy as np
 from . import audio_io, dsp
 from .autodiff import Tensor, backward
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
-from .models import Model, ModelConfig, build_model, model_forward
+from .models import Model, ModelConfig, empty_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
 CHECKPOINT_VERSION = 2
@@ -336,7 +336,7 @@ def load_checkpoint(path):
             dropout_rate=float(meta["dropout_rate"]),
             seed=int(meta["seed"]),
         )
-        model = build_model(config)
+        model = empty_model(config)
     except (KeyError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
     expected = dict(_iter_arrays(model))

@@ -63,6 +63,17 @@ class TestBackward:
         backward((x * Tensor(y) + x * Tensor(z)).sum())
         assert np.allclose(x.grad, y + z)
 
+    def test_shared_first_gradient_not_aliased(self):
+        # the outer add hands one array to both (a + b) and a; it becomes
+        # a.grad as is, so adding the inner add's gradient into a.grad in
+        # place would change the gradient b receives
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        y = (a + b) + a
+        backward((y * Tensor(np.ones(3))).sum())
+        assert np.array_equal(a.grad, np.full(3, 2.0))
+        assert np.array_equal(b.grad, np.ones(3))
+
     def test_explicit_zeroing_required(self):
         x = Tensor(np.ones(3), requires_grad=True)
         backward(x.sum())

@@ -106,6 +106,16 @@ class TestFilterbank:
             outside = (k < bins[m]) | (k > bins[m + 2])
             assert np.all(bank.weights[m, outside] == 0.0)
 
+    def test_cached_per_config_and_read_only(self, small_dsp_config):
+        bank = dsp.build_mel_filterbank(small_dsp_config)
+        same = dsp.build_mel_filterbank(dsp.DspConfig(**vars(small_dsp_config)))
+        assert same is bank
+        assert dsp.build_mel_filterbank(dsp.DspConfig()) is not bank
+        with pytest.raises(ValueError):
+            bank.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            bank.center_bins[0] = 0
+
     def test_collapsed_bins_rejected(self):
         with pytest.raises(DspError):
             dsp.build_mel_filterbank(dsp.DspConfig(

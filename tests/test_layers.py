@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,12 @@ class TestMaxPool:
         backward(max_pool(x).sum())
         assert np.array_equal(x.grad.reshape(-1), [1.0, 0.0, 0.0, 0.0])
 
+    def test_negative_tie_routes_to_first(self):
+        # all four strided views hold the window's maximum
+        x = Tensor(np.full((2, 1, 2, 2), -2.5), requires_grad=True)
+        backward(max_pool(x).sum())
+        assert np.array_equal(x.grad.reshape(2, 4), [[1.0, 0.0, 0.0, 0.0]] * 2)
+
     def test_too_small(self):
         with pytest.raises(ShapeError):
             max_pool(Tensor(np.zeros((1, 1, 1, 4))))
@@ -133,7 +141,95 @@ class TestMaxPool:
         assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
 
 
+def naive_batch_norm(x, gamma, beta, mean, var, mode, momentum=0.9, eps=1e-5):
+    """Channel-by-channel loop: (output, new running mean, new running var)."""
+    out = np.empty_like(x)
+    new_mean, new_var = mean.copy(), var.copy()
+    for ch in range(x.shape[1]):
+        plane = x[:, ch]
+        if mode == "train":
+            mu = plane.mean()
+            sigma2 = ((plane - mu) ** 2).mean()
+            new_mean[ch] = momentum * mean[ch] + (1 - momentum) * mu
+            new_var[ch] = momentum * var[ch] + (1 - momentum) * sigma2
+        else:
+            mu, sigma2 = mean[ch], var[ch]
+        out[:, ch] = gamma[ch] * (plane - mu) / np.sqrt(sigma2 + eps) + beta[ch]
+    return out, new_mean, new_var
+
+
+def composed_batch_norm(x, gamma, beta, stats, mode, eps=1e-5):
+    """Batch norm composed of the engine's elementwise primitives, so that
+    autodiff derives its gradients independently of the fused backward."""
+    axes = (0, 2, 3)
+    shape = (1, -1, 1, 1)
+    if mode == "train":
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+    else:
+        mu = Tensor(stats.mean.reshape(shape))
+        var = Tensor(stats.var.reshape(shape))
+    xhat = (x - mu) * ((var + eps) ** -0.5)
+    return gamma.reshape(shape) * xhat + beta.reshape(shape)
+
+
+def _rel_err(got, want, scale=0.0):
+    return np.abs(got - want).max() / max(np.abs(want).max(), scale, 1e-300)
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("trial", range(24))
+    def test_matches_reference(self, trial, mode):
+        rng = np.random.default_rng(600 + trial)
+        n, c, h, w = (int(v) for v in rng.integers(1, [6, 5, 7, 7]))
+        if trial % 3 == 0:
+            n = 1
+        if trial % 4 == 0:
+            h = w = 1
+        x = rng.normal(rng.normal(), rng.uniform(0.5, 3.0), size=(n, c, h, w))
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.normal(size=c)
+        mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+        upstream = rng.normal(size=x.shape)
+
+        want, want_mean, want_var = naive_batch_norm(x, gamma, beta, mean, var, mode)
+        stats = BnStats(mean=mean.copy(), var=var.copy())
+        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = batch_norm(*leaves, stats, mode)
+        backward((out * Tensor(upstream)).sum())
+        assert _rel_err(out.data, want) < 1e-12
+        assert _rel_err(stats.mean, want_mean) < 1e-12
+        assert _rel_err(stats.var, want_var) < 1e-12
+
+        ref = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        ref_out = composed_batch_norm(*ref, BnStats(mean=mean.copy(), var=var.copy()), mode)
+        backward((ref_out * Tensor(upstream)).sum())
+        # the terms of the input gradient are of size |g| * gamma / sigma and
+        # cancel when a channel holds few values; measure error against them
+        sigma2 = x.var(axis=(0, 2, 3)) if mode == "train" else var
+        term = np.abs(upstream).max() * np.max(gamma / np.sqrt(sigma2 + 1e-5))
+        assert _rel_err(leaves[0].grad, ref[0].grad, term) < 1e-12
+        assert _rel_err(leaves[1].grad, ref[1].grad) < 1e-12
+        assert _rel_err(leaves[2].grad, ref[2].grad) < 1e-12
+
+    def test_peak_memory(self):
+        # forward and backward at a moderate shape, with the elementwise
+        # product and sum that make the loss scalar: about 5x the input's
+        # bytes; a batch norm composed of elementwise nodes peaks near 18x
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(8, 16, 24, 20)), requires_grad=True)
+        gamma = Tensor(np.ones(16), requires_grad=True)
+        beta = Tensor(np.zeros(16), requires_grad=True)
+        upstream = Tensor(rng.normal(size=x.shape))
+        stats = BnStats(mean=np.zeros(16), var=np.ones(16))
+        tracemalloc.start()
+        try:
+            backward((batch_norm(x, gamma, beta, stats, "train") * upstream).sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.data.nbytes
+
     def test_train_normalizes(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(3.0, 2.0, size=(8, 3, 5, 5)))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
-from kwspot import errors
+from kwspot import errors, models
 from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report, report_from_confusion
-from kwspot.models import ModelConfig, build_model, model_forward
+from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
 from kwspot.training import (
     AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
     cross_entropy_loss, evaluate_arrays, featurize_index, fit, init_adam,
@@ -292,6 +292,24 @@ class TestCheckpoint:
         for name, stats in model.bn_stats.items():
             assert np.array_equal(stats.mean, loaded.bn_stats[name].mean)
             assert np.array_equal(stats.var, loaded.bn_stats[name].var)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_load_draws_no_init(self, tmp_path, monkeypatch, arch):
+        model = _tiny_model(arch=arch, input_shape=(8, 12))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew an initial value")
+
+        monkeypatch.setattr(models, "_glorot", no_draw)
+        loaded, _ = load_checkpoint(path)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data.view(np.uint64),
+                                  p.data.view(np.uint64))
+        for name, stats in model.bn_stats.items():
+            assert np.array_equal(loaded.bn_stats[name].mean, stats.mean)
+            assert np.array_equal(loaded.bn_stats[name].var, stats.var)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
