@@ -1,9 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float32 or
+float64 arrays.
 
 Define-by-run: every operation on a Tensor that requires gradients records
 a closure that knows how to push an upstream gradient to its inputs.
-Gradients accumulate by summation and must be zeroed explicitly between
-optimizer steps.
+Gradients accumulate by summation; a leaf keeps its gradient after
+backward, so it must be zeroed explicitly between optimizer steps.
+
+Every operation keeps its operands' dtype: a Python or NumPy scalar is cast
+to the dtype of the Tensor it meets, so a float32 graph stays float32.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """N-dimensional float64 array participating in the autodiff graph."""
+    """N-dimensional array participating in the autodiff graph: a float32
+    array is kept as float32, anything else becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -72,7 +78,7 @@ class Tensor:
     # ---- elementwise arithmetic --------------------------------------
 
     def __add__(self, other):
-        other = _ensure(other)
+        other = _ensure(other, self)
         out_data = self.data + other.data
 
         def bw(g):
@@ -84,7 +90,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _ensure(other)
+        other = _ensure(other, self)
         out_data = self.data - other.data
 
         def bw(g):
@@ -94,10 +100,10 @@ class Tensor:
         return _node(out_data, (self, other), bw)
 
     def __rsub__(self, other):
-        return _ensure(other) - self
+        return _ensure(other, self) - self
 
     def __mul__(self, other):
-        other = _ensure(other)
+        other = _ensure(other, self)
         out_data = self.data * other.data
 
         def bw(g):
@@ -109,7 +115,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _ensure(other)
+        other = _ensure(other, self)
         out_data = self.data / other.data
 
         def bw(g):
@@ -119,7 +125,7 @@ class Tensor:
         return _node(out_data, (self, other), bw)
 
     def __rtruediv__(self, other):
-        return _ensure(other) / self
+        return _ensure(other, self) / self
 
     def __neg__(self):
         def bw(g):
@@ -174,7 +180,7 @@ class Tensor:
         return _node(out_data, (self,), bw)
 
     def __matmul__(self, other):
-        other = _ensure(other)
+        other = _ensure(other, self)
         if self.ndim < 2 or other.ndim < 2:
             raise ShapeError(
                 f"matmul needs rank >= 2 operands, got {self.shape} @ {other.shape}"
@@ -272,8 +278,11 @@ class Tensor:
         return _node(out_data, (self,), bw)
 
 
-def _ensure(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _ensure(value, like: Tensor) -> Tensor:
+    """value as is if it is a Tensor, else as a constant of like's dtype."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -290,7 +299,7 @@ def custom_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_ensure(t) for t in tensors]
+    tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     cuts = np.cumsum(sizes)[:-1]
@@ -303,10 +312,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Backpropagate from a scalar loss, populating .grad on reachable tensors.
+    """Backpropagate from a scalar loss, populating .grad on the reachable
+    leaves.
 
-    The recorded graph is released afterwards; a fresh forward pass is
-    needed before the next backward.
+    Each interior node's gradient and recorded closure are released as soon
+    as the sweep has passed them on, so only the leaves hold a .grad
+    afterwards; a fresh forward pass is needed before the next backward.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -327,12 +338,13 @@ def backward(loss: Tensor):
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
-    for node in topo:
-        if node._backward is not None:
-            node._backward = None
-            node._parents = ()
+        node.grad = None
+        node._backward = None
+        node._parents = ()
 
 
 def grad_check(fn, params, eps: float = 1e-5, rng=None, max_per_param: int | None = None) -> float:

@@ -157,7 +157,7 @@ def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
         return x
     if rng is None:
         rng = np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return x * Tensor(mask)
 
 
@@ -182,7 +182,7 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
     n, t_len, d = seq.shape
     hidden = params.U.shape[0]
     proj = (seq.reshape(n * t_len, d) @ params.W + params.b).reshape(n, t_len, 4 * hidden)
-    h = c = Tensor(np.zeros((n, hidden)))
+    h = c = Tensor(np.zeros((n, hidden), dtype=seq.data.dtype))
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
     outputs = [None] * t_len
     for t in steps:

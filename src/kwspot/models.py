@@ -31,6 +31,7 @@ from .layers import (
 )
 
 ARCHITECTURES = ("cnn", "cnn_bilstm", "attention_rnn", "multilayer_attention")
+DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class ModelConfig:
     dense_hidden: int = 64
     dropout_rate: float = 0.25
     seed: int = 0
+    dtype: str = "float32"  # of every parameter, buffer and activation
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
@@ -53,6 +55,8 @@ class ModelConfig:
             raise ConfigError("lstm_hidden must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
 
     def resolved_channels(self) -> tuple:
         if self.conv_channels is not None:
@@ -100,15 +104,14 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_lstm(draw, params, prefix, in_dim, hidden):
+def _init_lstm(draw, param, params, prefix, in_dim, hidden):
     # each gate's blocks are drawn with that gate's own fans, W then U gate
     # by gate; the forget gate's bias starts at 1
     draws = [(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
     for name, blocks in zip("WU", zip(*draws)):
-        params[f"{prefix}_{name}"] = Tensor(np.concatenate(blocks, axis=1), requires_grad=True)
-    params[f"{prefix}_b"] = Tensor(
-        np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES]),
-        requires_grad=True,
+        params[f"{prefix}_{name}"] = param(np.concatenate(blocks, axis=1))
+    params[f"{prefix}_b"] = param(
+        np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES])
     )
 
 
@@ -146,21 +149,25 @@ def empty_model(config: ModelConfig) -> Model:
 
 def _make_model(config: ModelConfig, draw) -> Model:
     """The one definition of each architecture's parameter names and shapes;
-    draw(shape) gives each randomly initialized weight, in a fixed order."""
+    draw(shape) gives each randomly initialized weight, in a fixed order.
+    Parameters and buffers are cast to config.dtype."""
     out_c, out_h, out_w = _conv_stack_shape(config)
+    dtype = np.dtype(config.dtype)
+
+    def param(values) -> Tensor:
+        return Tensor(np.asarray(values, dtype=dtype), requires_grad=True)
+
     params: dict[str, Tensor] = {}
     bn_stats: dict[str, BnStats] = {}
     channels = config.resolved_channels()
     in_c = 1
     for i, c in enumerate(channels):
-        params[f"conv{i}_kernel"] = Tensor(
-            draw((c, in_c, 3, 3)), requires_grad=True
-        )
+        params[f"conv{i}_kernel"] = param(draw((c, in_c, 3, 3)))
         # no conv bias: the following batch norm subtracts the per-channel
         # mean, so a bias here would be a zero-gradient redundant parameter
-        params[f"conv{i}_gamma"] = Tensor(np.ones(c), requires_grad=True)
-        params[f"conv{i}_beta"] = Tensor(np.zeros(c), requires_grad=True)
-        bn_stats[f"conv{i}_bn"] = BnStats(mean=np.zeros(c), var=np.ones(c))
+        params[f"conv{i}_gamma"] = param(np.ones(c))
+        params[f"conv{i}_beta"] = param(np.zeros(c))
+        bn_stats[f"conv{i}_bn"] = BnStats(mean=np.zeros(c, dtype), var=np.ones(c, dtype))
         in_c = c
 
     hidden = config.lstm_hidden
@@ -170,42 +177,34 @@ def _make_model(config: ModelConfig, draw) -> Model:
 
     if config.arch == "cnn":
         flat = out_c * out_h * out_w
-        params["fc0_W"] = Tensor(draw((flat, dh)), requires_grad=True)
-        params["fc0_b"] = Tensor(np.zeros(dh), requires_grad=True)
-        params["fc1_W"] = Tensor(draw((dh, dh)), requires_grad=True)
-        params["fc1_b"] = Tensor(np.zeros(dh), requires_grad=True)
-        params["fc2_W"] = Tensor(draw((dh, n_cls)), requires_grad=True)
-        params["fc2_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
+        params["fc0_W"] = param(draw((flat, dh)))
+        params["fc0_b"] = param(np.zeros(dh))
+        params["fc1_W"] = param(draw((dh, dh)))
+        params["fc1_b"] = param(np.zeros(dh))
+        params["fc2_W"] = param(draw((dh, n_cls)))
+        params["fc2_b"] = param(np.zeros(n_cls))
     elif config.arch == "cnn_bilstm":
-        _init_lstm(draw, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(draw, params, "lstm1b", seq_dim, hidden)
-        params["out_W"] = Tensor(draw((2 * hidden, n_cls)), requires_grad=True)
-        params["out_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
+        _init_lstm(draw, param, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(draw, param, params, "lstm1b", seq_dim, hidden)
+        params["out_W"] = param(draw((2 * hidden, n_cls)))
+        params["out_b"] = param(np.zeros(n_cls))
     else:
-        _init_lstm(draw, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(draw, params, "lstm1b", seq_dim, hidden)
-        _init_lstm(draw, params, "lstm2f", 2 * hidden, hidden)
-        _init_lstm(draw, params, "lstm2b", 2 * hidden, hidden)
-        params["query_proj"] = Tensor(
-            draw((2 * hidden, 2 * hidden)), requires_grad=True
-        )
+        _init_lstm(draw, param, params, "lstm1f", seq_dim, hidden)
+        _init_lstm(draw, param, params, "lstm1b", seq_dim, hidden)
+        _init_lstm(draw, param, params, "lstm2f", 2 * hidden, hidden)
+        _init_lstm(draw, param, params, "lstm2b", 2 * hidden, hidden)
+        params["query_proj"] = param(draw((2 * hidden, 2 * hidden)))
         if config.arch == "multilayer_attention":
             t, d = config.input_shape
-            params["stage1_proj"] = Tensor(
-                draw((d, seq_dim)), requires_grad=True
-            )
-            params["stage2_proj"] = Tensor(
-                draw((seq_dim, 2 * hidden)), requires_grad=True
-            )
-            params["head0_W"] = Tensor(draw((2 * hidden, dh)), requires_grad=True)
-            params["head0_b"] = Tensor(np.zeros(dh), requires_grad=True)
-            params["head1_W"] = Tensor(draw((dh, n_cls)), requires_grad=True)
-            params["head1_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
+            params["stage1_proj"] = param(draw((d, seq_dim)))
+            params["stage2_proj"] = param(draw((seq_dim, 2 * hidden)))
+            params["head0_W"] = param(draw((2 * hidden, dh)))
+            params["head0_b"] = param(np.zeros(dh))
+            params["head1_W"] = param(draw((dh, n_cls)))
+            params["head1_b"] = param(np.zeros(n_cls))
         else:
-            params["out_W"] = Tensor(
-                draw((2 * hidden, n_cls)), requires_grad=True
-            )
-            params["out_b"] = Tensor(np.zeros(n_cls), requires_grad=True)
+            params["out_W"] = param(draw((2 * hidden, n_cls)))
+            params["out_b"] = param(np.zeros(n_cls))
     return Model(config=config, params=params, bn_stats=bn_stats, mode="train")
 
 
@@ -232,9 +231,11 @@ def _to_sequence(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(n, h, c * w)
 
 
-def _forward(model: Model, batch: Tensor, rng=None):
-    """Shared forward; returns (logits, stage_weights or None)."""
+def _forward(model: Model, batch, rng=None):
+    """Shared forward over an N x T x D feature array, cast once to the
+    model's dtype; returns (logits, stage_weights or None)."""
     cfg = model.config
+    batch = Tensor(np.asarray(batch, dtype=cfg.dtype))
     n = batch.shape[0]
     t, d = cfg.input_shape
     if batch.shape[1:] != (t, d):
@@ -280,8 +281,6 @@ def _forward(model: Model, batch: Tensor, rng=None):
 def model_forward(model: Model, batch, rng=None) -> Tensor:
     """Logits for an N x T x D feature batch (softmax is applied at loss
     or prediction time, not here)."""
-    if not isinstance(batch, Tensor):
-        batch = Tensor(np.asarray(batch, dtype=np.float64))
     logits, _ = _forward(model, batch, rng)
     return logits
 
@@ -295,17 +294,16 @@ def multilayer_attention_forward(features, model: Model, rng=None):
             f"got {model.config.arch}"
         )
     values = features.values if hasattr(features, "values") else features
-    batch = Tensor(np.asarray(values, dtype=np.float64)[None])
-    logits, stages = _forward(model, batch, rng)
+    logits, stages = _forward(model, np.asarray(values)[None], rng)
     return logits.reshape(-1), tuple(w.reshape(-1) for w in stages)
 
 
 def predict(model: Model, features):
-    """(argmax class index, softmax probabilities); ties break to the
-    lowest index."""
+    """(argmax class index, float64 softmax probabilities); ties break to
+    the lowest index."""
     values = features.values if hasattr(features, "values") else features
-    logits = model_forward(model, np.asarray(values, dtype=np.float64)[None])
-    row = logits.data[0]
+    logits = model_forward(model, np.asarray(values)[None])
+    row = logits.data[0].astype(np.float64)
     shifted = np.exp(row - row.max())
     probs = shifted / shifted.sum()
     return int(np.argmax(row)), probs

@@ -17,7 +17,7 @@ from .errors import CheckpointError, ConfigError, DataError, read_text, write_at
 from .models import Model, ModelConfig, empty_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
         raise DataError(f"labels outside [0, {c})")
     row_max = logits.data.max(axis=1, keepdims=True)  # constant shift
     lse = (logits - row_max).exp().sum(axis=1).log() + Tensor(row_max.reshape(-1))
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, c), dtype=logits.data.dtype)
     onehot[np.arange(n), labels] = 1.0
     picked = (logits * Tensor(onehot)).sum(axis=1)
     return (lse - picked).mean()
@@ -221,10 +221,10 @@ def featurize_index(index, dsp_config, kind: str = "log_mel"):
 
 
 # ---- checkpoint format ------------------------------------------------
-# magic "KWSA" | u32 version | u32 metadata length | metadata (key=value
-# lines, UTF-8) | per parameter: u32 name length | name | u32 rank |
-# rank * u32 dims | raw little-endian float64 values | u32 CRC32 (zlib) of
-# every preceding byte
+# magic "KWSA" | u32 version (3) | u32 metadata length | metadata (key=value
+# lines, UTF-8, among them dtype=float32 or dtype=float64) | per array:
+# u32 name length | name | u32 rank | rank * u32 dims | raw values, <f4
+# or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte
 
 
 def _model_metadata(model: Model, train_config: TrainConfig | None, labels) -> str:
@@ -238,6 +238,7 @@ def _model_metadata(model: Model, train_config: TrainConfig | None, labels) -> s
         f"dense_hidden={cfg.dense_hidden}",
         f"dropout_rate={cfg.dropout_rate!r}",
         f"seed={cfg.seed}",
+        f"dtype={cfg.dtype}",
     ]
     if labels is not None:
         lines.append(f"labels={','.join(labels)}")
@@ -270,12 +271,13 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     blob += struct.pack("<I", CHECKPOINT_VERSION)
     meta = _model_metadata(model, train_config, labels).encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
+    stored = np.dtype(model.config.dtype).newbyteorder("<")
     for name, arr in _iter_arrays(model):
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded)) + encoded
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += np.ascontiguousarray(arr, dtype="<f8").data
+        blob += np.ascontiguousarray(arr, dtype=stored).data
     blob += struct.pack("<I", zlib.crc32(blob))
     write_atomic(path, blob)
 
@@ -335,10 +337,14 @@ def load_checkpoint(path):
             dense_hidden=int(meta["dense_hidden"]),
             dropout_rate=float(meta["dropout_rate"]),
             seed=int(meta["seed"]),
+            dtype=meta["dtype"],
         )
         model = empty_model(config)
-    except (KeyError, ValueError, ConfigError) as exc:
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata field {exc} is missing") from None
+    except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
+    stored = np.dtype(config.dtype).newbyteorder("<")
     expected = dict(_iter_arrays(model))
     loaded = set()
     while reader.pos < len(reader.raw):
@@ -346,7 +352,7 @@ def load_checkpoint(path):
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = int(np.prod(shape)) if rank else 1
-        values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
+        values = np.frombuffer(reader.take(stored.itemsize * count), dtype=stored).reshape(shape)
         if name not in expected:
             raise CheckpointError(f"{path}: unknown parameter {name!r}")
         if name in loaded:

@@ -193,7 +193,7 @@ def _layer_gradchecks():
 # frozen (model seed, data seed) points: chosen so that every parameter's
 # smallest nonzero analytic gradient stays above the finite-difference
 # noise floor (~5e-8 at eps 1e-5 in double precision), which the 1e-4
-# end-to-end tolerance requires
+# end-to-end tolerance requires; the models are float64 for that reason
 ARCH_GRADCHECK_SEEDS = {
     "cnn": (0, 0),
     "cnn_bilstm": (3, 5),
@@ -208,6 +208,7 @@ def _arch_gradcheck_point(arch):
         arch=arch, n_classes=2, input_shape=(8, 6),
         conv_channels=(2,) if arch == "cnn" else (3,),
         lstm_hidden=3, dense_hidden=4, dropout_rate=0.0, seed=model_seed,
+        dtype="float64",
     ))
     # sharpen the recurrent and attention pathways: at plain glorot init
     # the chained-softmax query path attenuates some true gradients below
@@ -370,9 +371,11 @@ def test_criterion_6_determinism(tmp_path):
 
 def test_criterion_7_attention_contracts():
     t0 = time.perf_counter()
+    # float64: the 1e-12 bound on the weight sums is a double-precision one
     model = build_model(ModelConfig(
         arch="multilayer_attention", n_classes=3, input_shape=(16, 12),
         conv_channels=(3,), lstm_hidden=4, dense_hidden=6, dropout_rate=0.0,
+        dtype="float64",
     ))
     model.set_mode("infer")
     rng = np.random.default_rng(1007)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from kwspot import models
+from kwspot import autodiff, models
 from kwspot.autodiff import backward
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.models import (
     ARCHITECTURES, Model, ModelConfig, build_model, model_forward,
     multilayer_attention_forward, predict,
 )
+from kwspot.training import TrainConfig, init_adam, train_epoch
 
 
 def _small_config(arch, **overrides):
@@ -28,6 +29,10 @@ class TestConfig:
     def test_one_class(self):
         with pytest.raises(ConfigError):
             ModelConfig(arch="cnn", n_classes=1, input_shape=(16, 12))
+
+    def test_unknown_dtype(self):
+        with pytest.raises(ConfigError, match="dtype"):
+            _small_config("cnn", dtype="float16")
 
     def test_default_channels(self):
         assert _small_config("cnn", conv_channels=None).resolved_channels() == (32, 64, 64)
@@ -160,6 +165,37 @@ class TestForward:
             "conv2d": 2, "batch_norm": 2, "max_pool": 2, "dropout": 2,
             "bilstm_sequence": 2, "attention": 3, "dense": 2,
         }
+
+
+class TestDtype:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_float32_end_to_end(self, monkeypatch, arch):
+        # one silent upcast to float64 anywhere in a train step would cost
+        # the float32 speed-up: record the dtype of every graph node
+        node_dtypes = set()
+        node = autodiff._node
+
+        def recording_node(data, parents, backward):
+            out = node(data, parents, backward)
+            node_dtypes.add(out.data.dtype)
+            return out
+
+        monkeypatch.setattr(autodiff, "_node", recording_node)
+        model = build_model(_small_config(arch, dropout_rate=0.25))
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 16, 12)), np.arange(6) % 4
+        opt = init_adam(model.params)
+        train_epoch(model, (x, y), opt, TrainConfig(max_epochs=2, patience=1,
+                                                     batch_size=6), 1)
+        f32 = np.dtype(np.float32)
+        assert node_dtypes == {f32}
+        for name, p in model.params.items():
+            assert (p.data.dtype, p.grad.dtype) == (f32, f32), name
+            assert (opt.m[name].dtype, opt.v[name].dtype) == (f32, f32), name
+        for name, stats in model.bn_stats.items():
+            assert (stats.mean.dtype, stats.var.dtype) == (f32, f32), name
+        model.set_mode("infer")
+        assert model_forward(model, x).data.dtype == f32
 
 
 class TestMultilayerAttention:

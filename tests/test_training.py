@@ -9,7 +9,7 @@ from kwspot import errors, models
 from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report, report_from_confusion
-from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
+from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
 from kwspot.training import (
     AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
     cross_entropy_loss, evaluate_arrays, featurize_index, fit, init_adam,
@@ -263,21 +263,23 @@ class TestFeaturize:
 
 
 class TestCheckpoint:
-    def _trained(self):
-        model = _tiny_model(arch="multilayer_attention")
+    def _trained(self, dtype="float32"):
+        model = _tiny_model(arch="multilayer_attention", dtype=dtype)
         x, y = _toy_data(n=12)
         config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
         fit(model, (x, y), (x, y), config)
         return model, config
 
-    def test_round_trip_bit_identical_logits(self, tmp_path):
-        model, config = self._trained()
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_round_trip_bit_identical_logits(self, tmp_path, dtype):
+        model, config = self._trained(dtype)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
         loaded, meta = load_checkpoint(path)
         assert loaded.mode == "infer"
         assert meta["labels"] == "a,b,c"
         assert meta["arch"] == "multilayer_attention"
+        assert meta["dtype"] == loaded.config.dtype == dtype
         x, _ = _toy_data(n=4)
         model.set_mode("infer")
         assert np.array_equal(
@@ -305,8 +307,8 @@ class TestCheckpoint:
         monkeypatch.setattr(models, "_glorot", no_draw)
         loaded, _ = load_checkpoint(path)
         for name, p in model.params.items():
-            assert np.array_equal(loaded.params[name].data.view(np.uint64),
-                                  p.data.view(np.uint64))
+            assert loaded.params[name].data.dtype == p.data.dtype
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
         for name, stats in model.bn_stats.items():
             assert np.array_equal(loaded.bn_stats[name].mean, stats.mean)
             assert np.array_equal(loaded.bn_stats[name].var, stats.var)
@@ -392,16 +394,33 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=r"flip\.ckpt: checksum mismatch"):
                 load_checkpoint(bad)
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, tmp_path, version):
+        # version 1 stored one array per gate, version 2 float64 arrays
+        # without a dtype line
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-        with pytest.raises(CheckpointError, match=r"model\.ckpt: unsupported version 1"):
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CheckpointError,
+                           match=rf"model\.ckpt: unsupported version {version}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line,error", [
+        (b"dtypo=float32", "metadata field 'dtype' is missing"),
+        (b"dtype=float16", "invalid metadata .dtype must be one of float32, float64"),
+    ], ids=["missing", "unknown"])
+    def test_bad_dtype_line_rejected(self, tmp_path, line, error):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        body = path.read_bytes()[:-4]
+        write_sealed_checkpoint(path, body.replace(b"dtype=float32", line, 1))
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
 
     def test_size_audit(self, tmp_path):
-        # fixed overhead + per-array (8 + name + 4 * rank) + 8 bytes a value
+        # fixed overhead + per-array (8 + name + 4 * rank) + itemsize bytes
+        # a value
         model, config = self._trained()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
@@ -413,7 +432,7 @@ class TestCheckpoint:
             items += [(f"{name}_running_mean", stats.mean),
                       (f"{name}_running_var", stats.var)]
         for name, arr in items:
-            expected += 8 + len(name) + 4 * arr.ndim + 8 * arr.size
+            expected += 8 + len(name) + 4 * arr.ndim + arr.itemsize * arr.size
         assert path.stat().st_size == expected
 
 
