@@ -82,6 +82,11 @@ def read_wav(path) -> AudioClip:
                 raise FormatError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
+            if len(body) < chunk_len:
+                raise FormatError(
+                    f"{path}: data chunk declares {chunk_len} bytes, "
+                    f"{len(body)} present"
+                )
             data = body
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or data is None:

@@ -1,9 +1,10 @@
 """Neural building blocks on top of the autodiff engine.
 
 Convolution (im2col as a strided view), 2x2 max pooling (four strided
-views) and batch normalization (the closed-form backward) are custom
-primitives with hand-written backward passes; everything else is composed
-from the engine's elementwise and matmul primitives.
+views), batch normalization (the closed-form backward) and the LSTM over a
+whole sequence (closed-form BPTT) are custom primitives with hand-written
+backward passes; everything else is composed from the engine's elementwise
+and matmul primitives.
 """
 
 from __future__ import annotations
@@ -177,22 +178,87 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") ->
 
 
 def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
-    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden. The
-    input projection of every step is one matmul ahead of the time loop."""
+    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden.
+
+    One primitive over the whole sequence: the input projection of every
+    step is one matmul ahead of the time loop, and the forward keeps the
+    gate activations (N x T x 4h) and the cell states (N x T x h) for the
+    backward. That runs the closed-form BPTT of Graves 2012 (Supervised
+    Sequence Labelling with Recurrent Neural Networks, ch. 4) in reverse to
+    fill the gate pre-activation gradients, then takes the gradients of W,
+    U and the input with one matmul each and that of b with one sum."""
     n, t_len, d = seq.shape
     hidden = params.U.shape[0]
-    proj = (seq.reshape(n * t_len, d) @ params.W + params.b).reshape(n, t_len, 4 * hidden)
-    h = c = Tensor(np.zeros((n, hidden), dtype=seq.data.dtype))
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    outputs = [None] * t_len
+    W, U, b = params.W.data, params.U.data, params.b.data
+    x2d = seq.data.reshape(n * t_len, d)
+    # pre-activations, overwritten step by step with the activations
+    gates = (x2d @ W + b).reshape(n, t_len, 4 * hidden)
+    cells = np.empty((n, t_len, hidden), dtype=gates.dtype)
+    out = np.empty_like(cells)
+    step = -1 if reverse else 1
+    steps = range(t_len)[::step]
+    # column blocks in LSTM_GATES order; the first three are sigmoid gates
+    gi, gf, go, gg = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    sig = slice(0, 3 * hidden)
+    h = c = np.zeros((n, hidden), dtype=gates.dtype)
     for t in steps:
-        z = proj[:, t, :] + h @ params.U
-        ifo = z[:, :3 * hidden].sigmoid()
-        i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
-        c = f * c + i * z[:, 3 * hidden:].tanh()
-        h = o * c.tanh()
-        outputs[t] = h.reshape(n, 1, hidden)
-    return concat(outputs, axis=1)
+        z = gates[:, t]
+        z += h @ U
+        s, g = z[:, sig], z[:, gg]
+        # in place, in the order of 1 / (1 + exp(-z))
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        np.tanh(g, out=g)
+        c = z[:, gf] * c
+        c += z[:, gi] * g
+        h = np.tanh(c)
+        h *= z[:, go]
+        cells[:, t] = c
+        out[:, t] = h
+
+    def bw(grad):
+        # dh_t = grad_t + dz_(t+1) U^T and dc_t = dh_t o_t (1 - tanh^2 c_t)
+        # + dc_(t+1) f_(t+1), with t+1 the step that reads step t's state
+        dz = np.empty_like(gates)
+        dh_next = dc_next = None
+        for t in reversed(steps):
+            first = t == steps[0]
+            z = gates[:, t]
+            s, g = z[:, sig], z[:, gg]
+            tc = np.tanh(cells[:, t])
+            dh = grad[:, t] if dh_next is None else grad[:, t] + dh_next
+            dc = dh * z[:, go] * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc += dc_next
+            dzt = np.empty((n, 4 * hidden), dtype=gates.dtype)
+            dzt[:, gi] = dc * g
+            dzt[:, gf] = 0.0 if first else dc * cells[:, t - step]
+            dzt[:, go] = dh * tc
+            dzt[:, sig] *= s
+            dzt[:, sig] *= 1.0 - s
+            dzt[:, gg] = dc * z[:, gi] * (1.0 - g * g)
+            dz[:, t] = dzt
+            if not first:
+                dc_next = dc * z[:, gf]
+                dh_next = dzt @ U.T
+        dz2d = dz.reshape(n * t_len, 4 * hidden)
+        params.b._accumulate(dz2d.sum(axis=0))
+        if params.W.requires_grad:
+            params.W._accumulate(x2d.T @ dz2d)
+        if params.U.requires_grad:
+            # the hidden state each step read, zero at the first
+            h_prev = np.zeros_like(out)
+            if reverse:
+                h_prev[:, :-1] = out[:, 1:]
+            else:
+                h_prev[:, 1:] = out[:, :-1]
+            params.U._accumulate(h_prev.reshape(n * t_len, hidden).T @ dz2d)
+        if seq.requires_grad:
+            seq._accumulate((dz2d @ W.T).reshape(n, t_len, d))
+
+    return custom_op(out, (seq, params.W, params.U, params.b), bw)
 
 
 def bilstm_sequence(seq: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:

@@ -58,6 +58,14 @@ class TestReadWav:
         with pytest.raises(FormatError):
             audio_io.read_wav(p)
 
+    def test_data_chunk_past_eof(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        _write_pcm(p, np.zeros(100, dtype=np.int16))
+        p.write_bytes(p.read_bytes()[:-10])
+        with pytest.raises(FormatError,
+                           match=r"cut\.wav: data chunk declares 200 bytes, 190 present"):
+            audio_io.read_wav(p)
+
     def test_float_format_rejected(self, tmp_path):
         p = tmp_path / "f32.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), audio_format=3)

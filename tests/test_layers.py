@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kwspot.autodiff import Tensor, backward, grad_check
+from kwspot.autodiff import Tensor, backward, concat, grad_check
 from kwspot.errors import ShapeError
 from kwspot.layers import (
     LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
@@ -341,6 +341,41 @@ def naive_lstm(x, W, U, b, reverse=False):
     return out
 
 
+def composed_lstm(seq, params, reverse=False):
+    """lstm_sequence composed of the engine's primitives, about 16 nodes per
+    step, so that autodiff derives its gradients independently of the
+    hand-written BPTT."""
+    n, t_len, d = seq.shape
+    hidden = params.U.shape[0]
+    proj = (seq.reshape(n * t_len, d) @ params.W + params.b).reshape(n, t_len, 4 * hidden)
+    h = c = Tensor(np.zeros((n, hidden), dtype=seq.data.dtype))
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    outputs = [None] * t_len
+    for t in steps:
+        z = proj[:, t, :] + h @ params.U
+        ifo = z[:, :3 * hidden].sigmoid()
+        i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
+        c = f * c + i * z[:, 3 * hidden:].tanh()
+        h = o * c.tanh()
+        outputs[t] = h.reshape(n, 1, hidden)
+    return concat(outputs, axis=1)
+
+
+def _lstm_run(fn, shape, reverse, dtype, seed):
+    """(output, dx, dW, dU, db) of fn under a random upstream gradient."""
+    n, t_len, d, hidden = shape
+    rng = np.random.default_rng(seed)
+    params = _lstm_params(rng, d, hidden, scale=2.0)
+    seq = Tensor(rng.normal(size=(n, t_len, d)), requires_grad=True)
+    upstream = rng.normal(size=(n, t_len, hidden))
+    leaves = [seq] + _lstm_leaves(params)
+    for leaf in leaves:
+        leaf.data = leaf.data.astype(dtype)
+    out = fn(seq, params, reverse=reverse)
+    backward((out * Tensor(upstream.astype(dtype))).sum())
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
 class TestLstm:
     def test_zero_weights_zero_state(self):
         params = _lstm_params(np.random.default_rng(11), 4, 3, scale=0.0)
@@ -376,6 +411,25 @@ class TestLstm:
             return (h * h).sum()
 
         assert grad_check(f, _lstm_leaves(params)) < 1e-5
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 2), (3, 5, 7, 4), (2, 6, 1, 5),
+                                       (4, 24, 9, 6)])
+    def test_matches_composed_graph(self, shape, reverse):
+        got = _lstm_run(lstm_sequence, shape, reverse, np.float64, 700 + sum(shape))
+        want = _lstm_run(composed_lstm, shape, reverse, np.float64, 700 + sum(shape))
+        # the same float operations in the same order, except dU: one
+        # matmul over all steps sums in another order than per-step ones
+        for name, g, w in zip(("out", "dx", "dW", "dU", "db"), got, want):
+            if name == "dU":
+                assert _rel_err(g, w) < 1e-12
+            else:
+                assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_stays_float32(self, reverse):
+        got = _lstm_run(lstm_sequence, (3, 6, 5, 4), reverse, np.float32, 720)
+        assert [a.dtype for a in got] == [np.dtype(np.float32)] * 5
 
 
 class TestBilstm:

@@ -198,6 +198,26 @@ class TestDtype:
         assert model_forward(model, x).data.dtype == f32
 
 
+class TestGraphSize:
+    def test_train_step_records_few_nodes(self, monkeypatch):
+        # every op a train step records is Python overhead paid per batch;
+        # an LSTM composed per time step records about 16 nodes a step
+        calls = []
+        node = autodiff._node
+
+        def counting_node(data, parents, backward):
+            calls.append(None)
+            return node(data, parents, backward)
+
+        monkeypatch.setattr(autodiff, "_node", counting_node)
+        model = build_model(_small_config("multilayer_attention", dropout_rate=0.25))
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(4, 16, 12)), np.arange(4) % 4
+        train_epoch(model, (x, y), init_adam(model.params),
+                    TrainConfig(max_epochs=2, patience=1, batch_size=4), 1)
+        assert len(calls) < 100
+
+
 class TestMultilayerAttention:
     def test_stage_weight_contracts(self):
         model = build_model(_small_config("multilayer_attention"))
