@@ -99,9 +99,6 @@ class Tensor:
 
         return _node(out_data, (self, other), bw)
 
-    def __rsub__(self, other):
-        return _ensure(other, self) - self
-
     def __mul__(self, other):
         other = _ensure(other, self)
         out_data = self.data * other.data
@@ -113,25 +110,6 @@ class Tensor:
         return _node(out_data, (self, other), bw)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _ensure(other, self)
-        out_data = self.data / other.data
-
-        def bw(g):
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
-
-        return _node(out_data, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        return _ensure(other, self) / self
-
-    def __neg__(self):
-        def bw(g):
-            self._accumulate(-g)
-
-        return _node(-self.data, (self,), bw)
 
     def __pow__(self, exponent: float):
         p = float(exponent)

@@ -5,93 +5,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import audio_io, dsp, eval as evaluation, training
 from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
+from .keyvalue import CONFIG_KEYS, SYNTH_KEYS, from_config, parse_value, read_key_values
 from .models import ARCHITECTURES, ModelConfig, build_model
-
-# key -> (parser, default); every key is documented in the README
-CONFIG_KEYS = {
-    "sample_rate": (int, 16000),
-    "frame_len": (int, 400),
-    "hop_len": (int, 160),
-    "n_fft": (int, 512),
-    "pre_emphasis_alpha": (float, 0.97),
-    "n_mel_filters": (int, 40),
-    "n_mfcc": (int, 20),
-    "fmin": (float, 20.0),
-    "fmax": (float, 8000.0),
-    "log_floor": (float, 1e-10),
-    "window": (str, "hamming"),
-    "feature_kind": (str, "log_mel"),
-    "arch": (str, "multilayer_attention"),
-    "lstm_hidden": (int, 64),
-    "dense_hidden": (int, 64),
-    "dropout_rate": (float, 0.25),
-    "conv_channels": (lambda s: tuple(int(v) for v in s.split(",")), None),
-    "max_epochs": (int, 40),
-    "batch_size": (int, 64),
-    "base_lr": (float, 1e-3),
-    "lr_decay": (float, 0.97),
-    "patience": (int, 10),
-    "seed": (int, 0),
-    "train_ratio": (float, 0.8),
-    "val_ratio": (float, 0.1),
-    "test_ratio": (float, 0.1),
-}
-
-# synth spec key -> (parser, default); None marks a required key
-SYNTH_KEYS = {
-    "n_classes": (int, None),
-    "clips_per_class": (int, None),
-    "sample_rate": (int, None),
-    "class_frequencies": (lambda s: tuple(float(v) for v in s.split(",")), None),
-    "noise_amplitude": (float, 0.0),
-    "seed": (int, 0),
-}
-
-
-def _parse_value(keys: dict, key: str, raw: str, where: str):
-    if key not in keys:
-        raise ConfigError(f"{where}: unknown key {key!r}")
-    parser, _ = keys[key]
-    try:
-        return parser(raw.strip())
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: cannot parse {key} = {raw.strip()!r}") from None
-
-
-def _read_key_values(path, keys: dict) -> dict:
-    """The defaults of `keys` updated from the `key = value` lines of a
-    file (None: defaults only); `#` starts a comment."""
-    values = {key: default for key, (_, default) in keys.items()}
-    if path is None:
-        return values
-    for lineno, line in enumerate(read_text(path, ConfigError).splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        values[key] = _parse_value(keys, key, raw, f"{path}:{lineno}")
-    return values
 
 
 def parse_config(path=None, overrides=None) -> dict:
     """Merged configuration; precedence: overrides > file > defaults."""
-    config = _read_key_values(path, CONFIG_KEYS)
+    text = "" if path is None else read_text(path, ConfigError)
+    config = read_key_values(text, CONFIG_KEYS, path)
     for key, raw in (overrides or {}).items():
-        config[key] = _parse_value(CONFIG_KEYS, key, str(raw), "command line")
+        config[key] = parse_value(CONFIG_KEYS, key, str(raw), "command line")
     return config
-
-
-def _from_config(cls, cfg: dict):
-    """A config dataclass (DspConfig, TrainConfig) built from its keys."""
-    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def _print_header(command: str, cfg: dict):
@@ -107,12 +35,9 @@ def _collect_overrides(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = raw
-    if getattr(args, "batch_size", None) is not None:
-        overrides["batch_size"] = args.batch_size
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "arch", None) is not None:
-        overrides["arch"] = args.arch
+    for key in ("batch_size", "seed", "arch"):
+        if getattr(args, key, None) is not None:
+            overrides[key] = getattr(args, key)
     return overrides
 
 
@@ -120,7 +45,7 @@ def _cmd_featurize(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("featurize", cfg)
     clip = audio_io.read_wav(args.wav)
-    features = dsp.mfcc_pipeline(clip, _from_config(dsp.DspConfig, cfg), cfg["feature_kind"])
+    features = dsp.mfcc_pipeline(clip, from_config(dsp.DspConfig, cfg), cfg["feature_kind"])
     rows = "\n".join(
         ",".join(f"{v:.6f}" for v in frame) for frame in features.values
     )
@@ -133,8 +58,8 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    values = _read_key_values(args.spec, SYNTH_KEYS)
-    missing = sorted(key for key, value in values.items() if value is None)
+    values = read_key_values(read_text(args.spec, ConfigError), SYNTH_KEYS, args.spec)
+    missing = sorted(SYNTH_KEYS.keys() - values.keys())
     if missing:
         raise ConfigError(f"{args.spec}: missing synth keys {missing}")
     seed = values.pop("seed")
@@ -169,19 +94,16 @@ def _cmd_train(args) -> int:
     train_idx, val_idx, _ = audio_io.split_dataset(
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )
-    dsp_cfg = _from_config(dsp.DspConfig, cfg)
+    dsp_cfg = from_config(dsp.DspConfig, cfg)
     kind = cfg["feature_kind"]
     train_data = training.featurize_index(train_idx, dsp_cfg, kind)
     val_data = training.featurize_index(val_idx, dsp_cfg, kind)
     t, d = train_data[0].shape[1:]
-    model_cfg = ModelConfig(
-        arch=cfg["arch"], n_classes=len(index.label_set), input_shape=(t, d),
-        conv_channels=cfg["conv_channels"], lstm_hidden=cfg["lstm_hidden"],
-        dense_hidden=cfg["dense_hidden"], dropout_rate=cfg["dropout_rate"],
-        seed=cfg["seed"],
-    )
+    model_cfg = from_config(ModelConfig, dict(
+        cfg, n_classes=len(index.label_set), input_shape=(t, d), dtype=ModelConfig.dtype
+    ))
     model = build_model(model_cfg)
-    train_cfg = _from_config(training.TrainConfig, cfg)
+    train_cfg = from_config(training.TrainConfig, cfg)
     model, history = training.fit(model, train_data, val_data, train_cfg)
     training.save_checkpoint(
         model, args.out, train_config=train_cfg, labels=index.label_set
@@ -198,12 +120,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, meta = training.load_checkpoint(args.ckpt)
-    labels = meta.get("labels", "").split(",") if meta.get("labels") else None
-    index = _scan(args.data, labels)
+    index = _scan(args.data, meta.get("labels"))
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("eval", cfg)
     report = evaluation.evaluate(
-        model, index, _from_config(dsp.DspConfig, cfg), cfg["feature_kind"]
+        model, index, from_config(dsp.DspConfig, cfg), cfg["feature_kind"]
     )
     evaluation.emit_report(report, args.out, args.format)
     print(
@@ -282,15 +203,9 @@ def run_cli(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (ConfigError, UsageError) as exc:
+    except (KwspotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KwspotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, UsageError)) else 2
 
 
 def main():

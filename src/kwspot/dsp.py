@@ -11,6 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DspError
 
+FEATURE_KINDS = ("mfcc", "log_mel")
+
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -58,10 +60,10 @@ class MelFilterBank:
 @dataclass(frozen=True)
 class FeatureMatrix:
     values: np.ndarray  # T frames x D coefficients
-    kind: str           # "mfcc" or "log_mel"
+    kind: str           # one of FEATURE_KINDS
 
     def __post_init__(self):
-        if self.kind not in ("mfcc", "log_mel"):
+        if self.kind not in FEATURE_KINDS:
             raise DspError(f"unknown feature kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
             raise DspError("feature matrix contains non-finite values")
@@ -189,6 +191,5 @@ def mfcc_pipeline(clip, config: DspConfig, kind: str = "mfcc") -> FeatureMatrix:
     spectra = power_spectrum(windowed, config.n_fft)
     bank = build_mel_filterbank(config)
     logmel = log_compress(mel_energies(spectra, bank), config.log_floor)
-    if kind == "log_mel":
-        return FeatureMatrix(values=logmel, kind="log_mel")
-    return FeatureMatrix(values=dct_ii(logmel, config.n_mfcc), kind="mfcc")
+    values = logmel if kind == "log_mel" else dct_ii(logmel, config.n_mfcc)
+    return FeatureMatrix(values=values, kind=kind)

@@ -138,19 +138,14 @@ def _conv_stack_shape(config: ModelConfig):
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize all parameters of the chosen architecture."""
     rng = np.random.default_rng(config.seed)
-    return _make_model(config, lambda shape: _glorot(rng, shape))
+    return make_model(config, lambda shape: _glorot(rng, shape))
 
 
-def empty_model(config: ModelConfig) -> Model:
-    """The parameters and buffers of build_model(config) with zeros in place
-    of the random draws, for a checkpoint load to overwrite."""
-    return _make_model(config, np.zeros)
-
-
-def _make_model(config: ModelConfig, draw) -> Model:
+def make_model(config: ModelConfig, draw) -> Model:
     """The one definition of each architecture's parameter names and shapes;
-    draw(shape) gives each randomly initialized weight, in a fixed order.
-    Parameters and buffers are cast to config.dtype."""
+    draw(shape) gives each randomly initialized weight, in a fixed order,
+    and precedes every other array at least as large (a checkpoint load
+    draws zeros). Parameters and buffers are cast to config.dtype."""
     out_c, out_h, out_w = _conv_stack_shape(config)
     dtype = np.dtype(config.dtype)
 

@@ -3,6 +3,7 @@ early stopping on validation accuracy, and binary checkpoints."""
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import zlib
@@ -14,7 +15,8 @@ import numpy as np
 from . import audio_io, dsp
 from .autodiff import Tensor, backward
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
-from .models import Model, ModelConfig, empty_model, model_forward
+from .keyvalue import METADATA_KEYS, from_config, read_key_values, write_key_values
+from .models import Model, ModelConfig, make_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
 CHECKPOINT_VERSION = 3
@@ -221,37 +223,10 @@ def featurize_index(index, dsp_config, kind: str = "log_mel"):
 
 
 # ---- checkpoint format ------------------------------------------------
-# magic "KWSA" | u32 version (3) | u32 metadata length | metadata (key=value
-# lines, UTF-8, among them dtype=float32 or dtype=float64) | per array:
+# magic "KWSA" | u32 version (3) | u32 metadata length | metadata (the
+# key=value lines of keyvalue.METADATA_KEYS, UTF-8) | per array:
 # u32 name length | name | u32 rank | rank * u32 dims | raw values, <f4
 # or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte
-
-
-def _model_metadata(model: Model, train_config: TrainConfig | None, labels) -> str:
-    cfg = model.config
-    lines = [
-        f"arch={cfg.arch}",
-        f"n_classes={cfg.n_classes}",
-        f"input_shape={cfg.input_shape[0]},{cfg.input_shape[1]}",
-        f"conv_channels={','.join(str(c) for c in cfg.resolved_channels())}",
-        f"lstm_hidden={cfg.lstm_hidden}",
-        f"dense_hidden={cfg.dense_hidden}",
-        f"dropout_rate={cfg.dropout_rate!r}",
-        f"seed={cfg.seed}",
-        f"dtype={cfg.dtype}",
-    ]
-    if labels is not None:
-        lines.append(f"labels={','.join(labels)}")
-    if train_config is not None:
-        lines += [
-            f"train.max_epochs={train_config.max_epochs}",
-            f"train.batch_size={train_config.batch_size}",
-            f"train.base_lr={train_config.base_lr!r}",
-            f"train.lr_decay={train_config.lr_decay!r}",
-            f"train.patience={train_config.patience}",
-            f"train.seed={train_config.seed}",
-        ]
-    return "\n".join(lines)
 
 
 def _iter_arrays(model: Model):
@@ -269,7 +244,11 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
-    meta = _model_metadata(model, train_config, labels).encode("utf-8")
+    values = dict(vars(model.config), conv_channels=model.config.resolved_channels(),
+                  labels=labels)
+    if train_config is not None:
+        values.update({f"train.{key}": v for key, v in vars(train_config).items()})
+    meta = write_key_values(values, METADATA_KEYS, path).encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
     for name, arr in _iter_arrays(model):
@@ -310,9 +289,10 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (model, metadata dict). Rejects bad magic, version, checksum,
-    truncation, undecodable text and an array that is unknown, missing or
-    stored twice with CheckpointError."""
+    """Returns (model, typed METADATA_KEYS dict). Rejects bad magic, version,
+    checksum, truncation, undecodable text, metadata that the key = value
+    reader refuses or that describes more values than the file stores, and
+    an array that is unknown, missing or stored twice with CheckpointError."""
     reader = _Reader(path)
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
@@ -323,23 +303,19 @@ def load_checkpoint(path):
     if len(body) < reader.pos or zlib.crc32(body) != int.from_bytes(trailer, "little"):
         raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated file)")
     reader.raw = body
-    meta = {}
-    for line in reader.text("metadata").splitlines():
-        key, _, value = line.partition("=")
-        meta[key] = value
+    meta = read_key_values(reader.text("metadata"), METADATA_KEYS, f"{path}: metadata",
+                           CheckpointError)
+    budget = [len(reader.raw) - reader.pos]  # bytes left for the arrays
+
+    def zeros(shape):  # so that a forged size in the metadata cannot exhaust memory
+        budget[0] -= math.prod(shape) * np.dtype(config.dtype).itemsize
+        if budget[0] < 0:
+            raise CheckpointError(f"{path}: metadata describes more values than the file stores")
+        return np.zeros(shape)
+
     try:
-        config = ModelConfig(
-            arch=meta["arch"],
-            n_classes=int(meta["n_classes"]),
-            input_shape=tuple(int(v) for v in meta["input_shape"].split(",")),
-            conv_channels=tuple(int(v) for v in meta["conv_channels"].split(",")),
-            lstm_hidden=int(meta["lstm_hidden"]),
-            dense_hidden=int(meta["dense_hidden"]),
-            dropout_rate=float(meta["dropout_rate"]),
-            seed=int(meta["seed"]),
-            dtype=meta["dtype"],
-        )
-        model = empty_model(config)
+        config = from_config(ModelConfig, meta)
+        model = make_model(config, zeros)
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata field {exc} is missing") from None
     except (ValueError, ConfigError) as exc:
@@ -351,7 +327,7 @@ def load_checkpoint(path):
         name = reader.text("array name")
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)
         values = np.frombuffer(reader.take(stored.itemsize * count), dtype=stored).reshape(shape)
         if name not in expected:
             raise CheckpointError(f"{path}: unknown parameter {name!r}")

@@ -54,3 +54,12 @@ def write_sealed_checkpoint(path, body: bytes):
     """Write a (mutated) checkpoint body with a valid CRC32 trailer, so that
     loading it reaches the checks behind the checksum."""
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def write_metadata(path, edit):
+    """Replace the metadata block of the checkpoint at `path` by
+    edit(metadata bytes), fixing its length prefix and the CRC32 trailer."""
+    body = path.read_bytes()[:-4]
+    n = struct.unpack("<I", body[8:12])[0]
+    meta = edit(body[12:12 + n])
+    write_sealed_checkpoint(path, body[:8] + struct.pack("<I", len(meta)) + meta + body[12 + n:])

@@ -84,6 +84,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sample_rate"):
             parse_config(path)
 
+    def test_key_set_twice(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("sample_rate = 4000\n# again\nsample_rate = 8000\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 'sample_rate' is set twice"):
+            parse_config(path)
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("sample_rate 4000\n")
@@ -222,6 +228,15 @@ class TestTrainEval:
         ])
         assert code == 1
         assert "--set expects key=value" in capsys.readouterr().err
+
+    def test_unknown_feature_kind(self, synth_dir, small_config_file, tmp_path, capsys):
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", "feature_kind=logmel", "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert "cannot parse feature_kind = 'logmel'" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_report_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "other.csv"

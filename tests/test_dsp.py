@@ -227,6 +227,11 @@ class TestPipeline:
         assert features.kind == "log_mel"
         assert features.values.shape == (61, 20)
 
+    def test_unknown_kind_rejected(self, small_dsp_config):
+        clip = AudioClip(samples=np.zeros(4000), sample_rate=4000)
+        with pytest.raises(DspError, match="unknown feature kind 'logmel'"):
+            dsp.mfcc_pipeline(clip, small_dsp_config, "logmel")
+
     def test_deterministic(self, small_dsp_config):
         rng = np.random.default_rng(8)
         clip = AudioClip(samples=rng.uniform(-1, 1, 4000), sample_rate=4000)

@@ -1,10 +1,11 @@
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import write_sealed_checkpoint
+from conftest import write_metadata, write_sealed_checkpoint
 from kwspot import errors, models
 from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
@@ -277,7 +278,8 @@ class TestCheckpoint:
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
         loaded, meta = load_checkpoint(path)
         assert loaded.mode == "infer"
-        assert meta["labels"] == "a,b,c"
+        assert meta["labels"] == ("a", "b", "c")
+        assert meta["train.base_lr"] == config.base_lr
         assert meta["arch"] == "multilayer_attention"
         assert meta["dtype"] == loaded.config.dtype == dtype
         x, _ = _toy_data(n=4)
@@ -407,16 +409,63 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("line,error", [
-        (b"dtypo=float32", "metadata field 'dtype' is missing"),
+        (b"", "metadata field 'dtype' is missing"),
+        (b"dtypo=float32", "metadata:9: unknown key 'dtypo'"),
         (b"dtype=float16", "invalid metadata .dtype must be one of float32, float64"),
-    ], ids=["missing", "unknown"])
+    ], ids=["missing", "dtypo", "unknown"])
     def test_bad_dtype_line_rejected(self, tmp_path, line, error):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        body = path.read_bytes()[:-4]
-        write_sealed_checkpoint(path, body.replace(b"dtype=float32", line, 1))
+        write_metadata(path, lambda meta: meta.replace(b"dtype=float32", line, 1))
         with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("old,new,error", [
+        (b"n_classes=3", b"n_classes=abc", "metadata:2: cannot parse n_classes = 'abc'"),
+        (b"input_shape=8,8", b"input_shape=16", "metadata:3: cannot parse input_shape = '16'"),
+        (b"seed=0", b"seed=0\ngarbage line", "metadata:9: expected key = value"),
+        (b"lstm_hidden=3", b"lstm_hidden=3\nlstm_hidden=65",
+         "metadata:6: key 'lstm_hidden' is set twice"),
+        (b"n_classes=3", b"n_classes=1000000000000000",
+         "metadata describes more values than the file stores"),
+    ], ids=["int", "pair", "no-equals", "twice", "oversized"])
+    def test_bad_metadata_line_named(self, tmp_path, old, new, error):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        write_metadata(path, lambda meta: meta.replace(old, new, 1))
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("label", ["a,b", "a#b", "a=b", "a\nb", "a\x85b", " a", "a ", ""])
+    def test_label_that_would_not_read_back_refused(self, tmp_path, label):
+        path = tmp_path / "model.ckpt"
+        message = rf"model\.ckpt: cannot write labels item {re.escape(repr(label))}"
+        with pytest.raises(DataError, match=message):
+            save_checkpoint(_tiny_model(), path, labels=["x", label, "y"])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("extras", ["none", "labels", "train", "both"])
+    def test_written_bytes_pinned(self, tmp_path, arch, extras):
+        # the metadata block as the format has always written it
+        path = tmp_path / "model.ckpt"
+        labels = ["yes", "no", "up"] if extras in ("labels", "both") else None
+        train = TrainConfig(base_lr=0.002) if extras in ("train", "both") else None
+        model = _tiny_model(arch=arch, input_shape=(8, 12), conv_channels=None)
+        save_checkpoint(model, path, train, labels)
+        blob = path.read_bytes()
+        meta = blob[12:12 + struct.unpack("<I", blob[8:12])[0]]
+        channels = "32,64,64" if arch == "cnn" else "32,64"
+        expected = [
+            f"arch={arch}", "n_classes=3", "input_shape=8,12", f"conv_channels={channels}",
+            "lstm_hidden=3", "dense_hidden=4", "dropout_rate=0.0", "seed=0", "dtype=float32",
+        ]
+        if labels:
+            expected.append("labels=yes,no,up")
+        if train:
+            expected += ["train.max_epochs=40", "train.batch_size=64", "train.base_lr=0.002",
+                         "train.lr_decay=0.97", "train.patience=10", "train.seed=0"]
+        assert meta.decode() == "\n".join(expected)
 
     def test_size_audit(self, tmp_path):
         # fixed overhead + per-array (8 + name + 4 * rank) + itemsize bytes
