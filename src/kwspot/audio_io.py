@@ -13,6 +13,9 @@ import numpy as np
 from .errors import DatasetError, FormatError, SplitError, UnsupportedError
 
 
+MAX_SAMPLE_RATE = 384_000  # Hz, the highest rate in common PCM use
+
+
 @dataclass(frozen=True)
 class AudioClip:
     samples: np.ndarray  # float64 amplitudes in [-1, 1]
@@ -98,6 +101,11 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedError(f"{path}: {channels} channels, expected mono")
     if bits != 16:
         raise UnsupportedError(f"{path}: {bits} bits/sample, expected 16")
+    # the clip holds one second, so the rate sets the allocation
+    if not 0 < sample_rate <= MAX_SAMPLE_RATE:
+        raise UnsupportedError(
+            f"{path}: sample rate {sample_rate} Hz, expected 1 to {MAX_SAMPLE_RATE}"
+        )
     pcm = np.frombuffer(data[: 2 * (len(data) // 2)], dtype="<i2")
     samples = _pad_or_trim(pcm.astype(np.float64) / 32768.0, sample_rate)
     return AudioClip(samples=samples, sample_rate=sample_rate)

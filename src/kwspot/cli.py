@@ -9,7 +9,10 @@ from pathlib import Path
 
 from . import audio_io, dsp, eval as evaluation, training
 from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
-from .keyvalue import CONFIG_KEYS, SYNTH_KEYS, from_config, parse_value, read_key_values
+from .keyvalue import (
+    CONFIG_KEYS, METADATA_KEYS, SYNTH_KEYS, from_config, parse_value, read_key_values,
+    write_key_values,
+)
 from .models import ARCHITECTURES, ModelConfig, build_model
 
 
@@ -91,6 +94,8 @@ def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("train", cfg)
     index = _scan(args.data)
+    # refuse a label the checkpoint could not store before training for it
+    write_key_values({"labels": index.label_set}, METADATA_KEYS, args.out)
     train_idx, val_idx, _ = audio_io.split_dataset(
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )

@@ -1,10 +1,13 @@
 """Neural building blocks on top of the autodiff engine.
 
-Convolution (im2col as a strided view), 2x2 max pooling (four strided
+Convolution (a contiguous im2col as the operand of one batched GEMM, and
+one GEMM per kernel offset in the backward), 2x2 max pooling (four strided
 views), batch normalization (the closed-form backward) and the LSTM over a
 whole sequence (closed-form BPTT) are custom primitives with hand-written
 backward passes; everything else is composed from the engine's elementwise
-and matmul primitives.
+and matmul primitives. The models pool before the ReLU: max commutes with a
+monotone map, so max_pool then relu gives the values and gradients of relu
+then max_pool, with the ReLU on a quarter of the elements.
 """
 
 from __future__ import annotations
@@ -43,24 +46,32 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     input position: zeros pad (k-1)//2 rows and columns on the top and left
     and the rest on the bottom and right."""
     n, c, h, w = x.shape
-    _, ic, kh, kw = kernels.shape
+    oc, ic, kh, kw = kernels.shape
     if ic != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {ic}")
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    # im2col as a view: cols[n, c, y, x, i, j] = xp[n, c, y + i, x + j]
-    cols = sliding_window_view(xp, (kh, kw), axis=(2, 3))
     kern = kernels.data
-    out = np.einsum("ncyxij,ocij->noyx", cols, kern, optimize=True)
+    # contiguous im2col, cols[n, (c, i, j), (y, x)] = xp[n, c, y + i, x + j],
+    # freed on return; one batched GEMM gives NCHW with no transpose
+    cols = sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(n, c * kh * kw, h * w)
+    out = (kern.reshape(oc, c * kh * kw) @ cols).reshape(n, oc, h, w)
 
     def bw(g):
-        kernels._accumulate(np.einsum("noyx,ncyxij->ocij", g, cols, optimize=True))
+        # one GEMM per kernel offset, so that at most one shifted window of
+        # xp (or of the input gradient) is alive at a time
+        g = g.reshape(n, oc, h * w)
+        offsets = [(i, j) for i in range(kh) for j in range(kw)]
+        if kernels.requires_grad:
+            gk = np.empty_like(kern)
+            for i, j in offsets:
+                win = xp[:, :, i:i + h, j:j + w].reshape(n, c, h * w)
+                gk[:, :, i, j] = np.matmul(g, win.transpose(0, 2, 1)).sum(axis=0)
+            kernels._accumulate(gk)
         if x.requires_grad:
-            gcols = np.einsum("noyx,ocij->ncijyx", g, kern, optimize=True)
             gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + h, j:j + w] += gcols[:, :, i, j]
+            for i, j in offsets:
+                gxp[:, :, i:i + h, j:j + w] += (kern[:, :, i, j].T @ g).reshape(n, c, h, w)
             x._accumulate(gxp[:, :, pt:pt + h, pl:pl + w])
 
     return custom_op(out, (x, kernels), bw)
@@ -90,7 +101,8 @@ def max_pool(x: Tensor) -> Tensor:
             hit = view == out
             hit &= free
             free ^= hit
-            gx[key] += g * hit
+            # the four views are disjoint: each writes its own share
+            np.multiply(g, hit, out=gx[key])
         x._accumulate(gx)
 
     return custom_op(out, (x,), bw)

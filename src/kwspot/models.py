@@ -53,6 +53,12 @@ class ModelConfig:
             raise ConfigError("n_classes must be at least 2")
         if self.lstm_hidden <= 0:
             raise ConfigError("lstm_hidden must be positive")
+        if self.dense_hidden <= 0:
+            raise ConfigError("dense_hidden must be positive")
+        if self.conv_channels is not None and not (
+            self.conv_channels and all(c > 0 for c in self.conv_channels)
+        ):
+            raise ConfigError("conv_channels must be one or more positive integers")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.dtype not in DTYPES:
@@ -214,8 +220,9 @@ def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
             model.bn_stats[f"conv{i}_bn"],
             model.mode,
         )
-        x = x.relu()
-        x = max_pool(x)
+        # max commutes with the monotone ReLU: pooling first gives the same
+        # values and gradient, with the ReLU on a quarter of the elements
+        x = max_pool(x).relu()
         x = dropout(x, cfg.dropout_rate, model.mode, rng)
     return x
 

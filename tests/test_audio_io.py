@@ -78,6 +78,26 @@ class TestReadWav:
         with pytest.raises(UnsupportedError):
             audio_io.read_wav(p)
 
+    @pytest.mark.parametrize("sample_rate", [0, 384_001, 2**31 - 1])
+    def test_sample_rate_out_of_range(self, tmp_path, sample_rate):
+        # a 1-second clip at the rate in the fmt chunk: a forged rate would
+        # allocate up to 32 GiB (8 bytes a sample)
+        p = tmp_path / "rate.wav"
+        _write_pcm(p, np.zeros(100, dtype=np.int16), sample_rate=sample_rate)
+        with pytest.raises(UnsupportedError, match=rf"rate\.wav: sample rate {sample_rate} Hz"):
+            audio_io.read_wav(p)
+
+    def test_chunk_id_over_sample_rate(self, tmp_path):
+        # shrunk case of tests/test_fuzz.py::test_wav_mutations: "RIFF" over
+        # the sample rate field reads as 1179011410 Hz, an 8.8 GiB clip
+        p = tmp_path / "fuzz.wav"
+        audio_io.write_wav(p, AudioClip(samples=np.zeros(32), sample_rate=8000))
+        blob = bytearray(p.read_bytes())
+        blob[24:28] = b"RIFF"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedError, match=r"fuzz\.wav: sample rate 1179011410 Hz"):
+            audio_io.read_wav(p)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         clip = AudioClip(samples=rng.uniform(-1, 1, 4000), sample_rate=4000)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
+from kwspot import training
 from kwspot.cli import parse_config, run_cli
 from kwspot.errors import ConfigError
 from kwspot.models import ModelConfig, build_model
@@ -236,6 +237,37 @@ class TestTrainEval:
         ])
         assert code == 1
         assert "cannot parse feature_kind = 'logmel'" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("dense_hidden=-4", "dense_hidden must be positive"),
+        ("conv_channels=4,-2", "conv_channels must be one or more positive integers"),
+    ])
+    def test_nonpositive_size_named(self, synth_dir, small_config_file, tmp_path, capsys,
+                                    setting, message):
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", setting, "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_unwritable_label_refused_before_training(self, synth_dir, small_config_file,
+                                                      tmp_path, capsys, monkeypatch):
+        (synth_dir / "class1").rename(synth_dir / "a,b")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the labels are checked before featurizing and fit")
+
+        monkeypatch.setattr(training, "featurize_index", unreachable)
+        monkeypatch.setattr(training, "fit", unreachable)
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "m.ckpt: cannot write labels item 'a,b'" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_report_rejects_foreign_csv(self, tmp_path, capsys):

@@ -1,14 +1,17 @@
-"""Mutation fuzz of the `key = value` files kwspot reads: the metadata block
-of a sealed checkpoint and a config file. Every mutated input either loads
-or raises a KwspotError subclass. Runs are derandomized, so a failure
-reproduces on every run; each shrunk failure is kept as a plain test."""
+"""Mutation fuzz of files kwspot reads: the `key = value` metadata block of
+a sealed checkpoint, a config file and a WAV clip. Every mutated input
+either loads or raises a KwspotError subclass. Runs are derandomized, so a
+failure reproduces on every run; each shrunk failure is kept as a plain
+test."""
 
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kwspot.audio_io import AudioClip, read_wav, write_wav
 from kwspot.cli import parse_config
 from kwspot.dsp import DspConfig
 from kwspot.errors import KwspotError
@@ -98,3 +101,43 @@ def test_config_file_mutations(tmp_path, edit_list):
         from_config(TrainConfig, cfg)
     except KwspotError:
         return
+
+
+# the chunk ids and little-endian fields of a RIFF/WAVE header
+WAV_TOKENS = [b"RIFF", b"WAVE", b"fmt ", b"data", b"LIST", b"\x00", b"\x01", b"\x02",
+              b"\x10", b"\xff", b"\x00\x00\x00\x00", b"\x01\x00\x00\x00",
+              b"\xff\xff\xff\xff", b"\xfe\xff\xff\x7f", b"\x01\x00\x01\x00",
+              b"\x03\x00", b"\x08\x00", b"\x20\x00", b"\x40\x1f\x00\x00"]
+
+wav_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, 120),
+        st.sampled_from(WAV_TOKENS) | st.binary(min_size=1, max_size=4),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def wav_bytes(tmp_path_factory):
+    """A short 8 kHz clip: 32 samples after the 44-byte header, so that
+    most edits land in the header."""
+    path = tmp_path_factory.mktemp("wav") / "clip.wav"
+    samples = np.sin(np.arange(32) / 3.0) * 0.5
+    write_wav(path, AudioClip(samples=samples, sample_rate=8000))
+    return path.read_bytes()
+
+
+@FUZZ
+@given(edit_list=wav_edits)
+def test_wav_mutations(tmp_path, wav_bytes, edit_list):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(mutate(wav_bytes, edit_list))
+    try:
+        clip = read_wav(path)
+    except KwspotError as exc:
+        assert "fuzz.wav" in str(exc)
+        return
+    assert len(clip.samples) == clip.sample_rate > 0
+    assert np.all(np.abs(clip.samples) <= 1.0)

@@ -91,6 +91,22 @@ class TestConv2d:
             lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
         ) < 1e-5
 
+    def test_peak_memory(self):
+        # the backward copies one shifted window of the padded input at a
+        # time: about 4.5x the input's bytes at this shape; a kernel
+        # gradient that copies the whole im2col view peaks near 11.6x
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(8, 16, 24, 20)), requires_grad=True)
+        kernels = _kernels(rng, 16, 16, 3, 3)
+        loss = (conv2d(x, kernels) * Tensor(rng.normal(size=x.shape))).sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * x.data.nbytes
+
 
 class TestMaxPool:
     def test_simple(self):
@@ -139,6 +155,50 @@ class TestMaxPool:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
+
+
+class TestPoolBeforeRelu:
+    """The conv blocks pool before the ReLU: max commutes with a monotone
+    map, so relu(max_pool(x)) must equal max_pool(relu(x)) bit for bit, in
+    values and in the input gradient."""
+
+    @staticmethod
+    def _both(x, g):
+        results = []
+        for f in (lambda t: max_pool(t).relu(), lambda t: max_pool(t.relu())):
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = f(xt)
+            backward((out * Tensor(g)).sum())
+            results.append((out.data, xt.grad))
+        return results
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_random(self, trial):
+        rng = np.random.default_rng(700 + trial)
+        h, w = (int(v) for v in rng.integers(2, 10, size=2))
+        x = rng.normal(size=(2, 3, h, w))
+        x[0, 0, :2, :2] = -np.abs(x[0, 0, :2, :2])  # an all-negative window
+        x[1, 1, :2, :2] = 0.0  # an all-zero window
+        x = x.astype(np.float32 if trial % 2 else np.float64)
+        g = rng.normal(size=(2, 3, h // 2, w // 2)).astype(x.dtype)
+        (out_a, grad_a), (out_b, grad_b) = self._both(x, g)
+        assert out_a.tobytes() == out_b.tobytes()
+        assert grad_a.tobytes() == grad_b.tobytes()
+
+    @pytest.mark.parametrize("window", [
+        [-2.5, -2.5, -2.5, -2.5],
+        [-0.0, 0.0, 0.0, -0.0],
+        [0.0, -0.0, -0.0, 0.0],
+        [-1.0, -0.0, -3.0, 0.0],
+        [-1.0, -2.0, -0.5, -0.25],
+        [0.0, 1.5, 1.5, -0.0],
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ties_and_signed_zeros(self, window, sign):
+        x = np.array(window).reshape(1, 1, 2, 2)
+        (out_a, grad_a), (out_b, grad_b) = self._both(x, np.full((1, 1, 1, 1), sign))
+        assert out_a.tobytes() == out_b.tobytes()
+        assert grad_a.tobytes() == grad_b.tobytes()
 
 
 def naive_batch_norm(x, gamma, beta, mean, var, mode, momentum=0.9, eps=1e-5):

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ class TestTrainEpoch:
         train_epoch(model, (x, y), init_adam(model.params), config, 1)
         for name, old in before["params"].items():
             assert not np.array_equal(old, model.params[name].data), name
+
+    def test_peak_memory(self):
+        # one multilayer_attention step at batch 8 on paper-scale 98x40
+        # features, float32: about 33 MB; a conv whose kernel gradient
+        # copies the whole im2col view and a ReLU over the unpooled blocks
+        # peak near 43 MB
+        model = build_model(ModelConfig("multilayer_attention", 12, (98, 40)))
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(8, 98, 40)), np.arange(8) % 12
+        opt = init_adam(model.params)
+        tracemalloc.start()
+        try:
+            train_epoch(model, (x, y), opt, TrainConfig(batch_size=8), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 38e6
 
 
 class TestFit:
@@ -428,7 +446,11 @@ class TestCheckpoint:
          "metadata:6: key 'lstm_hidden' is set twice"),
         (b"n_classes=3", b"n_classes=1000000000000000",
          "metadata describes more values than the file stores"),
-    ], ids=["int", "pair", "no-equals", "twice", "oversized"])
+        (b"dense_hidden=4", b"dense_hidden=-4",
+         "invalid metadata .dense_hidden must be positive"),
+        (b"conv_channels=2", b"conv_channels=-2",
+         "invalid metadata .conv_channels must be one or more positive integers"),
+    ], ids=["int", "pair", "no-equals", "twice", "oversized", "dense", "channels"])
     def test_bad_metadata_line_named(self, tmp_path, old, new, error):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
