@@ -2,9 +2,16 @@
 float64 arrays.
 
 Define-by-run: every operation on a Tensor that requires gradients records
-a closure that knows how to push an upstream gradient to its inputs.
-Gradients accumulate by summation; a leaf keeps its gradient after
-backward, so it must be zeroed explicitly between optimizer steps.
+a graph Node. A Node holds the nodes of its parents that require
+gradients, its backward closure and its accumulated gradient, but no
+forward value. The closure captures only the arrays its backward reads and
+maps an upstream gradient to one gradient per parent, None where a parent
+needs none; the engine accumulates them. A Tensor holds its value and its
+node, so a value that no closure saved is freed as soon as the forward
+drops its Tensor. A leaf Tensor that requires gradients is its own
+accumulation target. Gradients accumulate by summation; a leaf keeps its
+gradient after backward, so it must be zeroed explicitly between optimizer
+steps.
 
 Every operation keeps its operands' dtype: a Python or NumPy scalar is cast
 to the dtype of the Tensor it meets, so a float32 graph stays float32.
@@ -27,19 +34,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _accumulate(target, g: np.ndarray):
+    """Add g, reduced to target.shape, into target.grad (a Node or a leaf)."""
+    g = _unbroadcast(g, target.shape)
+    # the first gradient is stored as given, possibly a view shared with
+    # other targets: nothing may write into a .grad in place
+    target.grad = g if target.grad is None else target.grad + g
+
+
+class Node:
+    """The record of one operation whose output requires gradients: the
+    output's shape, its gradient during backward, the nodes (or leaves) of
+    the parents that require gradients with their positions `_which` among
+    all parents, and the backward closure."""
+
+    __slots__ = ("shape", "grad", "_parents", "_which", "_backward")
+
+    def __init__(self, shape: tuple, parents: tuple, which: tuple, backward):
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._which = which
+        self._backward = backward
+
+
 class Tensor:
     """N-dimensional array participating in the autodiff graph: a float32
     array is kept as float32, anything else becomes float64."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward = None
+        self._node: Node | None = None
 
     # ---- bookkeeping -------------------------------------------------
 
@@ -55,6 +85,11 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def _parents(self) -> tuple:
+        """The parents of this tensor's node; () for a leaf or a constant."""
+        return () if self._node is None else self._node._parents
+
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -64,98 +99,65 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray):
-        if not self.requires_grad:
-            return
-        g = _unbroadcast(g, self.data.shape)
-        # the first gradient is stored as given, possibly a view shared with
-        # other tensors: nothing may write into a .grad in place
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
-
     # ---- elementwise arithmetic --------------------------------------
 
     def __add__(self, other):
         other = _ensure(other, self)
-        out_data = self.data + other.data
-
-        def bw(g):
-            self._accumulate(g)
-            other._accumulate(g)
-
-        return _node(out_data, (self, other), bw)
+        return _node(self.data + other.data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _ensure(other, self)
-        out_data = self.data - other.data
-
-        def bw(g):
-            self._accumulate(g)
-            other._accumulate(-g)
-
-        return _node(out_data, (self, other), bw)
+        negate = other.requires_grad
+        return _node(self.data - other.data, (self, other),
+                     lambda g: (g, -g if negate else None))
 
     def __mul__(self, other):
         other = _ensure(other, self)
-        out_data = self.data * other.data
+        # each side's gradient reads the other side's value: save a value
+        # only if the other side needs it
+        for_self = other.data if self.requires_grad else None
+        for_other = self.data if other.requires_grad else None
 
         def bw(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            return (None if for_self is None else g * for_self,
+                    None if for_other is None else g * for_other)
 
-        return _node(out_data, (self, other), bw)
+        return _node(self.data * other.data, (self, other), bw)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
         p = float(exponent)
-        out_data = self.data ** p
-
-        def bw(g):
-            self._accumulate(g * p * self.data ** (p - 1.0))
-
-        return _node(out_data, (self,), bw)
+        base = self.data
+        return _node(base ** p, (self,), lambda g: (g * p * base ** (p - 1.0),))
 
     # ---- structure ---------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        src_shape = self.data.shape
-
-        def bw(g):
-            self._accumulate(g.reshape(src_shape))
-
-        return _node(out_data, (self,), bw)
+        src_shape = self.shape
+        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
-
-        def bw(g):
-            self._accumulate(g.transpose(inverse))
-
-        return _node(out_data, (self,), bw)
+        return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
-        src = self
+        src_shape, dtype = self.shape, self.data.dtype
 
         def bw(g):
-            full = np.zeros_like(src.data)
+            full = np.zeros(src_shape, dtype)
             full[key] += g
-            src._accumulate(full)
+            return (full,)
 
-        return _node(out_data, (self,), bw)
+        return _node(self.data[key], (self,), bw)
 
     def __matmul__(self, other):
         other = _ensure(other, self)
@@ -167,29 +169,26 @@ class Tensor:
             raise ShapeError(
                 f"matmul inner dimensions differ: {self.shape} @ {other.shape}"
             )
-        out_data = np.matmul(self.data, other.data)
+        for_self = other.data if self.requires_grad else None
+        for_other = self.data if other.requires_grad else None
 
         def bw(g):
-            self._accumulate(np.matmul(g, other.data.swapaxes(-1, -2)))
-            other._accumulate(np.matmul(self.data.swapaxes(-1, -2), g))
+            return (None if for_self is None else np.matmul(g, for_self.swapaxes(-1, -2)),
+                    None if for_other is None else np.matmul(for_other.swapaxes(-1, -2), g))
 
-        return _node(out_data, (self, other), bw)
+        return _node(np.matmul(self.data, other.data), (self, other), bw)
 
     # ---- reductions --------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        src_shape = self.data.shape
+        src_shape = self.shape
 
         def bw(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, src_shape))
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, src_shape))
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, src_shape),)
 
-        return _node(out_data, (self,), bw)
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -204,56 +203,38 @@ class Tensor:
     # ---- nonlinearities ----------------------------------------------
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def bw(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return _node(out_data, (self,), bw)
+        out = 1.0 / (1.0 + np.exp(-self.data))
+        return _node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def bw(g):
-            self._accumulate(g * (1.0 - out_data * out_data))
-
-        return _node(out_data, (self,), bw)
+        out = np.tanh(self.data)
+        return _node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def bw(g):
-            self._accumulate(g * (self.data > 0.0))
-
-        return _node(out_data, (self,), bw)
+        # the backward reads a boolean mask, so that neither the input nor
+        # the output is kept for it
+        keep = self.data > 0.0 if self.requires_grad else None
+        return _node(np.maximum(self.data, 0.0), (self,), lambda g: (g * keep,))
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def bw(g):
-            self._accumulate(g * out_data)
-
-        return _node(out_data, (self,), bw)
+        out = np.exp(self.data)
+        return _node(out, (self,), lambda g: (g * out,))
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def bw(g):
-            self._accumulate(g / self.data)
-
-        return _node(out_data, (self,), bw)
+        x = self.data
+        return _node(np.log(x), (self,), lambda g: (g / x,))
 
     def softmax(self, axis: int = -1) -> "Tensor":
         # max subtraction keeps exp in range; the shift cancels exactly
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        out = e / e.sum(axis=axis, keepdims=True)
 
         def bw(g):
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            self._accumulate(out_data * (g - inner))
+            inner = (g * out).sum(axis=axis, keepdims=True)
+            return (out * (g - inner),)
 
-        return _node(out_data, (self,), bw)
+        return _node(out, (self,), bw)
 
 
 def _ensure(value, like: Tensor) -> Tensor:
@@ -264,10 +245,17 @@ def _ensure(value, like: Tensor) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+    """The one recording function: a Tensor of `data` with a Node if any
+    parent requires gradients. backward(g) returns one gradient per parent
+    and must capture arrays only, never a Tensor, whose value it would keep
+    alive."""
+    out = Tensor(data)
+    which = tuple(i for i, p in enumerate(parents) if p.requires_grad)
+    if which:
+        out.requires_grad = True
+        targets = tuple(parents[i] if parents[i]._node is None else parents[i]._node
+                        for i in which)
+        out._node = Node(out.shape, targets, which, backward)
     return out
 
 
@@ -277,31 +265,26 @@ def custom_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, cuts, axis=axis)):
-            t._accumulate(piece)
-
-    return _node(out_data, tuple(tensors), bw)
+    tensors = tuple(tensors)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def backward(loss: Tensor):
     """Backpropagate from a scalar loss, populating .grad on the reachable
     leaves.
 
-    Each interior node's gradient and recorded closure are released as soon
-    as the sweep has passed them on, so only the leaves hold a .grad
-    afterwards; a fresh forward pass is needed before the next backward.
+    Each node's gradient and closure are released as soon as the sweep has
+    passed them on, so only the leaves hold a .grad afterwards; a fresh
+    forward pass is needed before the next backward.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo: list[Tensor] = []
+    root = loss if loss._node is None else loss._node
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -314,12 +297,14 @@ def backward(loss: Tensor):
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is None:
-            continue
+        if isinstance(node, Tensor):
+            continue  # a leaf keeps its gradient
         if node.grad is not None:
-            node._backward(node.grad)
+            grads = node._backward(node.grad)
+            for i, parent in zip(node._which, node._parents):
+                _accumulate(parent, grads[i])
         node.grad = None
         node._backward = None
         node._parents = ()

@@ -1,11 +1,14 @@
 """Neural building blocks on top of the autodiff engine.
 
-Convolution (a contiguous im2col as the operand of one batched GEMM, and
-one GEMM per kernel offset in the backward), 2x2 max pooling (four strided
-views), batch normalization (the closed-form backward) and the LSTM over a
-whole sequence (closed-form BPTT) are custom primitives with hand-written
-backward passes; everything else is composed from the engine's elementwise
-and matmul primitives. The models pool before the ReLU: max commutes with a
+Convolution (one GEMM per sample on that sample's im2col, in the forward
+and in both gradients), 2x2 max pooling (four strided views; the backward
+reads a uint8 code of the window position that won), batch normalization
+(the closed-form backward) and the LSTM over a whole sequence (closed-form
+BPTT) are custom primitives with hand-written backward passes; everything
+else is composed from the engine's elementwise and matmul primitives. Each
+backward closure captures only the arrays it reads, never a Tensor, so a
+conv output dies once batch norm has read it and a batch-norm output once
+the pool has. The models pool before the ReLU: max commutes with a
 monotone map, so max_pool then relu gives the values and gradients of relu
 then max_pool, with the ReLU on a quarter of the elements.
 """
@@ -20,6 +23,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import Tensor, concat, custom_op
 from .errors import ShapeError
 
+
+# index of the lowest set bit of a 4-bit mask, 4 for none: the first of
+# max_pool's four views that holds the maximum
+_FIRST_HIT = np.array([4] + [(m & -m).bit_length() - 1 for m in range(1, 16)], dtype=np.uint8)
 
 # column blocks of LstmParams.W, U and b: input, forget, output, candidate
 LSTM_GATES = "ifog"
@@ -51,35 +58,43 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {ic}")
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    kern = kernels.data
-    # contiguous im2col, cols[n, (c, i, j), (y, x)] = xp[n, c, y + i, x + j],
-    # freed on return; one batched GEMM gives NCHW with no transpose
-    cols = sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(n, c * kh * kw, h * w)
-    out = (kern.reshape(oc, c * kh * kw) @ cols).reshape(n, oc, h, w)
+    k2d = kernels.data.reshape(oc, c * kh * kw)
+    # windows[s].reshape(c * kh * kw, h * w) copies one sample's im2col,
+    # cols_s[(c, i, j), (y, x)] = xp[s, c, y + i, x + j]; one GEMM per
+    # sample writes its NCHW output, so one im2col is alive at a time
+    windows = sliding_window_view(xp, (h, w), axis=(2, 3))
+    out = np.empty((n, oc, h * w), dtype=np.result_type(xp, k2d))
+    for s in range(n):
+        np.matmul(k2d, windows[s].reshape(c * kh * kw, h * w), out=out[s])
+    need_x, dtype = x.requires_grad, x.data.dtype
+    # only the kernel gradient reads the input
+    windows = windows if kernels.requires_grad else None
 
     def bw(g):
-        # one GEMM per kernel offset, so that at most one shifted window of
-        # xp (or of the input gradient) is alive at a time
         g = g.reshape(n, oc, h * w)
-        offsets = [(i, j) for i in range(kh) for j in range(kw)]
-        if kernels.requires_grad:
-            gk = np.empty_like(kern)
-            for i, j in offsets:
-                win = xp[:, :, i:i + h, j:j + w].reshape(n, c, h * w)
-                gk[:, :, i, j] = np.matmul(g, win.transpose(0, 2, 1)).sum(axis=0)
-            kernels._accumulate(gk)
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i, j in offsets:
-                gxp[:, :, i:i + h, j:j + w] += (kern[:, :, i, j].T @ g).reshape(n, c, h, w)
-            x._accumulate(gxp[:, :, pt:pt + h, pl:pl + w])
+        gx = gk = None
+        if windows is not None:
+            gk = sum(g[s] @ windows[s].reshape(c * kh * kw, h * w).T for s in range(n))
+            gk = gk.reshape(oc, c, kh, kw)
+        if need_x:
+            # each sample's k2d^T @ g[s] holds kh * kw shifted blocks of its
+            # padded input gradient
+            gxp = np.zeros((n, c, h + kh - 1, w + kw - 1), dtype)
+            for s in range(n):
+                blocks = (k2d.T @ g[s]).reshape(c, kh, kw, h, w)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[s, :, i:i + h, j:j + w] += blocks[:, i, j]
+            gx = gxp[:, :, pt:pt + h, pl:pl + w]
+        return gx, gk
 
-    return custom_op(out, (x, kernels), bw)
+    return custom_op(out.reshape(n, oc, h, w), (x, kernels), bw)
 
 
 def max_pool(x: Tensor) -> Tensor:
     """Maximum over non-overlapping 2x2 windows; an odd last row or column
-    is dropped. The gradient routes to the first maximum in scan order."""
+    is dropped. The gradient routes to the first maximum in scan order; a
+    window with no view equal to its maximum (a NaN) routes none."""
     h, w = x.shape[2:]
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
@@ -93,17 +108,25 @@ def max_pool(x: Tensor) -> Tensor:
     out = np.maximum(views[1], views[0])
     for view in views[2:]:
         np.maximum(view, out, out=out)
+    code = None
+    if x.requires_grad:
+        # the backward reads a uint8 code per window instead of the input:
+        # the scan-order index of the first view equal to the maximum, 4 if
+        # none is (a NaN window); bit k of `hits` marks a hit of view k
+        hits = np.zeros(out.shape, dtype=np.uint8)
+        for k, view in enumerate(views):
+            hit = (view == out).view(np.uint8)
+            hit <<= k
+            hits |= hit
+        code = np.take(_FIRST_HIT, hits)
+    shape, dtype = x.shape, x.data.dtype
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        free = np.ones(out.shape, dtype=bool)
-        for key, view in zip(windows, views):
-            hit = view == out
-            hit &= free
-            free ^= hit
+        gx = np.zeros(shape, dtype)
+        for k, key in enumerate(windows):
             # the four views are disjoint: each writes its own share
-            np.multiply(g, hit, out=gx[key])
-        x._accumulate(gx)
+            np.multiply(g, code == k, out=gx[key])
+        return (gx,)
 
     return custom_op(out, (x,), bw)
 
@@ -140,18 +163,20 @@ def batch_norm(
     out = gamma.data.reshape(shape) * xhat
     out += beta.data.reshape(shape)
 
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gamma_data = gamma.data
+
     def bw(g):
         # closed form of Ioffe & Szegedy 2015 (arXiv 1502.03167); in train
         # mode the batch statistics depend on x, which adds the mean terms
-        x_train = x.requires_grad and mode == "train"
-        if beta.requires_grad or x_train:
+        x_train = need_x and mode == "train"
+        gx = sum_g = sum_g_xhat = None
+        if need_beta or x_train:
             sum_g = g.sum(axis=axes)
-            beta._accumulate(sum_g)
-        if gamma.requires_grad or x_train:
+        if need_gamma or x_train:
             sum_g_xhat = np.einsum("nchw,nchw->c", g, xhat)
-            gamma._accumulate(sum_g_xhat)
-        if x.requires_grad:
-            scale = gamma.data.reshape(shape) * inv_std
+        if need_x:
+            scale = gamma_data.reshape(shape) * inv_std
             if x_train:
                 gx = xhat * (sum_g_xhat * (-1.0 / count)).reshape(shape)
                 gx += g
@@ -159,7 +184,7 @@ def batch_norm(
                 gx *= scale
             else:
                 gx = g * scale
-            x._accumulate(gx)
+        return gx, sum_g_xhat, sum_g
 
     return custom_op(out, (x, gamma, beta), bw)
 
@@ -230,6 +255,10 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
         cells[:, t] = c
         out[:, t] = h
 
+    need_seq, need_u = seq.requires_grad, params.U.requires_grad
+    # only the gradient of W reads the input
+    x2d = x2d if params.W.requires_grad else None
+
     def bw(grad):
         # dh_t = grad_t + dz_(t+1) U^T and dc_t = dh_t o_t (1 - tanh^2 c_t)
         # + dc_(t+1) f_(t+1), with t+1 the step that reads step t's state
@@ -256,19 +285,20 @@ def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Ten
                 dc_next = dc * z[:, gf]
                 dh_next = dzt @ U.T
         dz2d = dz.reshape(n * t_len, 4 * hidden)
-        params.b._accumulate(dz2d.sum(axis=0))
-        if params.W.requires_grad:
-            params.W._accumulate(x2d.T @ dz2d)
-        if params.U.requires_grad:
+        dseq = dW = dU = None
+        if need_seq:
+            dseq = (dz2d @ W.T).reshape(n, t_len, d)
+        if x2d is not None:
+            dW = x2d.T @ dz2d
+        if need_u:
             # the hidden state each step read, zero at the first
             h_prev = np.zeros_like(out)
             if reverse:
                 h_prev[:, :-1] = out[:, 1:]
             else:
                 h_prev[:, 1:] = out[:, :-1]
-            params.U._accumulate(h_prev.reshape(n * t_len, hidden).T @ dz2d)
-        if seq.requires_grad:
-            seq._accumulate((dz2d @ W.T).reshape(n, t_len, d))
+            dU = h_prev.reshape(n * t_len, hidden).T @ dz2d
+        return dseq, dW, dU, dz2d.sum(axis=0)
 
     return custom_op(out, (seq, params.W, params.U, params.b), bw)
 

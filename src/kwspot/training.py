@@ -324,21 +324,22 @@ def load_checkpoint(path):
     expected = dict(_iter_arrays(model))
     loaded = set()
     while reader.pos < len(reader.raw):
+        # name and shape are checked before any value is read, so that only
+        # the expected shape ever reaches numpy
         name = reader.text("array name")
-        rank = reader.u32()
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = math.prod(shape)
-        values = np.frombuffer(reader.take(stored.itemsize * count), dtype=stored).reshape(shape)
         if name not in expected:
             raise CheckpointError(f"{path}: unknown parameter {name!r}")
         if name in loaded:
             raise CheckpointError(f"{path}: array {name!r} is stored twice")
-        if expected[name].shape != values.shape:
+        rank = reader.u32()
+        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+        target = expected[name]
+        if target.shape != shape:
             raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {values.shape}, "
-                f"expected {expected[name].shape}"
+                f"{path}: parameter {name!r} has shape {shape}, expected {target.shape}"
             )
-        expected[name][...] = values
+        raw = reader.take(stored.itemsize * target.size)
+        target[...] = np.frombuffer(raw, dtype=stored).reshape(shape)
         loaded.add(name)
     missing = [name for name in expected if name not in loaded]
     if missing:

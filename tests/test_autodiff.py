@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from kwspot.autodiff import Tensor, backward, concat, grad_check
 from kwspot.errors import ShapeError, UsageError
+from kwspot.layers import max_pool
 
 
 class TestForwardValues:
@@ -95,6 +98,73 @@ class TestBackward:
         x.zero_grad()
         backward(x.sum())
         assert np.array_equal(x.grad, np.ones(3))
+
+
+class TestSavedValues:
+    """A node holds no forward value: each backward closure captures only
+    the arrays it reads and returns no gradient for a constant parent."""
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a * b,
+        lambda a, b: a @ b,
+    ], ids=["mul", "matmul"])
+    def test_no_gradient_for_constant_parent(self, op):
+        # a dropout mask or a loss one-hot needs no gradient: its backward
+        # must not compute the product that would give one
+        rng = np.random.default_rng(15)
+        var = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        const = Tensor(rng.normal(size=(3, 3)))
+        for out, var_at in ((op(var, const), 0), (op(const, var), 1)):
+            grads = out._node._backward(np.ones(out.shape))
+            assert grads[1 - var_at] is None
+            assert grads[var_at].shape == (3, 3)
+
+    def test_value_no_backward_reads_is_freed(self):
+        # relu keeps a mask and the product with a constant keeps the
+        # constant, so the relu output dies with its Tensor
+        rng = np.random.default_rng(16)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        mask = rng.random((3, 4)) >= 0.5
+        hidden = a.relu()
+        ref = weakref.ref(hidden.data)
+        loss = (hidden * Tensor(mask.astype(float))).sum()
+        del hidden
+        gc.collect()
+        assert ref() is None
+        backward(loss)
+        assert np.array_equal(a.grad, ((a.data > 0) & mask).astype(float))
+
+
+class TestMaxPoolRouting:
+    # one 2x2 window per sample, in scan order, and the position its
+    # gradient routes to: the first maximum, none for a NaN window
+    WINDOWS = [
+        [np.nan, 1.0, 2.0, 3.0],
+        [1.0, 5.0, np.nan, 0.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [1.0, 3.0, 3.0, 0.0],
+        [-0.0, 0.0, -1.0, -2.0],
+        [-1.0, 0.0, -0.0, -3.0],
+        [-4.0, -4.0, -5.0, -0.5],
+    ]
+    ROUTED_TO = [None, None, 0, 1, 0, 1, 3]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_first_maximum_in_scan_order(self, sign):
+        n = len(self.WINDOWS)
+        x = Tensor(np.array(self.WINDOWS).reshape(n, 1, 2, 2), requires_grad=True)
+        out = max_pool(x)
+        g = sign * np.arange(1.0, n + 1)
+        backward((out * Tensor(g.reshape(n, 1, 1, 1))).sum())
+        want = np.zeros((n, 4))
+        for row, at in enumerate(self.ROUTED_TO):
+            if at is not None:  # a NaN window routes no gradient
+                want[row, at] = g[row]
+        assert np.array_equal(x.grad.reshape(n, 4), want)
+        # a tie of 0.0 and -0.0 keeps the first one's sign
+        assert np.signbit(out.data.reshape(-1)).tolist() == [
+            False, False, False, False, True, False, True]
+        assert np.isnan(out.data.reshape(-1)[:2]).all()
 
 
 PRIMITIVE_CASES = [

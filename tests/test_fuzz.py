@@ -1,5 +1,5 @@
-"""Mutation fuzz of files kwspot reads: the `key = value` metadata block of
-a sealed checkpoint, a config file and a WAV clip. Every mutated input
+"""Mutation fuzz of files kwspot reads: the `key = value` metadata block and
+the array section of a sealed checkpoint, a config file and a WAV clip. Every mutated input
 either loads or raises a KwspotError subclass. Runs are derandomized, so a
 failure reproduces on every run; each shrunk failure is kept as a plain
 test."""
@@ -14,11 +14,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kwspot.audio_io import AudioClip, read_wav, write_wav
 from kwspot.cli import parse_config
 from kwspot.dsp import DspConfig
-from kwspot.errors import KwspotError
+from kwspot.errors import CheckpointError, KwspotError
 from kwspot.keyvalue import from_config
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
 from kwspot.training import TrainConfig, load_checkpoint, save_checkpoint
 
+from conftest import write_sealed_checkpoint
 from test_cli import SMALL_CONFIG
 
 FUZZ = settings(
@@ -88,6 +89,61 @@ def test_checkpoint_metadata_mutations(tmp_path, sealed_bodies, arch, edit_list)
         assert "fuzz.ckpt" in str(exc)
         return
     assert from_config(ModelConfig, values) == model.config
+
+
+# the little-endian u32 fields (name length, rank, dims), array names and
+# float32 values of the array section
+ARRAY_TOKENS = [b"\x00\x00\x00\x00", b"\x01\x00\x00\x00", b"\x02\x00\x00\x00",
+                b"\x03\x00\x00\x00", b"\x04\x00\x00\x00", b"\x00\x00\x10\x00",
+                b"\xff\xff\xff\x7f", b"\xff\xff\xff\xff", b"\x00\x00\xc0\x7f",
+                b"conv0_kernel", b"conv0_gamma", b"conv0_bn_running_var", b"fc2_b",
+                b"\xff\xfe"]
+
+array_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, 40),   # which array header, modulo their count
+        st.integers(0, 48),   # offset from the start of that header
+        st.sampled_from(ARRAY_TOKENS) | st.binary(min_size=1, max_size=4),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def array_starts(section: bytes, itemsize: int = 4) -> list:
+    """Byte offsets of each array header in a checkpoint's array section,
+    and its end."""
+    starts, pos = [], 0
+    while pos < len(section):
+        starts.append(pos)
+        name_len = struct.unpack_from("<I", section, pos)[0]
+        pos += 4 + name_len
+        rank = struct.unpack_from("<I", section, pos)[0]
+        dims = struct.unpack_from(f"<{rank}I", section, pos + 4)
+        pos += 4 + 4 * rank + itemsize * int(np.prod(dims))
+    return starts + [pos]
+
+
+@FUZZ
+@given(arch=st.integers(0, len(ARCHITECTURES) - 1), edit_list=array_edits)
+def test_checkpoint_array_mutations(tmp_path, sealed_bodies, arch, edit_list):
+    # the CRC trailer is kept consistent, so that every mutation reaches
+    # the array parser
+    meta, head, tail = sealed_bodies[arch]
+    starts = array_starts(tail)
+    mutated = mutate(tail, [(op, starts[k % len(starts)] + offset, chunk)
+                            for op, k, offset, chunk in edit_list])
+    path = tmp_path / "fuzz.ckpt"
+    write_sealed_checkpoint(path, head + struct.pack("<I", len(meta)) + meta + mutated)
+    try:
+        model, _ = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert "fuzz.ckpt" in str(exc)
+        return
+    fresh = build_model(model.config)
+    for name, p in model.params.items():
+        assert (p.data.shape, p.data.dtype) == (fresh.params[name].shape,
+                                                fresh.params[name].data.dtype), name
 
 
 @FUZZ

@@ -107,6 +107,24 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < 6 * x.data.nbytes
 
+    def test_forward_peak_memory(self):
+        # the second conv of the paper's models at batch 32, float32: the
+        # forward holds its output, the padded input and one sample's
+        # im2col, about 1.5x the output plus that im2col; a batch im2col
+        # peaks near 5.3x
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(32, 32, 49, 20)).astype(np.float32), requires_grad=True)
+        kernels = Tensor(_kernels(rng, 64, 32, 3, 3).data.astype(np.float32),
+                         requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cols = 32 * 3 * 3 * 49 * 20 * 4
+        assert peak < 2 * (out.data.nbytes + cols)
+
 
 class TestMaxPool:
     def test_simple(self):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,35 @@ class TestGraphSize:
         train_epoch(model, (x, y), init_adam(model.params),
                     TrainConfig(max_epochs=2, patience=1, batch_size=4), 1)
         assert len(calls) < 100
+
+
+class TestSavedValues:
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+    def test_conv_and_batch_norm_outputs_freed_before_backward(self, monkeypatch,
+                                                               dropout_rate):
+        # neither backward reads a conv2d or batch_norm output: once the
+        # forward has returned, no live array may hold one
+        refs = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                refs.append(weakref.ref(out.data))
+                if out.data.base is not None:
+                    refs.append(weakref.ref(out.data.base))
+                return out
+            return wrapper
+
+        for name in ("conv2d", "batch_norm"):
+            monkeypatch.setattr(models, name, recording(getattr(models, name)))
+        model = build_model(_small_config("multilayer_attention", conv_channels=(3, 4),
+                                          dropout_rate=dropout_rate))
+        x = np.random.default_rng(10).normal(size=(4, 16, 12))
+        loss = model_forward(model, x, rng=np.random.default_rng(0)).sum()
+        gc.collect()
+        assert len(refs) >= 4 and [r() is None for r in refs] == [True] * len(refs)
+        backward(loss)
+        assert all(p.grad is not None for p in model.params.values())
 
 
 class TestMultilayerAttention:

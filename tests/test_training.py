@@ -174,9 +174,9 @@ class TestTrainEpoch:
 
     def test_peak_memory(self):
         # one multilayer_attention step at batch 8 on paper-scale 98x40
-        # features, float32: about 33 MB; a conv whose kernel gradient
-        # copies the whole im2col view and a ReLU over the unpooled blocks
-        # peak near 43 MB
+        # features, float32: about 15.5 MB; a graph whose nodes keep every
+        # conv and batch-norm output alive with a batch im2col in the conv
+        # peaks near 33 MB
         model = build_model(ModelConfig("multilayer_attention", 12, (98, 40)))
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(8, 98, 40)), np.arange(8) % 12
@@ -187,7 +187,7 @@ class TestTrainEpoch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 38e6
+        assert peak < 20e6
 
 
 class TestFit:
@@ -380,6 +380,19 @@ class TestCheckpoint:
             path, body + body[self._array_offset(body, "conv0_bn_running_var"):]
         )
         with pytest.raises(CheckpointError, match="conv0_bn_running_var.*twice"):
+            load_checkpoint(path)
+
+    def test_empty_array_name_rejected(self, tmp_path):
+        # found by tests/test_fuzz.py: a zero name length before an array
+        # header makes its name bytes read as a rank of 11 and dims with a
+        # 0 among huge values, which numpy refused to reshape to with a
+        # bare ValueError
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(arch="cnn"), path)
+        body = path.read_bytes()[:-4]
+        at = self._array_offset(body, "conv0_gamma")
+        write_sealed_checkpoint(path, body[:at] + b"\x00" * 4 + body[at:])
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: unknown parameter ''"):
             load_checkpoint(path)
 
     def test_undecodable_text_rejected(self, tmp_path):
