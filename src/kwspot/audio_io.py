@@ -20,7 +20,6 @@ MAX_SAMPLE_RATE = 384_000  # Hz, the highest rate in common PCM use
 class AudioClip:
     samples: np.ndarray  # float64 amplitudes in [-1, 1]
     sample_rate: int
-    label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ def synth_dataset(spec: SynthSpec, seed: int) -> DatasetIndex:
             clip = AudioClip(
                 samples=np.clip(samples, -1.0, 1.0),
                 sample_rate=spec.sample_rate,
-                label=labels[c],
             )
             entries.append((clip, labels[c]))
     return DatasetIndex(entries=tuple(entries), label_set=labels)
@@ -202,8 +200,5 @@ def synth_dataset(spec: SynthSpec, seed: int) -> DatasetIndex:
 
 def load_clip(entry) -> AudioClip:
     """Resolve a dataset entry to an AudioClip (reads from disk if needed)."""
-    source, label = entry
-    if isinstance(source, AudioClip):
-        return source
-    clip = read_wav(source)
-    return AudioClip(samples=clip.samples, sample_rate=clip.sample_rate, label=label)
+    source, _ = entry
+    return source if isinstance(source, AudioClip) else read_wav(source)

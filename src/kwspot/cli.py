@@ -13,7 +13,7 @@ from .keyvalue import (
     CONFIG_KEYS, METADATA_KEYS, SYNTH_KEYS, from_config, parse_value, read_key_values,
     write_key_values,
 )
-from .models import ARCHITECTURES, ModelConfig, build_model
+from .models import ModelConfig, build_model
 
 
 def parse_config(path=None, overrides=None) -> dict:
@@ -21,7 +21,7 @@ def parse_config(path=None, overrides=None) -> dict:
     text = "" if path is None else read_text(path, ConfigError)
     config = read_key_values(text, CONFIG_KEYS, path)
     for key, raw in (overrides or {}).items():
-        config[key] = parse_value(CONFIG_KEYS, key, str(raw), "command line")
+        config[key] = parse_value(CONFIG_KEYS, key, raw, "command line")
     return config
 
 
@@ -38,9 +38,6 @@ def _collect_overrides(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = raw
-    for key in ("batch_size", "seed", "arch"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
     return overrides
 
 
@@ -101,8 +98,8 @@ def _cmd_train(args) -> int:
     )
     dsp_cfg = from_config(dsp.DspConfig, cfg)
     kind = cfg["feature_kind"]
-    train_data = training.featurize_index(train_idx, dsp_cfg, kind)
-    val_data = training.featurize_index(val_idx, dsp_cfg, kind)
+    train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
+    val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")
     t, d = train_data[0].shape[1:]
     model_cfg = from_config(ModelConfig, dict(
         cfg, n_classes=len(index.label_set), input_shape=(t, d), dtype=ModelConfig.dtype
@@ -163,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--seed", type=int, help="override the seed")
 
     p = sub.add_parser("featurize", help="dump a feature matrix as CSV")
     p.add_argument("wav")
@@ -178,10 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     p.add_argument("--data", required=True, help="dataset root directory")
-    p.add_argument("--arch", choices=ARCHITECTURES)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--metrics", help="metrics CSV path (default: <out>.metrics.csv)")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
     common(p)
     p.set_defaults(fn=_cmd_train)
 

@@ -178,7 +178,7 @@ def dct_ii(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
     return logmel @ basis[:n_mfcc].T
 
 
-def mfcc_pipeline(clip, config: DspConfig, kind: str = "mfcc") -> FeatureMatrix:
+def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
     """Full front end on a 1-second clip; stops before the DCT for log_mel."""
     if clip.sample_rate != config.sample_rate:
         raise DspError(

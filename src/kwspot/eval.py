@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import audio_io, dsp
+from . import dsp
 from .errors import DataError, IoError, read_text, write_atomic
-from .models import Model, predict
+from .models import Model
+from .training import evaluate_arrays, featurize_index
 
 
 @dataclass(frozen=True)
@@ -62,26 +63,16 @@ def report_from_confusion(cm: ConfusionMatrix) -> EvalReport:
     )
 
 
-def evaluate(model: Model, index, dsp_config: dsp.DspConfig,
-             kind: str = "log_mel") -> EvalReport:
-    """Run the frozen model over every entry of a dataset index."""
+def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> EvalReport:
+    """Run the frozen model over every entry of a dataset index, one clip
+    per forward."""
     if len(index.label_set) > model.config.n_classes:
         raise DataError(
             f"dataset has {len(index.label_set)} labels but the model only "
             f"knows {model.config.n_classes} classes"
         )
-    saved = model.mode
-    model.set_mode("infer")
-    preds, truths = [], []
-    try:
-        for entry in index.entries:
-            clip = audio_io.load_clip(entry)
-            features = dsp.mfcc_pipeline(clip, dsp_config, kind)
-            label_idx, _ = predict(model, features)
-            preds.append(label_idx)
-            truths.append(index.class_index(entry[1]))
-    finally:
-        model.set_mode(saved)
+    x, truths = featurize_index(index, dsp_config, kind, "evaluation")
+    _, _, preds = evaluate_arrays(model, x, truths, batch_size=1)
     cm = confusion_matrix(
         preds, truths, model.config.n_classes,
         label_names=list(index.label_set)

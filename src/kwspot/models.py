@@ -233,10 +233,14 @@ def _to_sequence(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(n, h, c * w)
 
 
-def _forward(model: Model, batch, rng=None):
-    """Shared forward over an N x T x D feature array, cast once to the
-    model's dtype; returns (logits, stage_weights or None)."""
+def model_forward(model: Model, batch, rng=None, stages: bool = False):
+    """Logits for an N x T x D feature batch, cast once to the model's dtype
+    (softmax is applied at loss or prediction time, not here). With
+    stages=True, a multilayer_attention model returns (logits, (a1, a2, a3)),
+    its three N x T' stage attention weights."""
     cfg = model.config
+    if stages and cfg.arch != "multilayer_attention":
+        raise ConfigError(f"stages=True needs arch multilayer_attention, got {cfg.arch}")
     batch = Tensor(np.asarray(batch, dtype=cfg.dtype))
     n = batch.shape[0]
     t, d = cfg.input_shape
@@ -253,20 +257,20 @@ def _forward(model: Model, batch, rng=None):
         flat = feat.reshape(n, -1)
         h1 = dense(flat, p["fc0_W"], p["fc0_b"], "relu")
         h2 = dense(h1, p["fc1_W"], p["fc1_b"], "relu")
-        return dense(h2, p["fc2_W"], p["fc2_b"], "none"), None
+        return dense(h2, p["fc2_W"], p["fc2_b"], "none")
 
     seq = _to_sequence(feat)
     l1 = bilstm_sequence(seq, _lstm_params(model, "lstm1f"), _lstm_params(model, "lstm1b"))
     if cfg.arch == "cnn_bilstm":
         pooled = l1.mean(axis=1)
-        return dense(pooled, p["out_W"], p["out_b"], "none"), None
+        return dense(pooled, p["out_W"], p["out_b"], "none")
 
     l2 = bilstm_sequence(l1, _lstm_params(model, "lstm2f"), _lstm_params(model, "lstm2b"))
     if cfg.arch == "attention_rnn":
         mid = l2.shape[1] // 2
         query = l2[:, mid, :] @ p["query_proj"]
         context, _ = attention(query, l2, l2)
-        return dense(context, p["out_W"], p["out_b"], "none"), None
+        return dense(context, p["out_W"], p["out_b"], "none")
 
     # multilayer_attention: three chained attention reads
     q1 = batch.mean(axis=1) @ p["stage1_proj"]
@@ -277,27 +281,7 @@ def _forward(model: Model, batch, rng=None):
     c3, a3 = attention(q3, l2, l2)
     h1 = dense(c3, p["head0_W"], p["head0_b"], "relu")
     logits = dense(h1, p["head1_W"], p["head1_b"], "none")
-    return logits, (a1, a2, a3)
-
-
-def model_forward(model: Model, batch, rng=None) -> Tensor:
-    """Logits for an N x T x D feature batch (softmax is applied at loss
-    or prediction time, not here)."""
-    logits, _ = _forward(model, batch, rng)
-    return logits
-
-
-def multilayer_attention_forward(features, model: Model, rng=None):
-    """Single-sample forward of the proposed model; also returns the three
-    stage attention-weight vectors for inspection."""
-    if model.config.arch != "multilayer_attention":
-        raise ConfigError(
-            f"multilayer_attention_forward needs arch multilayer_attention, "
-            f"got {model.config.arch}"
-        )
-    values = features.values if hasattr(features, "values") else features
-    logits, stages = _forward(model, np.asarray(values)[None], rng)
-    return logits.reshape(-1), tuple(w.reshape(-1) for w in stages)
+    return (logits, (a1, a2, a3)) if stages else logits
 
 
 def predict(model: Model, features):

@@ -107,19 +107,21 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 
 def evaluate_arrays(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int = 64):
-    """(mean loss, accuracy) of a frozen model over a feature array."""
+    """(mean loss, accuracy, predicted class indices) of a frozen model over
+    a feature array."""
     saved = model.mode
     model.set_mode("infer")
-    total_loss, correct = 0.0, 0
+    total_loss, preds = 0.0, []
     try:
         for start in range(0, len(x), batch_size):
             xb, yb = x[start:start + batch_size], y[start:start + batch_size]
             logits = model_forward(model, xb)
             total_loss += cross_entropy_loss(logits, yb).item() * len(xb)
-            correct += int((logits.data.argmax(axis=1) == yb).sum())
+            preds.append(logits.data.argmax(axis=1))
     finally:
         model.set_mode(saved)
-    return total_loss / len(x), correct / len(x)
+    preds = np.concatenate(preds)
+    return total_loss / len(x), int((preds == y).sum()) / len(x), preds
 
 
 def train_epoch(model: Model, train_data, opt_state: AdamState, config: TrainConfig,
@@ -146,14 +148,13 @@ def train_epoch(model: Model, train_data, opt_state: AdamState, config: TrainCon
     return total_loss / len(x), correct / len(x)
 
 
-def fit(model: Model, train_data, val_data, config: TrainConfig, val_metric=None):
+def fit(model: Model, train_data, val_data, config: TrainConfig):
     """Train with early stopping on validation accuracy.
 
     Stops once (epoch - best_epoch) >= patience; restores and returns the
-    best snapshot. val_metric, if given, replaces the validation pass with
-    a callable epoch -> accuracy (used by the early-stopping contract test).
+    best snapshot.
     """
-    if len(train_data[0]) == 0 or (val_metric is None and len(val_data[0]) == 0):
+    if len(train_data[0]) == 0 or len(val_data[0]) == 0:
         raise DataError("train and validation splits must be non-empty")
     opt_state = init_adam(model.params)
     history = TrainHistory()
@@ -162,10 +163,7 @@ def fit(model: Model, train_data, val_data, config: TrainConfig, val_metric=None
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         train_loss, train_acc = train_epoch(model, train_data, opt_state, config, epoch)
-        if val_metric is not None:
-            val_loss, val_acc = 0.0, float(val_metric(epoch))
-        else:
-            val_loss, val_acc = evaluate_arrays(model, *val_data, config.batch_size)
+        val_loss, val_acc, _ = evaluate_arrays(model, *val_data, config.batch_size)
         history.records.append(EpochRecord(
             epoch=epoch, train_loss=train_loss, train_acc=train_acc,
             val_loss=val_loss, val_acc=val_acc, lr=lr_schedule(epoch - 1, config),
@@ -212,8 +210,11 @@ def read_metrics_csv(path) -> list:
     return records
 
 
-def featurize_index(index, dsp_config, kind: str = "log_mel"):
-    """Extract features for every entry: (N x T x D array, label indices)."""
+def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
+    """Extract features for every entry: (N x T x D array, label indices).
+    An empty index raises DataError naming the split."""
+    if not index.entries:
+        raise DataError(f"the {split} split holds no clips")
     xs, ys = [], []
     for entry in index.entries:
         clip = audio_io.load_clip(entry)

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from kwspot import training
 from kwspot.audio_io import SynthSpec, synth_dataset
 from kwspot.dsp import DspConfig
 
@@ -54,6 +55,18 @@ def write_sealed_checkpoint(path, body: bytes):
     """Write a (mutated) checkpoint body with a valid CRC32 trailer, so that
     loading it reaches the checks behind the checksum."""
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def script_validation(monkeypatch, accuracy):
+    """Make fit's validation pass report accuracy(epoch) (1-based) instead
+    of evaluating the model, so that early stopping follows a set curve."""
+    epochs = []
+
+    def scripted(model, x, y, batch_size):
+        epochs.append(len(epochs) + 1)
+        return 0.0, accuracy(epochs[-1]), np.zeros(len(y), dtype=np.int64)
+
+    monkeypatch.setattr(training, "evaluate_arrays", scripted)
 
 
 def write_metadata(path, edit):

@@ -20,17 +20,14 @@ from kwspot.eval import (
 from kwspot.layers import (
     BnStats, attention, batch_norm, conv2d, dense, lstm_sequence, max_pool,
 )
-from kwspot.models import (
-    ARCHITECTURES, ModelConfig, build_model, model_forward,
-    multilayer_attention_forward,
-)
+from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
 from kwspot.training import (
     TrainConfig, cross_entropy_loss, featurize_index, fit, init_adam,
     load_checkpoint, save_checkpoint, train_epoch,
 )
 
 import conftest
-from conftest import naive_dft_power
+from conftest import naive_dft_power, script_validation
 
 
 def _verdict(number, name, ok, detail=""):
@@ -259,7 +256,7 @@ def test_criterion_4_overfit_smoke():
         sample_rate=4000, frame_len=128, hop_len=64, n_fft=128,
         n_mel_filters=20, n_mfcc=10, fmin=50.0, fmax=1900.0,
     )
-    x, y = featurize_index(index, config)
+    x, y = featurize_index(index, config, "log_mel")
     model = build_model(ModelConfig(
         arch="multilayer_attention", n_classes=3, input_shape=x.shape[1:],
         conv_channels=(4,), lstm_hidden=8, dense_hidden=16,
@@ -283,7 +280,7 @@ def test_criterion_4_overfit_smoke():
 
 # ---- criterion 5: early-stopping contract -----------------------------
 
-def test_criterion_5_early_stopping_contract():
+def test_criterion_5_early_stopping_contract(monkeypatch):
     t0 = time.perf_counter()
     model = build_model(ModelConfig(
         arch="cnn", n_classes=3, input_shape=(8, 8), conv_channels=(2,),
@@ -294,13 +291,14 @@ def test_criterion_5_early_stopping_contract():
     y = np.arange(12) % 3
     captured = {}
 
-    def val_metric(epoch):
+    def accuracy(epoch):
         if epoch == 11:
             captured["snap"] = model.snapshot()
         return 1.0 - abs(epoch - 11) / 100.0
 
+    script_validation(monkeypatch, accuracy)
     config = TrainConfig(max_epochs=40, patience=10, batch_size=8, seed=1)
-    _, history = fit(model, (x, y), (x, y), config, val_metric=val_metric)
+    _, history = fit(model, (x, y), (x, y), config)
     restored = all(
         np.array_equal(arr, model.params[name].data)
         for name, arr in captured["snap"]["params"].items()
@@ -381,9 +379,7 @@ def test_criterion_7_attention_contracts():
     rng = np.random.default_rng(1007)
     worst_sum, min_weight = 0.0, np.inf
     for _ in range(50):
-        _, stages = multilayer_attention_forward(
-            rng.normal(size=(16, 12)), model
-        )
+        _, stages = model_forward(model, rng.normal(size=(1, 16, 12)), stages=True)
         for w in stages:
             worst_sum = max(worst_sum, abs(w.data.sum() - 1.0))
             min_weight = min(min_weight, w.data.min())

@@ -186,7 +186,7 @@ class TestTrainEval:
     def test_smoke_pipeline(self, synth_dir, small_config_file, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         code = run_cli([
-            "train", "--data", str(synth_dir), "--arch", "cnn",
+            "train", "--data", str(synth_dir), "--set", "arch=cnn",
             "--config", str(small_config_file), "--out", str(ckpt),
         ])
         assert code == 0, capsys.readouterr().err
@@ -269,6 +269,42 @@ class TestTrainEval:
         assert code == 2
         assert "m.ckpt: cannot write labels item 'a,b'" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_empty_validation_split_named(self, synth_dir, small_config_file, tmp_path,
+                                          capsys):
+        # 6 clips per class at 0.8/0.1/0.1 leave no clip for validation
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", "train_ratio=0.8", "--set", "val_ratio=0.1", "--set", "test_ratio=0.1",
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "error: the validation split holds no clips" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_label_dirs_without_wavs(self, small_config_file, tmp_path, capsys):
+        for label in ("yes", "no"):
+            (tmp_path / "data" / label).mkdir(parents=True)
+        code = run_cli([
+            "train", "--data", str(tmp_path / "data"), "--config", str(small_config_file),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert "error: the train split holds no clips" in capsys.readouterr().err
+
+    def test_eval_empty_dataset(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelConfig(
+            arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
+        )), ckpt, labels=["yes", "no"])
+        for label in ("yes", "no"):
+            (tmp_path / "data" / label).mkdir(parents=True)
+        report = tmp_path / "r.csv"
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
+                        "--out", str(report)])
+        assert code == 2
+        assert "error: the evaluation split holds no clips" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_report_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "other.csv"

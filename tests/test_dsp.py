@@ -212,13 +212,13 @@ class TestDct:
 class TestPipeline:
     def test_default_shape(self):
         clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
-        features = dsp.mfcc_pipeline(clip, dsp.DspConfig())
+        features = dsp.mfcc_pipeline(clip, dsp.DspConfig(), "mfcc")
         assert features.values.shape == (98, 20)
         assert features.kind == "mfcc"
 
     def test_zero_clip_constant_rows(self, small_dsp_config):
         clip = AudioClip(samples=np.zeros(4000), sample_rate=4000)
-        features = dsp.mfcc_pipeline(clip, small_dsp_config)
+        features = dsp.mfcc_pipeline(clip, small_dsp_config, "mfcc")
         assert np.abs(features.values - features.values[0]).max() < 1e-12
 
     def test_log_mel_kind(self, small_dsp_config):
@@ -235,18 +235,18 @@ class TestPipeline:
     def test_deterministic(self, small_dsp_config):
         rng = np.random.default_rng(8)
         clip = AudioClip(samples=rng.uniform(-1, 1, 4000), sample_rate=4000)
-        a = dsp.mfcc_pipeline(clip, small_dsp_config)
-        b = dsp.mfcc_pipeline(clip, small_dsp_config)
+        a = dsp.mfcc_pipeline(clip, small_dsp_config, "mfcc")
+        b = dsp.mfcc_pipeline(clip, small_dsp_config, "mfcc")
         assert np.array_equal(a.values, b.values)
 
     def test_sample_rate_mismatch(self, small_dsp_config):
         clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
         with pytest.raises(DspError):
-            dsp.mfcc_pipeline(clip, small_dsp_config)
+            dsp.mfcc_pipeline(clip, small_dsp_config, "mfcc")
 
     def test_frame_count_matches_invariant(self):
         for frame_len, hop in ((400, 160), (512, 128), (256, 256)):
             cfg = dsp.DspConfig(frame_len=frame_len, hop_len=hop)
             clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
-            features = dsp.mfcc_pipeline(clip, cfg)
+            features = dsp.mfcc_pipeline(clip, cfg, "mfcc")
             assert features.values.shape[0] == 1 + (16000 - frame_len) // hop

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from kwspot.audio_io import load_clip
+from kwspot.dsp import mfcc_pipeline
 from kwspot.errors import DataError
 from kwspot.eval import (
     confusion_matrix, emit_report, evaluate, parse_report_csv,
     report_from_confusion,
 )
-from kwspot.models import ModelConfig, build_model
+from kwspot.models import ModelConfig, build_model, predict
 
 
 class TestConfusionMatrix:
@@ -169,15 +171,29 @@ class TestEvaluate:
 
     def test_end_to_end_contract(self, synth_index, small_dsp_config):
         model = self._model()
-        report = evaluate(model, synth_index, small_dsp_config)
+        report = evaluate(model, synth_index, small_dsp_config, "log_mel")
         assert report.n_samples == 60
         assert report.confusion.counts.sum() == 60
         assert 0.0 <= report.overall_accuracy <= 1.0
         assert set(report.per_keyword) <= {"class0", "class1", "class2"}
 
+    def test_matches_predict(self, synth_index, small_dsp_config):
+        # a batch-1 forward per clip gives the argmax of a per-clip predict
+        model = self._model()
+        report = evaluate(model, synth_index, small_dsp_config, "log_mel")
+        model.set_mode("infer")
+        preds = [
+            predict(model, mfcc_pipeline(load_clip(entry), small_dsp_config, "log_mel"))[0]
+            for entry in synth_index.entries
+        ]
+        truths = [synth_index.class_index(label) for _, label in synth_index.entries]
+        assert np.array_equal(
+            report.confusion.counts, confusion_matrix(preds, truths, 3).counts
+        )
+
     def test_restores_mode(self, synth_index, small_dsp_config):
         model = self._model()
-        evaluate(model, synth_index, small_dsp_config)
+        evaluate(model, synth_index, small_dsp_config, "log_mel")
         assert model.mode == "train"
 
     def test_too_many_labels(self, synth_index, small_dsp_config):
@@ -186,4 +202,4 @@ class TestEvaluate:
             dense_hidden=4,
         ))
         with pytest.raises(DataError):
-            evaluate(model, synth_index, small_dsp_config)
+            evaluate(model, synth_index, small_dsp_config, "log_mel")

@@ -8,8 +8,7 @@ from kwspot import autodiff, models
 from kwspot.autodiff import backward
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.models import (
-    ARCHITECTURES, Model, ModelConfig, build_model, model_forward,
-    multilayer_attention_forward, predict,
+    ARCHITECTURES, Model, ModelConfig, build_model, model_forward, predict,
 )
 from kwspot.training import TrainConfig, init_adam, train_epoch
 
@@ -255,11 +254,11 @@ class TestMultilayerAttention:
         model = build_model(_small_config("multilayer_attention"))
         model.set_mode("infer")
         x = np.random.default_rng(3).normal(size=(16, 12))
-        logits, stages = multilayer_attention_forward(x, model)
-        assert logits.shape == (4,)
+        logits, stages = model_forward(model, x[None], stages=True)
+        assert logits.shape == (1, 4)
         assert len(stages) == 3
         for w in stages:
-            assert w.shape == (8,)  # conv halves the 16-step time axis
+            assert w.shape == (1, 8)  # conv halves the 16-step time axis
             assert np.all(w.data >= 0)
             assert w.data.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -268,21 +267,21 @@ class TestMultilayerAttention:
         # so the first attention read cannot prefer any of them
         model = build_model(_small_config("multilayer_attention"))
         model.set_mode("infer")
-        _, stages = multilayer_attention_forward(np.zeros((16, 12)), model)
+        _, stages = model_forward(model, np.zeros((1, 16, 12)), stages=True)
         assert np.abs(stages[0].data - 1.0 / 8).max() < 1e-12
 
     def test_wrong_arch_rejected(self):
-        model = build_model(_small_config("cnn"))
-        with pytest.raises(ConfigError):
-            multilayer_attention_forward(np.zeros((16, 12)), model)
+        for arch in ("cnn", "cnn_bilstm", "attention_rnn"):
+            model = build_model(_small_config(arch))
+            with pytest.raises(ConfigError, match=f"stages=True needs .*, got {arch}$"):
+                model_forward(model, np.zeros((1, 16, 12)), stages=True)
 
     def test_matches_model_forward(self):
         model = build_model(_small_config("multilayer_attention"))
         model.set_mode("infer")
-        x = np.random.default_rng(4).normal(size=(16, 12))
-        logits, _ = multilayer_attention_forward(x, model)
-        batch_logits = model_forward(model, x[None]).data[0]
-        assert np.abs(logits.data - batch_logits).max() < 1e-12
+        x = np.random.default_rng(4).normal(size=(3, 16, 12))
+        logits, _ = model_forward(model, x, stages=True)
+        assert np.array_equal(logits.data, model_forward(model, x).data)
 
 
 class TestPredict:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_metadata, write_sealed_checkpoint
+from conftest import script_validation, write_metadata, write_sealed_checkpoint
 from kwspot import errors, models
 from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
@@ -191,31 +191,32 @@ class TestTrainEpoch:
 
 
 class TestFit:
-    def test_early_stopping_contract(self):
+    def test_early_stopping_contract(self, monkeypatch):
         # validation stub peaks at epoch 11, then declines: training must
         # stop after epoch 21 (patience 10) and restore the epoch-11 weights
         captured = {}
 
-        def val_metric(epoch):
+        def accuracy(epoch):
             if epoch == 11:
                 captured["snap"] = model.snapshot()
             return 1.0 - abs(epoch - 11) / 100.0
 
+        script_validation(monkeypatch, accuracy)
         model = _tiny_model()
         x, y = _toy_data(n=12)
         config = TrainConfig(max_epochs=40, patience=10, batch_size=8, seed=1)
-        _, history = fit(model, (x, y), (x, y), config, val_metric=val_metric)
+        _, history = fit(model, (x, y), (x, y), config)
         assert len(history.records) == 21
         assert history.best_epoch == 11
         for name, arr in captured["snap"]["params"].items():
             assert np.array_equal(arr, model.params[name].data)
 
-    def test_runs_to_max_epochs_when_improving(self):
+    def test_runs_to_max_epochs_when_improving(self, monkeypatch):
+        script_validation(monkeypatch, lambda epoch: epoch / 100.0)
         model = _tiny_model()
         x, y = _toy_data(n=12)
         config = TrainConfig(max_epochs=6, patience=5, batch_size=8, seed=1)
-        _, history = fit(model, (x, y), (x, y), config,
-                         val_metric=lambda epoch: epoch / 100.0)
+        _, history = fit(model, (x, y), (x, y), config)
         assert len(history.records) == 6
         assert history.best_epoch == 6
 
@@ -263,15 +264,16 @@ class TestEvaluateArrays:
     def test_known_accuracy(self):
         model = _tiny_model()
         x, y = _toy_data(n=9)
-        loss, acc = evaluate_arrays(model, x, y)
+        loss, acc, preds = evaluate_arrays(model, x, y)
         model.set_mode("infer")
         logits = model_forward(model, x).data
+        assert np.array_equal(preds, logits.argmax(axis=1))
         assert acc == pytest.approx((logits.argmax(axis=1) == y).mean())
 
 
 class TestFeaturize:
     def test_synth_features(self, synth_index, small_dsp_config):
-        x, y = featurize_index(synth_index, small_dsp_config)
+        x, y = featurize_index(synth_index, small_dsp_config, "log_mel")
         assert x.shape == (60, 61, 20)
         assert sorted(set(y)) == [0, 1, 2]
         assert np.bincount(y).tolist() == [20, 20, 20]
