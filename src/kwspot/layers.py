@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, concat, custom_op
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 # index of the lowest set bit of a 4-bit mask, 4 for none: the first of
@@ -160,7 +160,11 @@ def batch_norm(
         var = stats.var.reshape(shape)
     inv_std = (var + eps) ** -0.5
     xhat *= inv_std
-    out = gamma.data.reshape(shape) * xhat
+    if mode != "train" and not gamma.requires_grad:
+        out = xhat  # no backward reads xhat, so scale it in place
+        out *= gamma.data.reshape(shape)
+    else:
+        out = gamma.data.reshape(shape) * xhat
     out += beta.data.reshape(shape)
 
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
@@ -190,11 +194,12 @@ def batch_norm(
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
-    """Inverted dropout: identity at inference, scaled mask in training."""
+    """Inverted dropout: identity at inference, scaled mask in training,
+    drawn from `rng`, which training must pass so that runs reproduce."""
     if rate == 0.0 or mode != "train":
         return x
     if rng is None:
-        rng = np.random.default_rng()
+        raise ConfigError("dropout in train mode needs a seeded rng")
     mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return x * Tensor(mask)
 

@@ -285,10 +285,16 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
 
 
 def predict(model: Model, features):
-    """(argmax class index, float64 softmax probabilities); ties break to
-    the lowest index."""
+    """(argmax class index, float64 softmax probabilities) of one clip, in
+    infer mode whatever the model's mode, which is restored afterwards;
+    ties break to the lowest index."""
     values = features.values if hasattr(features, "values") else features
-    logits = model_forward(model, np.asarray(values)[None])
+    saved = model.mode
+    model.set_mode("infer")
+    try:
+        logits = model_forward(model, np.asarray(values)[None])
+    finally:
+        model.set_mode(saved)
     row = logits.data[0].astype(np.float64)
     shifted = np.exp(row - row.max())
     probs = shifted / shifted.sum()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kwspot.audio_io import load_clip
+from kwspot import eval as evaluation
+from kwspot.audio_io import DatasetIndex, load_clip
 from kwspot.dsp import mfcc_pipeline
 from kwspot.errors import DataError
 from kwspot.eval import (
-    confusion_matrix, emit_report, evaluate, parse_report_csv,
+    EVAL_BATCH, confusion_matrix, emit_report, evaluate, parse_report_csv,
     report_from_confusion,
 )
 from kwspot.models import ModelConfig, build_model, predict
@@ -169,6 +170,17 @@ class TestEvaluate:
             dense_hidden=4, dropout_rate=0.0,
         ))
 
+    def _record_featurize(self, monkeypatch):
+        calls = []
+        real = evaluation.featurize_index
+
+        def recording(index, *args):
+            calls.append(tuple(index.entries))
+            return real(index, *args)
+
+        monkeypatch.setattr(evaluation, "featurize_index", recording)
+        return calls
+
     def test_end_to_end_contract(self, synth_index, small_dsp_config):
         model = self._model()
         report = evaluate(model, synth_index, small_dsp_config, "log_mel")
@@ -178,7 +190,8 @@ class TestEvaluate:
         assert set(report.per_keyword) <= {"class0", "class1", "class2"}
 
     def test_matches_predict(self, synth_index, small_dsp_config):
-        # a batch-1 forward per clip gives the argmax of a per-clip predict
+        # eight-clip forwards give the argmax of a per-clip predict: 60 clips
+        # are seven full chunks and a remainder of 4
         model = self._model()
         report = evaluate(model, synth_index, small_dsp_config, "log_mel")
         model.set_mode("infer")
@@ -196,10 +209,25 @@ class TestEvaluate:
         evaluate(model, synth_index, small_dsp_config, "log_mel")
         assert model.mode == "train"
 
-    def test_too_many_labels(self, synth_index, small_dsp_config):
+    def test_too_many_labels(self, synth_index, small_dsp_config, monkeypatch):
+        calls = self._record_featurize(monkeypatch)
         model = build_model(ModelConfig(
             arch="cnn", n_classes=2, input_shape=(61, 20), conv_channels=(2,),
             dense_hidden=4,
         ))
         with pytest.raises(DataError):
             evaluate(model, synth_index, small_dsp_config, "log_mel")
+        assert calls == []  # checked before any clip is featurized
+
+    def test_streams_in_chunks(self, synth_index, small_dsp_config, monkeypatch):
+        calls = self._record_featurize(monkeypatch)
+        evaluate(self._model(), synth_index, small_dsp_config, "log_mel")
+        assert all(0 < len(chunk) <= EVAL_BATCH for chunk in calls)
+        assert [e for chunk in calls for e in chunk] == list(synth_index.entries)
+
+    def test_empty_index_names_split(self, synth_index, small_dsp_config, monkeypatch):
+        calls = self._record_featurize(monkeypatch)
+        empty = DatasetIndex((), synth_index.label_set)
+        with pytest.raises(DataError, match="evaluation"):
+            evaluate(self._model(), empty, small_dsp_config, "log_mel")
+        assert calls == []

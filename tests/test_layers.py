@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kwspot.autodiff import Tensor, backward, concat, grad_check
-from kwspot.errors import ShapeError
+from kwspot.errors import ConfigError, ShapeError
 from kwspot.layers import (
     LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
     bilstm_sequence, conv2d, dense, dropout, lstm_sequence, max_pool,
@@ -308,6 +308,25 @@ class TestBatchNorm:
             tracemalloc.stop()
         assert peak < 8 * x.data.nbytes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_scales_in_place(self, dtype):
+        # with no gradient required no backward reads xhat, so gamma scales
+        # it in place; the input is untouched and the rounding is that of
+        # the out-of-place form
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 4, 5, 6)).astype(dtype))
+        x_before = x.data.copy()
+        gamma, beta = (rng.normal(size=4).astype(dtype) for _ in range(2))
+        mean, var = rng.normal(size=4).astype(dtype), rng.uniform(0.5, 2.0, 4).astype(dtype)
+        out = batch_norm(x, Tensor(gamma), Tensor(beta), BnStats(mean=mean, var=var), "infer")
+        shape = (1, -1, 1, 1)
+        want = gamma.reshape(shape) * (
+            (x.data - mean.reshape(shape)) * (var.reshape(shape) + 1e-5) ** -0.5
+        ) + beta.reshape(shape)
+        assert np.array_equal(x.data, x_before)
+        assert out.data.dtype == want.dtype == dtype
+        assert np.array_equal(out.data, want)
+
     def test_train_normalizes(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(3.0, 2.0, size=(8, 3, 5, 5)))
@@ -361,6 +380,11 @@ class TestDropout:
     def test_infer_identity(self):
         x = Tensor(np.ones((3, 3)))
         assert dropout(x, 0.7, "infer") is x
+
+    def test_train_needs_rng(self):
+        # an unseeded mask would make a training run unreproducible
+        with pytest.raises(ConfigError, match="rng"):
+            dropout(Tensor(np.ones((3, 3))), 0.5, "train")
 
     def test_statistics(self):
         rng = np.random.default_rng(7)

@@ -304,6 +304,22 @@ class TestPredict:
         logits = model_forward(model, x[None]).data[0]
         assert cls == int(np.argmax(logits))
 
+    @pytest.mark.parametrize("arch", ["cnn", "multilayer_attention"])
+    def test_train_mode_model_runs_in_infer(self, arch):
+        # train mode would normalize by the batch's own statistics, update
+        # the running ones and draw dropout masks
+        model = build_model(_small_config(arch, dropout_rate=0.25))
+        stats = {k: (s.mean.copy(), s.var.copy()) for k, s in model.bn_stats.items()}
+        x = np.random.default_rng(7).normal(size=(16, 12))
+        first, second = predict(model, x), predict(model, x)
+        assert first[0] == second[0]
+        assert np.array_equal(first[1], second[1])
+        for k, s in model.bn_stats.items():
+            assert np.array_equal(s.mean, stats[k][0])
+            assert np.array_equal(s.var, stats[k][1])
+        assert model.mode == "train"
+        assert all(p.requires_grad for p in model.params.values())
+
     def test_tie_breaks_to_lowest_index(self):
         # symmetric model: zero input and zeroed output layer give equal
         # logits for every class
