@@ -47,7 +47,7 @@ class SynthSpec:
     n_classes: int
     clips_per_class: int
     sample_rate: int
-    class_frequencies: tuple
+    class_frequencies: tuple[float, ...]
     noise_amplitude: float = 0.0
 
     def __post_init__(self):

@@ -10,10 +10,25 @@ from pathlib import Path
 from . import audio_io, dsp, eval as evaluation, training
 from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
 from .keyvalue import (
-    CONFIG_KEYS, METADATA_KEYS, SYNTH_KEYS, from_config, parse_value, read_key_values,
-    write_key_values,
+    REQUIRED, checked, from_config, parse_value, read_key_values, schema, write_key_values,
 )
 from .models import ModelConfig, build_model
+
+# key -> (parser, default); every key is documented in the README
+CONFIG_KEYS = {
+    **schema(dsp.DspConfig),
+    "feature_kind": (checked(str, lambda v: v in dsp.FEATURE_KINDS), "log_mel"),
+    "arch": (str, "multilayer_attention"),
+    # a model's dtype is fixed by `kwspot train`, not a config key
+    **{key: (parse, default) for key, (parse, default) in schema(ModelConfig).items()
+       if default is not REQUIRED and key != "dtype"},
+    **schema(training.TrainConfig),
+    "train_ratio": (float, 0.8),
+    "val_ratio": (float, 0.1),
+    "test_ratio": (float, 0.1),
+}
+
+SYNTH_KEYS = {**schema(audio_io.SynthSpec), "seed": (int, 0)}
 
 
 def parse_config(path=None, overrides=None) -> dict:
@@ -92,11 +107,12 @@ def _cmd_train(args) -> int:
     _print_header("train", cfg)
     index = _scan(args.data)
     # refuse a label the checkpoint could not store before training for it
-    write_key_values({"labels": index.label_set}, METADATA_KEYS, args.out)
+    write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
     train_idx, val_idx, _ = audio_io.split_dataset(
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )
     dsp_cfg = from_config(dsp.DspConfig, cfg)
+    train_cfg = from_config(training.TrainConfig, cfg)
     kind = cfg["feature_kind"]
     train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
     val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")
@@ -105,7 +121,6 @@ def _cmd_train(args) -> int:
         cfg, n_classes=len(index.label_set), input_shape=(t, d), dtype=ModelConfig.dtype
     ))
     model = build_model(model_cfg)
-    train_cfg = from_config(training.TrainConfig, cfg)
     model, history = training.fit(model, train_data, val_data, train_cfg)
     training.save_checkpoint(
         model, args.out, train_config=train_cfg, labels=index.label_set

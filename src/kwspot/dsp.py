@@ -33,6 +33,8 @@ class DspConfig:
     window: str = "hamming"
 
     def __post_init__(self):
+        if self.hop_len < 1:
+            raise DspError(f"hop_len must be at least 1, got {self.hop_len}")
         if self.hop_len > self.frame_len:
             raise DspError(f"hop_len {self.hop_len} exceeds frame_len {self.frame_len}")
         if not _is_power_of_two(self.n_fft) or self.n_fft < self.frame_len:
@@ -43,6 +45,8 @@ class DspConfig:
             raise DspError(f"fmin {self.fmin} must be below fmax {self.fmax}")
         if self.fmax > self.sample_rate / 2:
             raise DspError(f"fmax {self.fmax} above Nyquist {self.sample_rate / 2}")
+        if self.n_mfcc < 1:
+            raise DspError(f"n_mfcc must be at least 1, got {self.n_mfcc}")
         if self.n_mfcc > self.n_mel_filters:
             raise DspError("n_mfcc cannot exceed n_mel_filters")
         if self.log_floor <= 0:
@@ -92,18 +96,15 @@ def frame_signal(signal: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray
 def apply_window(frames: np.ndarray, window: str = "hamming") -> np.ndarray:
     if window == "rectangular":
         return np.asarray(frames, dtype=np.float64)
-    if window == "hamming":
-        n = frames.shape[1]
-        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-        return frames * w
-    raise DspError(f"unknown window {window!r}")
+    n = frames.shape[1]
+    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    return frames * w
 
 
 def power_spectrum(frames: np.ndarray, n_fft: int) -> np.ndarray:
-    """|FFT|^2 of zero-padded frames, one-sided (bins 0..n_fft/2)."""
+    """|FFT|^2 of zero-padded frames, one-sided (bins 0..n_fft/2); DspConfig
+    checks that n_fft is a power of two >= the frame length."""
     frames = np.asarray(frames, dtype=np.float64)
-    if not _is_power_of_two(n_fft) or n_fft < frames.shape[1]:
-        raise DspError(f"n_fft must be a power of two >= frame length, got {n_fft}")
     spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
     return np.abs(spectrum) ** 2
 
@@ -164,11 +165,10 @@ def log_compress(energies: np.ndarray, log_floor: float) -> np.ndarray:
 
 
 def dct_ii(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
-    """Orthonormal DCT-II along the filter axis, first n_mfcc coefficients."""
+    """Orthonormal DCT-II along the filter axis, first n_mfcc coefficients
+    (DspConfig keeps 1 <= n_mfcc <= the filter count)."""
     logmel = np.asarray(logmel, dtype=np.float64)
     m = logmel.shape[1]
-    if n_mfcc > m:
-        raise DspError(f"n_mfcc {n_mfcc} exceeds filter count {m}")
     c = np.arange(m)[:, None]
     j = np.arange(m)[None, :]
     basis = np.cos(np.pi * c * (2 * j + 1) / (2 * m))

@@ -66,7 +66,8 @@ def write_atomic(path, data):
     """Replace `path` with `data` in one step: the bytes go to a temporary
     file in the same directory, which is flushed to disk and then renamed
     over the target. A failure leaves the previous file as it was and
-    removes the temporary file."""
+    removes the temporary file; an OSError is raised as IoError naming
+    `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -75,6 +76,8 @@ def write_atomic(path, data):
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
         raise

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dsp
 from .audio_io import DatasetIndex
-from .errors import DataError, IoError, read_text, write_atomic
+from .errors import DataError, read_text, write_atomic
 from .models import Model
 from .training import evaluate_arrays, featurize_index
 
@@ -122,10 +122,7 @@ def emit_report(report: EvalReport, path, fmt: str = "csv"):
         text = "\n".join(lines) + "\n"
     else:
         raise DataError(f"unknown report format {fmt!r}")
-    try:
-        write_atomic(path, text.encode("utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    write_atomic(path, text.encode("utf-8"))
 
 
 def parse_report_csv(path):

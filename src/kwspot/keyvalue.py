@@ -1,20 +1,21 @@
 """The `key = value` format of config files, synth specs and checkpoint
-metadata: their schemas, the one line reader, the value parsers, the writer."""
+metadata: the one line reader, the value parsers, the writer, and the
+schemas derived from config dataclasses."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
-from .dsp import FEATURE_KINDS
 from .errors import ConfigError, DataError
 
 REQUIRED = object()  # schema default of a key the file must set
 
 
-def _tuple(item):
+def tuple_of(item):
     """Parser of comma-separated values, each parsed by `item`."""
     return lambda raw: tuple(item(v.strip()) for v in raw.split(","))
 
 
-def _checked(parse, ok):
+def checked(parse, ok):
     """Parser `parse` refusing a value that ok(value) rejects."""
     def parse_checked(raw: str):
         if not ok(value := parse(raw)):
@@ -23,58 +24,30 @@ def _checked(parse, ok):
     return parse_checked
 
 
-# key -> (parser, default); every key is documented in the README
-CONFIG_KEYS = {
-    "sample_rate": (int, 16000),
-    "frame_len": (int, 400),
-    "hop_len": (int, 160),
-    "n_fft": (int, 512),
-    "pre_emphasis_alpha": (float, 0.97),
-    "n_mel_filters": (int, 40),
-    "n_mfcc": (int, 20),
-    "fmin": (float, 20.0),
-    "fmax": (float, 8000.0),
-    "log_floor": (float, 1e-10),
-    "window": (str, "hamming"),
-    "feature_kind": (_checked(str, lambda v: v in FEATURE_KINDS), "log_mel"),
-    "arch": (str, "multilayer_attention"),
-    "lstm_hidden": (int, 64),
-    "dense_hidden": (int, 64),
-    "dropout_rate": (float, 0.25),
-    "conv_channels": (_tuple(int), None),
-    "max_epochs": (int, 40),
-    "batch_size": (int, 64),
-    "base_lr": (float, 1e-3),
-    "lr_decay": (float, 0.97),
-    "patience": (int, 10),
-    "seed": (int, 0),
-    "train_ratio": (float, 0.8),
-    "val_ratio": (float, 0.1),
-    "test_ratio": (float, 0.1),
+# the parser of each field annotation a config dataclass may use
+PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, int]: checked(tuple_of(int), lambda v: len(v) == 2),
+    tuple[int, ...] | None: tuple_of(int),
+    tuple[float, ...]: tuple_of(float),
 }
 
-SYNTH_KEYS = {
-    "n_classes": (int, REQUIRED),
-    "clips_per_class": (int, REQUIRED),
-    "sample_rate": (int, REQUIRED),
-    "class_frequencies": (_tuple(float), REQUIRED),
-    "noise_amplitude": (float, 0.0),
-    "seed": (int, 0),
-}
 
-# the ModelConfig fields, then what save_checkpoint was given, in the order
-# they are written; a key the config has too is parsed the same way
-METADATA_KEYS = {
-    "arch": (str, REQUIRED),
-    "n_classes": (int, REQUIRED),
-    "input_shape": (_checked(_tuple(int), lambda v: len(v) == 2), REQUIRED),
-    **{key: (CONFIG_KEYS[key][0], REQUIRED)
-       for key in ("conv_channels", "lstm_hidden", "dense_hidden", "dropout_rate", "seed")},
-    "dtype": (str, REQUIRED),
-    "labels": (_tuple(_checked(str, bool)), None),  # non-empty names
-    **{f"train.{key}": (CONFIG_KEYS[key][0], None)
-       for key in ("max_epochs", "batch_size", "base_lr", "lr_decay", "patience", "seed")},
-}
+def schema(cls, required=False, prefix="") -> dict:
+    """key -> (parser, default) of the fields of the dataclass `cls`, in
+    field order, each key being `prefix` + the field name. A field without
+    a default, or every field if `required`, gets REQUIRED. An annotation
+    without a parser raises TypeError."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if hints[f.name] not in PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no parser for {hints[f.name]}")
+        default = REQUIRED if required or f.default is MISSING else f.default
+        keys[prefix + f.name] = (PARSERS[hints[f.name]], default)
+    return keys
 
 
 def parse_value(keys: dict, key: str, raw: str, where: str, error=ConfigError):

@@ -31,6 +31,9 @@ _FIRST_HIT = np.array([4] + [(m & -m).bit_length() - 1 for m in range(1, 16)], d
 # column blocks of LstmParams.W, U and b: input, forget, output, candidate
 LSTM_GATES = "ifog"
 
+# batch_norm's running-statistics momentum and variance epsilon
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5
+
 
 @dataclass
 class LstmParams:
@@ -131,17 +134,9 @@ def max_pool(x: Tensor) -> Tensor:
     return custom_op(out, (x,), bw)
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: BnStats,
-    mode: str,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str) -> Tensor:
     """Per-channel normalization over an NCHW batch: gamma * xhat + beta with
-    xhat = (x - mean) / sqrt(var + eps), from the batch's statistics in train
+    xhat = (x - mean) / sqrt(var + BN_EPS), from the batch's statistics in train
     mode (which also updates the running ones) and the running ones
     otherwise."""
     if x.ndim != 4:
@@ -153,12 +148,12 @@ def batch_norm(
         mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / count)
         xhat = x.data - mu
         var = (xhat * xhat).sum(axis=axes, keepdims=True) * (1.0 / count)
-        stats.mean = momentum * stats.mean + (1 - momentum) * mu.reshape(-1)
-        stats.var = momentum * stats.var + (1 - momentum) * var.reshape(-1)
+        stats.mean = BN_MOMENTUM * stats.mean + (1 - BN_MOMENTUM) * mu.reshape(-1)
+        stats.var = BN_MOMENTUM * stats.var + (1 - BN_MOMENTUM) * var.reshape(-1)
     else:
         xhat = x.data - stats.mean.reshape(shape)
         var = stats.var.reshape(shape)
-    inv_std = (var + eps) ** -0.5
+    inv_std = (var + BN_EPS) ** -0.5
     xhat *= inv_std
     if mode != "train" and not gamma.requires_grad:
         out = xhat  # no backward reads xhat, so scale it in place

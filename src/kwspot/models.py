@@ -38,8 +38,8 @@ DTYPES = ("float32", "float64")
 class ModelConfig:
     arch: str
     n_classes: int
-    input_shape: tuple  # (T, D)
-    conv_channels: tuple | None = None
+    input_shape: tuple[int, int]  # (T, D)
+    conv_channels: tuple[int, ...] | None = None
     lstm_hidden: int = 64
     dense_hidden: int = 64
     dropout_rate: float = 0.25

@@ -15,11 +15,13 @@ import numpy as np
 from . import audio_io, dsp
 from .autodiff import Tensor, backward
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
-from .keyvalue import METADATA_KEYS, from_config, read_key_values, write_key_values
+from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, write_key_values
 from .models import Model, ModelConfig, make_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
 CHECKPOINT_VERSION = 3
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be at least 1")
+        if self.patience < 0:
+            raise ConfigError("patience must not be negative")
         if not self.patience < self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
+
+
+# the ModelConfig fields, then what save_checkpoint was given, in the order
+# they are written
+METADATA_KEYS = {
+    **schema(ModelConfig, required=True),
+    "labels": (tuple_of(checked(str, bool)), None),  # non-empty names
+    **{key: (parse, None) for key, (parse, _) in schema(TrainConfig, prefix="train.").items()},
+}
 
 
 @dataclass
@@ -43,9 +58,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def init_adam(params: dict) -> AdamState:
@@ -89,7 +101,7 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 def adam_step(params: dict, state: AdamState, lr: float):
     """One Adam update in place; missing gradients are treated as zero."""
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -225,7 +237,7 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 
 # ---- checkpoint format ------------------------------------------------
 # magic "KWSA" | u32 version (3) | u32 metadata length | metadata (the
-# key=value lines of keyvalue.METADATA_KEYS, UTF-8) | per array:
+# key=value lines of METADATA_KEYS, UTF-8) | per array:
 # u32 name length | name | u32 rank | rank * u32 dims | raw values, <f4
 # or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte
 

@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
 from kwspot import training
-from kwspot.cli import parse_config, run_cli
+from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
+from kwspot.keyvalue import REQUIRED, schema
 from kwspot.models import ModelConfig, build_model
 from kwspot.training import save_checkpoint
 
@@ -113,6 +117,48 @@ class TestParseConfig:
         assert parse_config(path)["sample_rate"] == 4000
 
 
+class TestSchemas:
+    def test_config_defaults_pinned(self):
+        assert parse_config() == {
+            "sample_rate": 16000, "frame_len": 400, "hop_len": 160, "n_fft": 512,
+            "pre_emphasis_alpha": 0.97, "n_mel_filters": 40, "n_mfcc": 20,
+            "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-10, "window": "hamming",
+            "feature_kind": "log_mel", "arch": "multilayer_attention",
+            "lstm_hidden": 64, "dense_hidden": 64, "dropout_rate": 0.25,
+            "conv_channels": None, "max_epochs": 40, "batch_size": 64, "base_lr": 1e-3,
+            "lr_decay": 0.97, "patience": 10, "seed": 0,
+            "train_ratio": 0.8, "val_ratio": 0.1, "test_ratio": 0.1,
+        }
+
+    def test_synth_required_keys(self):
+        required = {key for key, (_, default) in SYNTH_KEYS.items() if default is REQUIRED}
+        assert required == {"n_classes", "clips_per_class", "sample_rate", "class_frequencies"}
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for row in table.splitlines():
+            if row.startswith("| `"):
+                keys, defaults = (cell.strip() for cell in row.split("|")[1:3])
+                documented.update(zip(keys.replace("`", "").split(" / "),
+                                      defaults.split(" / ")))
+        for key, (parse, default) in CONFIG_KEYS.items():
+            assert key in documented, key
+            if default is None:
+                assert documented[key] == "per-arch", key
+            else:
+                assert parse(documented[key]) == default, key
+
+    def test_unknown_annotation_refused(self):
+        @dataclass
+        class Odd:
+            values: list
+
+        with pytest.raises(TypeError, match="Odd.values"):
+            schema(Odd)
+
+
 class TestSynth:
     def test_layout(self, synth_dir):
         labels = sorted(p.name for p in synth_dir.iterdir())
@@ -181,6 +227,19 @@ class TestFeaturize:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_hop_refused(self, synth_dir, small_config_file, tmp_path, capsys):
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        out = tmp_path / "features.csv"
+        code = run_cli([
+            "featurize", str(wav), "--config", str(small_config_file),
+            "--set", "hop_len=0", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hop_len must be at least 1, got 0"
+        ]
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_smoke_pipeline(self, synth_dir, small_config_file, tmp_path, capsys):
@@ -248,6 +307,21 @@ class TestTrainEval:
         code = run_cli([
             "train", "--data", str(synth_dir), "--config", str(small_config_file),
             "--set", setting, "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("settings,message", [
+        (["max_epochs=0", "patience=-1"], "max_epochs must be at least 1"),
+        (["patience=-1"], "patience must not be negative"),
+    ])
+    def test_epoch_budget_range(self, synth_dir, small_config_file, tmp_path, capsys,
+                                settings, message):
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            *(arg for setting in settings for arg in ("--set", setting)),
+            "--out", str(tmp_path / "m.ckpt"),
         ])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err

@@ -8,6 +8,19 @@ from kwspot.errors import DspError
 from conftest import naive_dft_power
 
 
+class TestConfig:
+    @pytest.mark.parametrize("hop_len", [0, -64])
+    def test_hop_below_one_rejected(self, hop_len):
+        with pytest.raises(DspError, match=f"hop_len must be at least 1, got {hop_len}"):
+            dsp.DspConfig(hop_len=hop_len)
+
+    @pytest.mark.parametrize("n_mfcc", [0, -3])
+    def test_n_mfcc_below_one_rejected(self, n_mfcc):
+        # dct_ii would slice a negative n_mfcc from the end of its basis
+        with pytest.raises(DspError, match=f"n_mfcc must be at least 1, got {n_mfcc}"):
+            dsp.DspConfig(n_mfcc=n_mfcc)
+
+
 class TestPreEmphasis:
     def test_alpha_zero_is_identity(self):
         x = np.random.default_rng(0).normal(size=100)

@@ -526,8 +526,8 @@ class TestAtomicWrite:
     HISTORY = TrainHistory(records=[EpochRecord(1, 0.5, 0.5, 0.5, 0.5, 1e-3, 0.1)])
     REPORT = report_from_confusion(confusion_matrix([0, 1], [0, 1], 2, ["a", "b"]))
     WRITERS = {
-        "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), OSError),
-        "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), OSError),
+        "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), IoError),
+        "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), IoError),
         "report": (lambda path: emit_report(TestAtomicWrite.REPORT, path), IoError),
     }
 
@@ -546,3 +546,15 @@ class TestAtomicWrite:
             write(path)
         assert path.read_bytes() == b"previous contents"
         assert os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_names_the_file(self, tmp_path, monkeypatch, writer):
+        write, _ = self.WRITERS[writer]
+        path = tmp_path / "artifact"
+
+        def fail(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(errors.os, "fsync", fail)
+        with pytest.raises(IoError, match=f"cannot write {re.escape(str(path))}: .*No space"):
+            write(path)
