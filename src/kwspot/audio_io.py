@@ -51,11 +51,17 @@ class SynthSpec:
     noise_amplitude: float = 0.0
 
     def __post_init__(self):
+        if not 1 <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise DatasetError(
+                f"sample_rate must be 1 to {MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
+            )
+        if self.clips_per_class < 1:
+            raise DatasetError(f"clips_per_class must be at least 1, got {self.clips_per_class}")
         if len(self.class_frequencies) != self.n_classes:
             raise DatasetError("need one frequency per class")
         if len(set(self.class_frequencies)) != self.n_classes:
             raise DatasetError("class frequencies must be distinct")
-        if any(f >= self.sample_rate / 2 for f in self.class_frequencies):
+        if not all(f < self.sample_rate / 2 for f in self.class_frequencies):
             raise DatasetError("class frequencies must be below Nyquist")
 
 
@@ -143,7 +149,8 @@ def split_dataset(index: DatasetIndex, ratios, seed: int):
     Per label: floor(n * ratio) entries to val and test, remainder to train.
     """
     train_r, val_r, test_r = ratios
-    if min(train_r, val_r, test_r) < 0 or abs(train_r + val_r + test_r - 1.0) > 1e-9:
+    # written so that a NaN ratio, which every comparison rejects, fails it
+    if not (min(train_r, val_r, test_r) >= 0 and abs(train_r + val_r + test_r - 1.0) <= 1e-9):
         raise SplitError(f"ratios must be non-negative and sum to 1, got {ratios}")
     n_nonzero = sum(1 for r in ratios if r > 0)
     rng = np.random.default_rng(seed)

@@ -10,7 +10,8 @@ from pathlib import Path
 from . import audio_io, dsp, eval as evaluation, training
 from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
 from .keyvalue import (
-    REQUIRED, checked, from_config, parse_value, read_key_values, schema, write_key_values,
+    PARSERS, REQUIRED, checked, from_config, parse_value, read_key_values, schema,
+    write_key_values,
 )
 from .models import ModelConfig, build_model
 
@@ -23,9 +24,9 @@ CONFIG_KEYS = {
     **{key: (parse, default) for key, (parse, default) in schema(ModelConfig).items()
        if default is not REQUIRED and key != "dtype"},
     **schema(training.TrainConfig),
-    "train_ratio": (float, 0.8),
-    "val_ratio": (float, 0.1),
-    "test_ratio": (float, 0.1),
+    "train_ratio": (PARSERS[float], 0.8),
+    "val_ratio": (PARSERS[float], 0.1),
+    "test_ratio": (PARSERS[float], 0.1),
 }
 
 SYNTH_KEYS = {**schema(audio_io.SynthSpec), "seed": (int, 0)}

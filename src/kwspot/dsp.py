@@ -33,6 +33,8 @@ class DspConfig:
     window: str = "hamming"
 
     def __post_init__(self):
+        if self.frame_len < 2:  # a Hamming window divides by frame_len - 1
+            raise DspError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.hop_len < 1:
             raise DspError(f"hop_len must be at least 1, got {self.hop_len}")
         if self.hop_len > self.frame_len:

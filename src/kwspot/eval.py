@@ -26,20 +26,26 @@ class ConfusionMatrix:
     counts: np.ndarray  # C x C, rows = true label, columns = predicted
     labels: tuple
 
-    def row_sum(self, i: int) -> int:
-        return int(self.counts[i].sum())
-
     @property
     def n_samples(self) -> int:
         return int(self.counts.sum())
 
+    @property
+    def overall_accuracy(self) -> float:
+        n = self.n_samples
+        return float(np.trace(self.counts)) / n if n else 0.0
 
-@dataclass(frozen=True)
-class EvalReport:
-    overall_accuracy: float
-    per_keyword: dict       # label -> accuracy; empty rows absent
-    confusion: ConfusionMatrix
-    n_samples: int
+    @property
+    def per_keyword(self) -> dict:
+        """label -> accuracy; empty rows absent."""
+        return {label: accuracy for label, accuracy, _ in self.rows()}
+
+    def rows(self):
+        """(label, accuracy, n) of each class with at least one sample."""
+        for i, label in enumerate(self.labels):
+            n = int(self.counts[i].sum())
+            if n:
+                yield label, float(self.counts[i, i]) / n, n
 
 
 def confusion_matrix(predictions, labels, n_classes: int, label_names=None) -> ConfusionMatrix:
@@ -58,23 +64,11 @@ def confusion_matrix(predictions, labels, n_classes: int, label_names=None) -> C
     return ConfusionMatrix(counts=counts, labels=names)
 
 
-def report_from_confusion(cm: ConfusionMatrix) -> EvalReport:
-    n = cm.n_samples
-    overall = float(np.trace(cm.counts)) / n if n else 0.0
-    per_keyword = {}
-    for i, label in enumerate(cm.labels):
-        total = cm.row_sum(i)
-        if total:
-            per_keyword[label] = float(cm.counts[i, i]) / total
-    return EvalReport(
-        overall_accuracy=overall, per_keyword=per_keyword, confusion=cm, n_samples=n
-    )
-
-
-def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> EvalReport:
-    """Run the frozen model over every entry of a dataset index in chunks of
-    EVAL_BATCH clips: each chunk is featurized and then forwarded as one
-    batch, so at most EVAL_BATCH clips' features are held at a time."""
+def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> ConfusionMatrix:
+    """The confusion matrix of the frozen model over every entry of a
+    dataset index, run in chunks of EVAL_BATCH clips: each chunk is
+    featurized and then forwarded as one batch, so at most EVAL_BATCH clips'
+    features are held at a time."""
     if len(index.label_set) > model.config.n_classes:
         raise DataError(
             f"dataset has {len(index.label_set)} labels but the model only "
@@ -88,41 +82,32 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> EvalR
         x, y = featurize_index(chunk, dsp_config, kind, "evaluation")
         preds.append(evaluate_arrays(model, x, y, batch_size=EVAL_BATCH)[2])
         truths.append(y)
-    cm = confusion_matrix(
+    return confusion_matrix(
         np.concatenate(preds), np.concatenate(truths), model.config.n_classes,
         label_names=list(index.label_set)
         + [f"class{i}" for i in range(len(index.label_set), model.config.n_classes)],
     )
-    return report_from_confusion(cm)
 
 
-def emit_report(report: EvalReport, path, fmt: str = "csv"):
+def emit_report(cm: ConfusionMatrix, path, fmt: str = "csv"):
     """csv: label,accuracy,n rows plus an __overall__ row; text: aligned
     table plus the confusion grid."""
     if fmt == "csv":
         lines = ["label,accuracy,n"]
-        for i, label in enumerate(report.confusion.labels):
-            total = report.confusion.row_sum(i)
-            if total:
-                lines.append(f"{label},{report.per_keyword[label]:.4f},{total}")
-        lines.append(f"__overall__,{report.overall_accuracy:.4f},{report.n_samples}")
-        text = "\n".join(lines) + "\n"
+        lines += [f"{label},{accuracy:.4f},{n}" for label, accuracy, n in cm.rows()]
+        lines.append(f"__overall__,{cm.overall_accuracy:.4f},{cm.n_samples}")
     elif fmt == "text":
-        width = max((len(l) for l in report.confusion.labels), default=5) + 2
+        width = max((len(l) for l in cm.labels), default=5) + 2
         lines = [f"{'label':<{width}}accuracy      n"]
-        for i, label in enumerate(report.confusion.labels):
-            total = report.confusion.row_sum(i)
-            if total:
-                lines.append(f"{label:<{width}}{report.per_keyword[label]:.4f}   {total:6d}")
-        lines.append(f"{'overall':<{width}}{report.overall_accuracy:.4f}   {report.n_samples:6d}")
+        lines += [f"{label:<{width}}{accuracy:.4f}   {n:6d}" for label, accuracy, n in cm.rows()]
+        lines.append(f"{'overall':<{width}}{cm.overall_accuracy:.4f}   {cm.n_samples:6d}")
         lines.append("")
         lines.append("confusion (rows = true, columns = predicted):")
-        for row in report.confusion.counts:
+        for row in cm.counts:
             lines.append(" ".join(f"{v:6d}" for v in row))
-        text = "\n".join(lines) + "\n"
     else:
         raise DataError(f"unknown report format {fmt!r}")
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def parse_report_csv(path):

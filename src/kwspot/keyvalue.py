@@ -2,6 +2,7 @@
 metadata: the one line reader, the value parsers, the writer, and the
 schemas derived from config dataclasses."""
 
+import math
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
@@ -24,14 +25,16 @@ def checked(parse, ok):
     return parse_checked
 
 
+_finite_float = checked(float, math.isfinite)  # refuses nan, inf and -inf
+
 # the parser of each field annotation a config dataclass may use
 PARSERS = {
     int: int,
-    float: float,
+    float: _finite_float,
     str: str,
     tuple[int, int]: checked(tuple_of(int), lambda v: len(v) == 2),
     tuple[int, ...] | None: tuple_of(int),
-    tuple[float, ...]: tuple_of(float),
+    tuple[float, ...]: tuple_of(_finite_float),
 }
 
 

@@ -200,10 +200,6 @@ def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") -> Tensor:
-    if x.shape[-1] != weights.shape[0]:
-        raise ShapeError(
-            f"dense: input width {x.shape[-1]} does not match weights {weights.shape}"
-        )
     out = x @ weights + bias
     if activation == "none":
         return out

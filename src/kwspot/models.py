@@ -89,18 +89,21 @@ class Model:
         for p in self.params.values():
             p.requires_grad = mode == "train"
 
+    def arrays(self):
+        """(name, array) of every parameter, then of every batch-norm running
+        statistic, under the names a checkpoint stores them by."""
+        for name, p in self.params.items():
+            yield name, p.data
+        for name, s in self.bn_stats.items():
+            yield f"{name}_running_mean", s.mean
+            yield f"{name}_running_var", s.var
+
     def snapshot(self) -> dict:
-        return {
-            "params": {k: v.data.copy() for k, v in self.params.items()},
-            "bn": {k: (s.mean.copy(), s.var.copy()) for k, s in self.bn_stats.items()},
-        }
+        return {name: a.copy() for name, a in self.arrays()}
 
     def restore(self, snap: dict):
-        for k, v in snap["params"].items():
-            self.params[k].data = v.copy()
-        for k, (m, v) in snap["bn"].items():
-            self.bn_stats[k].mean = m.copy()
-            self.bn_stats[k].var = v.copy()
+        for name, a in self.arrays():
+            a[...] = snap[name]
 
 
 def _glorot(rng, shape) -> np.ndarray:
@@ -125,22 +128,6 @@ def _lstm_params(model, prefix) -> LstmParams:
     return LstmParams(*(model.params[f"{prefix}_{name}"] for name in "WUb"))
 
 
-def _conv_stack_shape(config: ModelConfig):
-    """Walk the conv blocks symbolically; raises ConfigError if a stage
-    cannot fit its 2x2 pool."""
-    t, d = config.input_shape
-    channels = config.resolved_channels()
-    h, w = t, d
-    for i, _ in enumerate(channels):
-        if h < 2 or w < 2:
-            raise ConfigError(
-                f"input {config.input_shape} too small for conv block {i} "
-                f"(spatial size {h}x{w} before its 2x2 pool)"
-            )
-        h, w = h // 2, w // 2
-    return channels[-1], h, w
-
-
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize all parameters of the chosen architecture."""
     rng = np.random.default_rng(config.seed)
@@ -151,8 +138,8 @@ def make_model(config: ModelConfig, draw) -> Model:
     """The one definition of each architecture's parameter names and shapes;
     draw(shape) gives each randomly initialized weight, in a fixed order,
     and precedes every other array at least as large (a checkpoint load
-    draws zeros). Parameters and buffers are cast to config.dtype."""
-    out_c, out_h, out_w = _conv_stack_shape(config)
+    draws zeros). Parameters and buffers are cast to config.dtype. An
+    input too small for a conv block's 2x2 pool raises ConfigError."""
     dtype = np.dtype(config.dtype)
 
     def param(values) -> Tensor:
@@ -160,9 +147,15 @@ def make_model(config: ModelConfig, draw) -> Model:
 
     params: dict[str, Tensor] = {}
     bn_stats: dict[str, BnStats] = {}
-    channels = config.resolved_channels()
+    h, w = config.input_shape
     in_c = 1
-    for i, c in enumerate(channels):
+    for i, c in enumerate(config.resolved_channels()):
+        if h < 2 or w < 2:
+            raise ConfigError(
+                f"input {config.input_shape} too small for conv block {i} "
+                f"(spatial size {h}x{w} before its 2x2 pool)"
+            )
+        h, w = h // 2, w // 2
         params[f"conv{i}_kernel"] = param(draw((c, in_c, 3, 3)))
         # no conv bias: the following batch norm subtracts the per-channel
         # mean, so a bias here would be a zero-gradient redundant parameter
@@ -172,13 +165,12 @@ def make_model(config: ModelConfig, draw) -> Model:
         in_c = c
 
     hidden = config.lstm_hidden
-    seq_dim = out_c * out_w
+    seq_dim = in_c * w
     n_cls = config.n_classes
     dh = config.dense_hidden
 
     if config.arch == "cnn":
-        flat = out_c * out_h * out_w
-        params["fc0_W"] = param(draw((flat, dh)))
+        params["fc0_W"] = param(draw((in_c * h * w, dh)))
         params["fc0_b"] = param(np.zeros(dh))
         params["fc1_W"] = param(draw((dh, dh)))
         params["fc1_b"] = param(np.zeros(dh))
@@ -196,8 +188,7 @@ def make_model(config: ModelConfig, draw) -> Model:
         _init_lstm(draw, param, params, "lstm2b", 2 * hidden, hidden)
         params["query_proj"] = param(draw((2 * hidden, 2 * hidden)))
         if config.arch == "multilayer_attention":
-            t, d = config.input_shape
-            params["stage1_proj"] = param(draw((d, seq_dim)))
+            params["stage1_proj"] = param(draw((config.input_shape[1], seq_dim)))
             params["stage2_proj"] = param(draw((seq_dim, 2 * hidden)))
             params["head0_W"] = param(draw((2 * hidden, dh)))
             params["head0_b"] = param(np.zeros(dh))

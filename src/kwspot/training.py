@@ -36,6 +36,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        for key in ("base_lr", "lr_decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
         if self.patience < 0:
@@ -242,14 +245,6 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 # or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte
 
 
-def _iter_arrays(model: Model):
-    for name, p in model.params.items():
-        yield name, p.data
-    for name, s in model.bn_stats.items():
-        yield f"{name}_running_mean", s.mean
-        yield f"{name}_running_var", s.var
-
-
 def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
                     labels=None):
     """Serialize parameters and running statistics; the training history is
@@ -264,7 +259,7 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     meta = write_key_values(values, METADATA_KEYS, path).encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
-    for name, arr in _iter_arrays(model):
+    for name, arr in model.arrays():
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded)) + encoded
         blob += struct.pack("<I", arr.ndim)
@@ -334,7 +329,7 @@ def load_checkpoint(path):
     except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
     stored = np.dtype(config.dtype).newbyteorder("<")
-    expected = dict(_iter_arrays(model))
+    expected = dict(model.arrays())
     loaded = set()
     while reader.pos < len(reader.raw):
         # name and shape are checked before any value is read, so that only

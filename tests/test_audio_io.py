@@ -185,6 +185,14 @@ class TestSplitDataset:
         with pytest.raises(SplitError):
             audio_io.split_dataset(self._index({"a": 10}), (0.5, 0.2, 0.2), 0)
 
+    @pytest.mark.parametrize("ratios", [
+        (0.8, float("nan"), 0.1), (float("nan"), 0.1, 0.1), (float("inf"), 0.1, 0.1),
+    ])
+    def test_non_finite_ratio_refused(self, ratios):
+        # a NaN ratio once passed the check and then failed in int(n * ratio)
+        with pytest.raises(SplitError, match="sum to 1"):
+            audio_io.split_dataset(self._index({"a": 10}), ratios, 0)
+
 
 class TestSynthDataset:
     def test_counts(self):
@@ -231,3 +239,19 @@ class TestSynthDataset:
             SynthSpec(2, 1, 4000, (500.0, 2500.0))
         with pytest.raises(DatasetError):
             SynthSpec(2, 1, 4000, (500.0, 500.0))
+
+    @pytest.mark.parametrize("sample_rate", [0, -8000, audio_io.MAX_SAMPLE_RATE + 1, 10**9])
+    def test_sample_rate_bounded(self, sample_rate):
+        # above MAX_SAMPLE_RATE read_wav refuses the written clips, and 10**9
+        # would allocate 8 GB per clip
+        with pytest.raises(DatasetError, match=f"sample_rate must be 1 to .*, got {sample_rate}"):
+            SynthSpec(2, 1, sample_rate, (1.0, 2.0))
+
+    @pytest.mark.parametrize("clips", [0, -3])
+    def test_clips_per_class_at_least_one(self, clips):
+        with pytest.raises(DatasetError, match=f"clips_per_class must be at least 1, got {clips}"):
+            SynthSpec(2, clips, 4000, (500.0, 900.0))
+
+    def test_nan_frequency_refused(self):
+        with pytest.raises(DatasetError, match="below Nyquist"):
+            SynthSpec(2, 1, 4000, (float("nan"), 900.0))

@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from conftest import write_sealed_checkpoint
 from kwspot import training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
-from kwspot.keyvalue import REQUIRED, schema
+from kwspot.keyvalue import REQUIRED, read_key_values, schema
 from kwspot.models import ModelConfig, build_model
 from kwspot.training import save_checkpoint
 
@@ -59,6 +61,26 @@ def small_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SMALL_CONFIG)
     return path
+
+
+def _float_keys(keys: dict) -> list:
+    """The keys whose parser reads "0.5" as a float or a tuple of floats."""
+    found = []
+    for key, (parse, _) in keys.items():
+        try:
+            value = parse("0.5")
+        except ValueError:
+            continue
+        if isinstance(value, float) or (isinstance(value, tuple) and isinstance(value[0], float)):
+            found.append(key)
+    return found
+
+
+FLOAT_KEYS = [
+    pytest.param(keys, key, id=f"{what}-{key}")
+    for what, keys in (("config", CONFIG_KEYS), ("synth", SYNTH_KEYS))
+    for key in _float_keys(keys)
+]
 
 
 class TestParseConfig:
@@ -150,6 +172,12 @@ class TestSchemas:
             else:
                 assert parse(documented[key]) == default, key
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("keys, key", FLOAT_KEYS)
+    def test_float_keys_refuse_non_finite(self, keys, key, raw):
+        with pytest.raises(ConfigError, match=re.escape(f"f:1: cannot parse {key} = '{raw}'")):
+            read_key_values(f"{key} = {raw}\n", keys, "f")
+
     def test_unknown_annotation_refused(self):
         @dataclass
         class Odd:
@@ -179,6 +207,11 @@ class TestSynth:
         (b"n_classes = \xff\n", "bad.spec: not UTF-8"),
         (b"n_classes = 3\nclips_per_class = 1\nsample_rate = 4000\n"
          b"class_frequencies = 400, 800\n", "bad.spec: need one frequency per class"),
+        (b"n_classes = 2\nclips_per_class = 1\nsample_rate = 400000\n"
+         b"class_frequencies = 400, 800\n",
+         "bad.spec: sample_rate must be 1 to 384000 Hz, got 400000"),
+        (b"n_classes = 2\nclips_per_class = 0\nsample_rate = 4000\n"
+         b"class_frequencies = 400, 800\n", "bad.spec: clips_per_class must be at least 1, got 0"),
     ])
     def test_bad_spec_line(self, tmp_path, capsys, body, message):
         spec = tmp_path / "bad.spec"
@@ -239,6 +272,20 @@ class TestFeaturize:
             "error: hop_len must be at least 1, got 0"
         ]
         assert not out.exists()
+
+    def test_one_sample_frame_refused(self, synth_dir, tmp_path, capsys):
+        # a one-sample Hamming window divided by frame_len - 1 = 0
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([
+                "featurize", str(wav), "--set", "sample_rate=4000",
+                "--set", "frame_len=1", "--set", "hop_len=1", "--set", "fmax=1900",
+            ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: frame_len must be at least 2, got 1"
+        ]
 
 
 class TestTrainEval:
@@ -325,6 +372,19 @@ class TestTrainEval:
         ])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["val_ratio", "base_lr"])
+    def test_nan_setting_refused_before_featurizing(self, synth_dir, small_config_file,
+                                                    tmp_path, capsys, key):
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", f"{key}=nan", "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # not even the config header
+        assert err.splitlines() == [f"error: command line: cannot parse {key} = 'nan'"]
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_unwritable_label_refused_before_training(self, synth_dir, small_config_file,

@@ -14,6 +14,12 @@ class TestConfig:
         with pytest.raises(DspError, match=f"hop_len must be at least 1, got {hop_len}"):
             dsp.DspConfig(hop_len=hop_len)
 
+    @pytest.mark.parametrize("frame_len", [1, 0])
+    def test_frame_below_two_rejected(self, frame_len):
+        # a Hamming window of one sample would divide by frame_len - 1 = 0
+        with pytest.raises(DspError, match=f"frame_len must be at least 2, got {frame_len}"):
+            dsp.DspConfig(frame_len=frame_len, hop_len=1)
+
     @pytest.mark.parametrize("n_mfcc", [0, -3])
     def test_n_mfcc_below_one_rejected(self, n_mfcc):
         # dct_ii would slice a negative n_mfcc from the end of its basis

@@ -7,7 +7,6 @@ from kwspot.dsp import mfcc_pipeline
 from kwspot.errors import DataError
 from kwspot.eval import (
     EVAL_BATCH, confusion_matrix, emit_report, evaluate, parse_report_csv,
-    report_from_confusion,
 )
 from kwspot.models import ModelConfig, build_model, predict
 
@@ -42,27 +41,27 @@ class TestConfusionMatrix:
 class TestReport:
     def test_perfect_predictor(self):
         cm = confusion_matrix([0, 1, 2], [0, 1, 2], 3, ["a", "b", "c"])
-        report = report_from_confusion(cm)
+        report = cm
         assert report.overall_accuracy == 1.0
         assert report.per_keyword == {"a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_degenerate_constant_predictor(self):
         # always predicts class 0 on a balanced two-class set
         cm = confusion_matrix([0, 0, 0, 0], [0, 0, 1, 1], 2, ["a", "b"])
-        report = report_from_confusion(cm)
+        report = cm
         assert report.overall_accuracy == 0.5
         assert report.per_keyword == {"a": 1.0, "b": 0.0}
 
     def test_empty_rows_absent(self):
         cm = confusion_matrix([0, 0], [0, 0], 3, ["a", "b", "c"])
-        report = report_from_confusion(cm)
+        report = cm
         assert set(report.per_keyword) == {"a"}
 
     def test_accuracy_identity(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, 200)
         preds = rng.integers(0, 4, 200)
-        report = report_from_confusion(confusion_matrix(preds, labels, 4))
+        report = confusion_matrix(preds, labels, 4)
         assert report.overall_accuracy == pytest.approx((preds == labels).mean())
 
 
@@ -71,9 +70,7 @@ class TestEmitAndParse:
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, 60)
         preds = rng.integers(0, 3, 60)
-        return report_from_confusion(
-            confusion_matrix(preds, labels, 3, ["yes", "no", "stop"])
-        )
+        return confusion_matrix(preds, labels, 3, ["yes", "no", "stop"])
 
     def test_csv_round_trip(self, tmp_path):
         report = self._report()
@@ -150,9 +147,7 @@ class TestReportedFigures:
             for j in range(20):
                 preds += [j] * counts[i, j]
                 truths += [i] * counts[i, j]
-        report = report_from_confusion(
-            confusion_matrix(preds, truths, 20, labels)
-        )
+        report = confusion_matrix(preds, truths, 20, labels)
         assert report.n_samples == 10000
         assert report.per_keyword["down"] == pytest.approx(0.892)
         assert report.overall_accuracy == pytest.approx(0.9507)
@@ -185,7 +180,7 @@ class TestEvaluate:
         model = self._model()
         report = evaluate(model, synth_index, small_dsp_config, "log_mel")
         assert report.n_samples == 60
-        assert report.confusion.counts.sum() == 60
+        assert report.counts.sum() == 60
         assert 0.0 <= report.overall_accuracy <= 1.0
         assert set(report.per_keyword) <= {"class0", "class1", "class2"}
 
@@ -201,7 +196,7 @@ class TestEvaluate:
         ]
         truths = [synth_index.class_index(label) for _, label in synth_index.entries]
         assert np.array_equal(
-            report.confusion.counts, confusion_matrix(preds, truths, 3).counts
+            report.counts, confusion_matrix(preds, truths, 3).counts
         )
 
     def test_restores_mode(self, synth_index, small_dsp_config):

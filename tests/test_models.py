@@ -98,7 +98,7 @@ class TestBuild:
         model.params["fc0_W"].data += 1.0
         model.bn_stats["conv0_bn"].mean += 5.0
         model.restore(snap)
-        assert np.array_equal(model.params["fc0_W"].data, snap["params"]["fc0_W"])
+        assert np.array_equal(model.params["fc0_W"].data, snap["fc0_W"])
         assert np.array_equal(model.bn_stats["conv0_bn"].mean, np.zeros(3))
 
 

@@ -10,7 +10,7 @@ from conftest import script_validation, write_metadata, write_sealed_checkpoint
 from kwspot import errors, models
 from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
-from kwspot.eval import confusion_matrix, emit_report, report_from_confusion
+from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
 from kwspot.training import (
     AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
@@ -42,6 +42,14 @@ class TestConfig:
     def test_patience_must_be_smaller(self):
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=5, patience=5)
+
+    @pytest.mark.parametrize("key", ["base_lr", "lr_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_refused(self, key, value):
+        # a NaN base_lr trains to NaN weights, and load_checkpoint refuses a
+        # non-finite train.* value, so save_checkpoint must never write one
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            TrainConfig(**{key: value})
 
 
 class TestCrossEntropy:
@@ -160,8 +168,8 @@ class TestTrainEpoch:
             model = _tiny_model()
             train_epoch(model, (x, y), init_adam(model.params), config, 1)
             snaps.append(model.snapshot())
-        for name in snaps[0]["params"]:
-            assert np.array_equal(snaps[0]["params"][name], snaps[1]["params"][name])
+        for name in snaps[0]:
+            assert np.array_equal(snaps[0][name], snaps[1][name])
 
     def test_updates_every_parameter(self):
         model = _tiny_model()
@@ -169,8 +177,26 @@ class TestTrainEpoch:
         x, y = _toy_data()
         config = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=3)
         train_epoch(model, (x, y), init_adam(model.params), config, 1)
-        for name, old in before["params"].items():
-            assert not np.array_equal(old, model.params[name].data), name
+        for name, p in model.params.items():
+            assert not np.array_equal(before[name], p.data), name
+
+    def test_snapshot_and_restore_cover_every_array(self):
+        # an epoch moves every parameter and running statistic; the snapshot
+        # taken before it keeps its values, and restore brings all of them back
+        model = _tiny_model()
+        snap = model.snapshot()
+        kept = {name: a.copy() for name, a in snap.items()}
+        assert list(snap) == [name for name, _ in model.arrays()]
+        assert {"conv0_bn_running_mean", "conv0_bn_running_var"} <= snap.keys()
+        x, y = _toy_data()
+        config = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=3)
+        train_epoch(model, (x, y), init_adam(model.params), config, 1)
+        for name, a in model.arrays():
+            assert np.array_equal(snap[name], kept[name]), name
+            assert not np.array_equal(a, kept[name]), name
+        model.restore(snap)
+        for name, a in model.arrays():
+            assert np.array_equal(a, kept[name]), name
 
     def test_peak_memory(self):
         # one multilayer_attention step at batch 8 on paper-scale 98x40
@@ -208,8 +234,8 @@ class TestFit:
         _, history = fit(model, (x, y), (x, y), config)
         assert len(history.records) == 21
         assert history.best_epoch == 11
-        for name, arr in captured["snap"]["params"].items():
-            assert np.array_equal(arr, model.params[name].data)
+        for name, arr in model.arrays():
+            assert np.array_equal(arr, captured["snap"][name]), name
 
     def test_runs_to_max_epochs_when_improving(self, monkeypatch):
         script_validation(monkeypatch, lambda epoch: epoch / 100.0)
@@ -524,7 +550,7 @@ class TestCheckpoint:
 
 class TestAtomicWrite:
     HISTORY = TrainHistory(records=[EpochRecord(1, 0.5, 0.5, 0.5, 0.5, 1e-3, 0.1)])
-    REPORT = report_from_confusion(confusion_matrix([0, 1], [0, 1], 2, ["a", "b"]))
+    REPORT = confusion_matrix([0, 1], [0, 1], 2, ["a", "b"])
     WRITERS = {
         "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), IoError),
         "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), IoError),
