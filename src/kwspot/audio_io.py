@@ -57,6 +57,8 @@ class SynthSpec:
             )
         if self.clips_per_class < 1:
             raise DatasetError(f"clips_per_class must be at least 1, got {self.clips_per_class}")
+        if not self.noise_amplitude >= 0:
+            raise DatasetError(f"noise_amplitude must be at least 0, got {self.noise_amplitude}")
         if len(self.class_frequencies) != self.n_classes:
             raise DatasetError("need one frequency per class")
         if len(set(self.class_frequencies)) != self.n_classes:

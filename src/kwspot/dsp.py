@@ -43,6 +43,8 @@ class DspConfig:
             raise DspError(f"n_fft must be a power of two >= frame_len, got {self.n_fft}")
         if not 0.0 <= self.pre_emphasis_alpha < 1.0:
             raise DspError(f"pre_emphasis_alpha out of [0,1): {self.pre_emphasis_alpha}")
+        if not self.fmin >= 0:
+            raise DspError(f"fmin must be at least 0, got {self.fmin}")
         if not self.fmin < self.fmax:
             raise DspError(f"fmin {self.fmin} must be below fmax {self.fmax}")
         if self.fmax > self.sample_rate / 2:

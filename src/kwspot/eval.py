@@ -15,9 +15,10 @@ from .training import evaluate_arrays, featurize_index
 
 # Clips per chunk of `evaluate`: featurized together, then one forward.
 # multilayer_attention at float32 over 24 paper-scale 98x40 clips, one
-# BLAS thread (forward ms, tracemalloc peak MiB): batch 1 107.6, 1.6;
-# 4 66.1, 5.8; 8 58.6, 11.6; 12 63.6, 17.4; 24 60.8, 34.8. Past 8 the
-# BiLSTMs' per-step overhead is already amortized and only memory grows.
+# BLAS thread, 2 shared vCPUs (forward ms, median of three runs of 15;
+# tracemalloc peak MiB): batch 1 67.7, 1.7; 4 39.8, 3.1; 8 35.6, 5.1;
+# 12 34.7, 7.2; 24 36.6, 14.4. Past 8 the BiLSTMs' per-step overhead is
+# already amortized and only memory grows.
 EVAL_BATCH = 8
 
 

@@ -3,14 +3,17 @@
 Convolution (one GEMM per sample on that sample's im2col, in the forward
 and in both gradients), 2x2 max pooling (four strided views; the backward
 reads a uint8 code of the window position that won), batch normalization
-(the closed-form backward) and the LSTM over a whole sequence (closed-form
-BPTT) are custom primitives with hand-written backward passes; everything
-else is composed from the engine's elementwise and matmul primitives. Each
-backward closure captures only the arrays it reads, never a Tensor, so a
-conv output dies once batch norm has read it and a batch-norm output once
-the pool has. The models pool before the ReLU: max commutes with a
-monotone map, so max_pool then relu gives the values and gradients of relu
-then max_pool, with the ReLU on a quarter of the elements.
+(the closed-form backward) and the LSTM scan (every direction of a
+sequence in one time loop, with closed-form BPTT) are custom primitives
+with hand-written backward passes; everything else is composed from the
+engine's elementwise and matmul primitives. Each backward closure captures
+only the arrays it reads, never a Tensor, so a conv output dies once batch
+norm has read it and a batch-norm output once the pool has. The models
+pool before the ReLU: max commutes with a monotone map, so max_pool then
+relu gives the values and gradients of relu then max_pool, with the ReLU
+on a quarter of the elements. In infer mode they also pool before batch
+norm, which with running statistics is a per-channel affine map, so that
+it too runs on a quarter of the elements and gives the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, concat, custom_op
+from .autodiff import Tensor, custom_op
 from .errors import ConfigError, ShapeError
 
 
@@ -60,7 +63,8 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if ic != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernels expect {ic}")
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
+    xp = np.zeros((n, c, h + kh - 1, w + kw - 1), x.data.dtype)
+    xp[:, :, pt:pt + h, pl:pl + w] = x.data
     k2d = kernels.data.reshape(oc, c * kh * kw)
     # windows[s].reshape(c * kh * kw, h * w) copies one sample's im2col,
     # cols_s[(c, i, j), (y, x)] = xp[s, c, y + i, x + j]; one GEMM per
@@ -210,100 +214,143 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") ->
     raise ShapeError(f"dense: unknown activation {activation!r}")
 
 
-def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
-    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden.
+def lstm_scan(seq: Tensor, directions) -> Tensor:
+    """Run LSTMs over an N x T x d sequence, one per (LstmParams, reverse)
+    pair of `directions`, all of the same hidden size; outputs N x T x
+    (D * hidden), direction k in columns k * hidden to (k + 1) * hidden.
 
-    One primitive over the whole sequence: the input projection of every
-    step is one matmul ahead of the time loop, and the forward keeps the
-    gate activations (N x T x 4h) and the cell states (N x T x h) for the
+    One primitive over the whole sequence and every direction. Each
+    direction's input projection is one matmul ahead of the time loop,
+    stored step-major and a reverse direction's time-reversed, so that step
+    i of every direction is the block gates[i], (4, D * N, hidden): each
+    gate of all D * N rows is contiguous, each step runs one stacked matmul
+    with the D recurrent matrices and one set of elementwise ops. The
+    forward keeps the gate activations and the cell states for the
     backward. That runs the closed-form BPTT of Graves 2012 (Supervised
-    Sequence Labelling with Recurrent Neural Networks, ch. 4) in reverse to
-    fill the gate pre-activation gradients, then takes the gradients of W,
-    U and the input with one matmul each and that of b with one sum."""
+    Sequence Labelling with Recurrent Neural Networks, ch. 4) over the
+    steps in reverse to fill the gate pre-activation gradients, then, per
+    direction in time order, takes the gradients of W, U and the input with
+    one matmul each and that of b with one sum."""
     n, t_len, d = seq.shape
-    hidden = params.U.shape[0]
-    W, U, b = params.W.data, params.U.data, params.b.data
+    params = [p for p, _ in directions]
+    n_dir, hidden = len(directions), params[0].U.shape[0]
+    rows = n_dir * n
     x2d = seq.data.reshape(n * t_len, d)
-    # pre-activations, overwritten step by step with the activations
-    gates = (x2d @ W + b).reshape(n, t_len, 4 * hidden)
-    cells = np.empty((n, t_len, hidden), dtype=gates.dtype)
-    out = np.empty_like(cells)
-    step = -1 if reverse else 1
-    steps = range(t_len)[::step]
-    # column blocks in LSTM_GATES order; the first three are sigmoid gates
-    gi, gf, go, gg = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    sig = slice(0, 3 * hidden)
-    h = c = np.zeros((n, hidden), dtype=gates.dtype)
-    for t in steps:
-        z = gates[:, t]
-        z += h @ U
-        s, g = z[:, sig], z[:, gg]
+
+    def steps(a, k, reverse):
+        # direction k of step-major `a`, (T, D * N, ...), as an N x T x ...
+        # view in time order
+        a = a[::-1, k * n:(k + 1) * n] if reverse else a[:, k * n:(k + 1) * n]
+        return a.swapaxes(0, 1)
+
+    # pre-activations, overwritten step by step with the activations: step
+    # i is gates[i], the four gate blocks of all D * N rows, each contiguous
+    dtype = np.result_type(x2d, *(p.W.data for p in params))
+    gates = np.empty((t_len, 4, rows, hidden), dtype)
+    for k, (p, reverse) in enumerate(directions):
+        np.add((x2d @ p.W.data).reshape(n, t_len, 4, hidden), p.b.data.reshape(4, hidden),
+               out=steps(gates.swapaxes(1, 2), k, reverse))
+    U = np.stack([p.U.data for p in params])
+    cells = np.empty((t_len, rows, hidden), dtype)
+    hs = np.empty_like(cells)
+    h = c = np.zeros((rows, hidden), dtype)
+    for i in range(t_len):
+        z = gates[i]
+        # the recurrent term of every direction in one stacked matmul
+        z += np.matmul(h.reshape(n_dir, n, hidden), U).reshape(rows, 4, hidden).swapaxes(0, 1)
+        # the gates in LSTM_GATES order; the first three are sigmoid gates
+        s, zi, zf, zo, g = z[:3], z[0], z[1], z[2], z[3]
         # in place, in the order of 1 / (1 + exp(-z))
         np.negative(s, out=s)
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
         np.tanh(g, out=g)
-        c = z[:, gf] * c
-        c += z[:, gi] * g
-        h = np.tanh(c)
-        h *= z[:, go]
-        cells[:, t] = c
-        out[:, t] = h
+        c = np.multiply(zf, c, out=cells[i])
+        c += zi * g
+        h = np.tanh(c, out=hs[i])
+        h *= zo
+    out = np.empty((n, t_len, n_dir * hidden), dtype)
+    for k, (_, reverse) in enumerate(directions):
+        out[:, :, k * hidden:(k + 1) * hidden] = steps(hs, k, reverse)
 
-    need_seq, need_u = seq.requires_grad, params.U.requires_grad
-    # only the gradient of W reads the input
-    x2d = x2d if params.W.requires_grad else None
+    need_seq = seq.requires_grad
+    # only the gradients of W read the input
+    x2d = x2d if any(p.W.requires_grad for p in params) else None
 
-    def bw(grad):
-        # dh_t = grad_t + dz_(t+1) U^T and dc_t = dh_t o_t (1 - tanh^2 c_t)
-        # + dc_(t+1) f_(t+1), with t+1 the step that reads step t's state
-        dz = np.empty_like(gates)
+    def gate_grads(grad):
+        # dh_i = grad_i + dz_(i+1) U^T and dc_i = dh_i o_i (1 - tanh^2 c_i)
+        # + dc_(i+1) f_(i+1), with step i+1 the one that reads step i's state
+        grads = np.empty((t_len, rows, hidden), dtype)
+        for k, (_, reverse) in enumerate(directions):
+            steps(grads, k, reverse)[...] = grad[:, :, k * hidden:(k + 1) * hidden]
+        # gate pre-activation gradients with the gates side by side, as the
+        # matmuls read them, and a gate-major view of each step
+        dz = np.empty((t_len, rows, 4 * hidden), dtype)
+        UT = U.swapaxes(1, 2)
         dh_next = dc_next = None
-        for t in reversed(steps):
-            first = t == steps[0]
-            z = gates[:, t]
-            s, g = z[:, sig], z[:, gg]
-            tc = np.tanh(cells[:, t])
-            dh = grad[:, t] if dh_next is None else grad[:, t] + dh_next
-            dc = dh * z[:, go] * (1.0 - tc * tc)
+        for i in reversed(range(t_len)):
+            z = gates[i]
+            s, zi, zf, zo, g = z[:3], z[0], z[1], z[2], z[3]
+            tc = np.tanh(cells[i])
+            dh = grads[i] if dh_next is None else grads[i] + dh_next
+            dc = dh * zo * (1.0 - tc * tc)
             if dc_next is not None:
                 dc += dc_next
-            dzt = np.empty((n, 4 * hidden), dtype=gates.dtype)
-            dzt[:, gi] = dc * g
-            dzt[:, gf] = 0.0 if first else dc * cells[:, t - step]
-            dzt[:, go] = dh * tc
-            dzt[:, sig] *= s
-            dzt[:, sig] *= 1.0 - s
-            dzt[:, gg] = dc * z[:, gi] * (1.0 - g * g)
-            dz[:, t] = dzt
-            if not first:
-                dc_next = dc * z[:, gf]
-                dh_next = dzt @ U.T
-        dz2d = dz.reshape(n * t_len, 4 * hidden)
-        dseq = dW = dU = None
-        if need_seq:
-            dseq = (dz2d @ W.T).reshape(n, t_len, d)
-        if x2d is not None:
-            dW = x2d.T @ dz2d
-        if need_u:
-            # the hidden state each step read, zero at the first
-            h_prev = np.zeros_like(out)
-            if reverse:
-                h_prev[:, :-1] = out[:, 1:]
-            else:
-                h_prev[:, 1:] = out[:, :-1]
-            dU = h_prev.reshape(n * t_len, hidden).T @ dz2d
-        return dseq, dW, dU, dz2d.sum(axis=0)
+            dzt = dz[i].reshape(rows, 4, hidden).swapaxes(0, 1)
+            dzt[0] = dc * g
+            dzt[1] = dc * cells[i - 1] if i else 0.0
+            dzt[2] = dh * tc
+            dzt[:3] *= s
+            dzt[:3] *= 1.0 - s
+            dzt[3] = dc * zi * (1.0 - g * g)
+            if i:
+                dc_next = dc * zf
+                dh_next = np.matmul(dz[i].reshape(n_dir, n, 4 * hidden), UT).reshape(rows, hidden)
+        return dz
 
-    return custom_op(out, (seq, params.W, params.U, params.b), bw)
+    def bw(grad):
+        dz = gate_grads(grad)
+        dz_rows, per_dir = [], []
+        for k, (p, reverse) in enumerate(directions):
+            # direction k's gradients as N * T rows in time order
+            dz2d = np.ascontiguousarray(steps(dz, k, reverse)).reshape(n * t_len, 4 * hidden)
+            dW = x2d.T @ dz2d if p.W.requires_grad else None
+            dU = None
+            if p.U.requires_grad:
+                # the hidden state each step read, zero at the first
+                h_out = out[:, :, k * hidden:(k + 1) * hidden]
+                h_prev = np.zeros((n, t_len, hidden), dtype)
+                if reverse:
+                    h_prev[:, :-1] = h_out[:, 1:]
+                else:
+                    h_prev[:, 1:] = h_out[:, :-1]
+                dU = h_prev.reshape(n * t_len, hidden).T @ dz2d
+            per_dir += [dW, dU, dz2d.sum(axis=0)]
+            dz_rows.append(dz2d)
+        # the input gradient last, once dz is freed: its N * T x d terms are
+        # the largest arrays of the backward
+        del dz
+        dseq = None
+        if need_seq:
+            dseq = dz_rows[0] @ params[0].W.data.T
+            for p, dz2d in zip(params[1:], dz_rows[1:]):
+                dseq += dz2d @ p.W.data.T
+            dseq = dseq.reshape(n, t_len, d)
+        return (dseq, *per_dir)
+
+    parents = (seq,) + tuple(t for p in params for t in (p.W, p.U, p.b))
+    return custom_op(out, parents, bw)
+
+
+def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
+    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden."""
+    return lstm_scan(seq, ((params, reverse),))
 
 
 def bilstm_sequence(seq: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Concatenate forward and backward passes per timestep: N x T x 2*hidden."""
-    return concat(
-        [lstm_sequence(seq, fwd), lstm_sequence(seq, bwd, reverse=True)], axis=2
-    )
+    """Forward and backward LSTMs side by side per timestep: N x T x 2*hidden."""
+    return lstm_scan(seq, ((fwd, False), (bwd, True)))
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:

@@ -203,17 +203,29 @@ def make_model(config: ModelConfig, draw) -> Model:
 def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
     cfg = model.config
     for i, _ in enumerate(cfg.resolved_channels()):
-        x = conv2d(x, model.params[f"conv{i}_kernel"])
-        x = batch_norm(
-            x,
-            model.params[f"conv{i}_gamma"],
-            model.params[f"conv{i}_beta"],
-            model.bn_stats[f"conv{i}_bn"],
-            model.mode,
-        )
+        kernel, gamma, beta, stats = (
+            model.params[f"conv{i}_kernel"], model.params[f"conv{i}_gamma"],
+            model.params[f"conv{i}_beta"], model.bn_stats[f"conv{i}_bn"])
+        # one layer per statement, so that each input is freed once read
+        if model.mode == "train":
+            # the batch statistics need the unpooled values
+            x = conv2d(x, kernel)
+            x = batch_norm(x, gamma, beta, stats, "train")
+            x = max_pool(x)
+        else:
+            # with running statistics batch norm is a per-channel affine map
+            # whose rounded steps are monotone for gamma >= 0, so max commutes
+            # with it bit for bit and it runs on a quarter of the elements; a
+            # channel with gamma < 0 is negated in the kernel, gamma and mean,
+            # which leaves every rounded step exact
+            flip = np.where(gamma.data < 0, -1, 1).astype(gamma.data.dtype)
+            x = conv2d(x, Tensor(kernel.data * flip[:, None, None, None]))
+            x = max_pool(x)
+            x = batch_norm(x, Tensor(gamma.data * flip), beta,
+                           BnStats(stats.mean * flip, stats.var), "infer")
         # max commutes with the monotone ReLU: pooling first gives the same
         # values and gradient, with the ReLU on a quarter of the elements
-        x = max_pool(x).relu()
+        x = x.relu()
         x = dropout(x, cfg.dropout_rate, model.mode, rng)
     return x
 

@@ -252,6 +252,14 @@ class TestSynthDataset:
         with pytest.raises(DatasetError, match=f"clips_per_class must be at least 1, got {clips}"):
             SynthSpec(2, clips, 4000, (500.0, 900.0))
 
+    @pytest.mark.parametrize("amplitude", [-0.5, -1e-9])
+    def test_negative_noise_refused(self, amplitude):
+        # synth_dataset adds noise only above 0: a negative amplitude would
+        # give clean tones without a word
+        message = f"noise_amplitude must be at least 0, got {amplitude}"
+        with pytest.raises(DatasetError, match=message):
+            SynthSpec(2, 1, 4000, (500.0, 900.0), noise_amplitude=amplitude)
+
     def test_nan_frequency_refused(self):
         with pytest.raises(DatasetError, match="below Nyquist"):
             SynthSpec(2, 1, 4000, (float("nan"), 900.0))

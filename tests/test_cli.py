@@ -212,6 +212,9 @@ class TestSynth:
          "bad.spec: sample_rate must be 1 to 384000 Hz, got 400000"),
         (b"n_classes = 2\nclips_per_class = 0\nsample_rate = 4000\n"
          b"class_frequencies = 400, 800\n", "bad.spec: clips_per_class must be at least 1, got 0"),
+        (b"n_classes = 2\nclips_per_class = 1\nsample_rate = 4000\n"
+         b"class_frequencies = 400, 800\nnoise_amplitude = -0.5\n",
+         "bad.spec: noise_amplitude must be at least 0, got -0.5"),
     ])
     def test_bad_spec_line(self, tmp_path, capsys, body, message):
         spec = tmp_path / "bad.spec"
@@ -285,6 +288,22 @@ class TestFeaturize:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: frame_len must be at least 2, got 1"
+        ]
+
+
+    def test_negative_fmin_refused(self, synth_dir, tmp_path, capsys):
+        # a negative fmin once gave numpy warnings and then an error about
+        # collapsed mel centres that named neither fmin nor the cause
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([
+                "featurize", str(wav), "--set", "sample_rate=4000",
+                "--set", "fmin=-5000", "--set", "fmax=1900",
+            ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fmin must be at least 0, got -5000.0"
         ]
 
 

@@ -20,6 +20,14 @@ class TestConfig:
         with pytest.raises(DspError, match=f"frame_len must be at least 2, got {frame_len}"):
             dsp.DspConfig(frame_len=frame_len, hop_len=1)
 
+    @pytest.mark.parametrize("fmin", [-5000.0, -1e-9])
+    def test_negative_fmin_rejected(self, fmin):
+        with pytest.raises(DspError, match=f"fmin must be at least 0, got {fmin}"):
+            dsp.DspConfig(fmin=fmin)
+
+    def test_zero_fmin_accepted(self):
+        assert dsp.DspConfig(fmin=0.0).fmin == 0.0
+
     @pytest.mark.parametrize("n_mfcc", [0, -3])
     def test_n_mfcc_below_one_rejected(self, n_mfcc):
         # dct_ii would slice a negative n_mfcc from the end of its basis

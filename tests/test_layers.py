@@ -547,8 +547,37 @@ class TestBilstm:
         fwd, bwd = _lstm_params(rng, 4, 3), _lstm_params(rng, 4, 3)
         seq = Tensor(rng.normal(size=(2, 1, 4)))
         out = bilstm_sequence(seq, fwd, bwd)
-        assert np.allclose(out.data[:, :, :3], lstm_sequence(seq, fwd).data)
-        assert np.allclose(out.data[:, :, 3:], lstm_sequence(seq, bwd).data)
+        assert np.array_equal(out.data[:, :, :3], lstm_sequence(seq, fwd).data)
+        assert np.array_equal(out.data[:, :, 3:], lstm_sequence(seq, bwd).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 2), (1, 7, 4, 3), (8, 12, 5, 4),
+                                       (32, 6, 3, 2)])
+    def test_matches_two_directions(self, shape, dtype):
+        # the fused scan over both directions runs the float operations of
+        # one lstm_sequence per direction, forward and backward
+        n, t_len, d, hidden = shape
+
+        def run(fn):
+            rng = np.random.default_rng(17 + sum(shape))
+            fwd = _lstm_params(rng, d, hidden, scale=2.0)
+            bwd = _lstm_params(rng, d, hidden, scale=2.0)
+            seq = Tensor(rng.normal(size=(n, t_len, d)), requires_grad=True)
+            leaves = [seq] + _lstm_leaves(fwd) + _lstm_leaves(bwd)
+            for leaf in leaves:
+                leaf.data = leaf.data.astype(dtype)
+            out = fn(seq, fwd, bwd)
+            upstream = rng.normal(size=out.shape).astype(dtype)
+            backward((out * Tensor(upstream)).sum())
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        got = run(bilstm_sequence)
+        want = run(lambda seq, fwd, bwd: concat(
+            [lstm_sequence(seq, fwd), lstm_sequence(seq, bwd, reverse=True)], axis=2))
+        assert len(got) == 8
+        for name, g, w in zip(("out", "dx", "fW", "fU", "fb", "bW", "bU", "bb"), got, want):
+            assert g.dtype == np.dtype(dtype), name
+            assert np.array_equal(g, w), name
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(16)

@@ -7,8 +7,9 @@ import pytest
 from kwspot import autodiff, models
 from kwspot.autodiff import backward
 from kwspot.errors import ConfigError, ShapeError
+from kwspot.layers import batch_norm, conv2d, dropout, max_pool
 from kwspot.models import (
-    ARCHITECTURES, Model, ModelConfig, build_model, model_forward, predict,
+    ARCHITECTURES, DTYPES, Model, ModelConfig, build_model, model_forward, predict,
 )
 from kwspot.training import TrainConfig, init_adam, train_epoch
 
@@ -145,9 +146,11 @@ class TestForward:
         backward(model_forward(model, x).sum())
         assert all(p.grad is not None for p in model.params.values())
 
-    def test_layer_call_sites(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_layer_call_sites(self, monkeypatch, mode):
         # the per-site layer metrics of perfbench wrap these module
-        # attributes and probe each call site of one forward
+        # attributes and probe each call site of one forward, in train mode
+        # (train) and infer mode (spot, eval)
         calls = dict.fromkeys((
             "conv2d", "batch_norm", "max_pool", "dropout", "bilstm_sequence",
             "attention", "dense",
@@ -162,11 +165,50 @@ class TestForward:
         for name in calls:
             monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
         model = build_model(_small_config("multilayer_attention", conv_channels=(3, 4)))
+        model.set_mode(mode)
         model_forward(model, np.zeros((1, 16, 12)))
         assert calls == {
             "conv2d": 2, "batch_norm": 2, "max_pool": 2, "dropout": 2,
             "bilstm_sequence": 2, "attention": 3, "dense": 2,
         }
+
+
+def _composed_conv_blocks(model, x, rng):
+    # the train-mode block order, conv2d -> batch_norm -> max_pool -> relu
+    # -> dropout, on the running statistics
+    for i, _ in enumerate(model.config.resolved_channels()):
+        x = conv2d(x, model.params[f"conv{i}_kernel"])
+        x = batch_norm(x, model.params[f"conv{i}_gamma"], model.params[f"conv{i}_beta"],
+                       model.bn_stats[f"conv{i}_bn"], model.mode)
+        x = dropout(max_pool(x).relu(), model.config.dropout_rate, model.mode, rng)
+    return x
+
+
+class TestInferBlocks:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_pool_first_matches_composed(self, monkeypatch, arch, dtype):
+        # infer mode pools before batch norm; with gammas of every sign,
+        # signed zeros among them, the logits must not move by one bit
+        model = build_model(_small_config(arch, conv_channels=(6, 6), dtype=dtype,
+                                          dropout_rate=0.25, input_shape=(20, 12)))
+        rng = np.random.default_rng(31)
+        for i in range(2):
+            gamma = rng.normal(size=6)
+            gamma[:2] = (0.0, -0.0)
+            model.params[f"conv{i}_gamma"].data[...] = gamma
+            model.params[f"conv{i}_beta"].data[...] = rng.normal(size=6)
+            stats = model.bn_stats[f"conv{i}_bn"]
+            stats.mean[...] = rng.normal(size=6)
+            stats.var[...] = 0.1 + rng.random(6)
+        assert (model.params["conv0_gamma"].data < 0).any()
+        model.set_mode("infer")
+        x = rng.normal(size=(3, 20, 12))
+        got = model_forward(model, x).data
+        monkeypatch.setattr(models, "_conv_blocks", _composed_conv_blocks)
+        want = model_forward(model, x).data
+        assert got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
 
 
 class TestDtype:
