@@ -15,6 +15,11 @@ from .errors import DatasetError, FormatError, SplitError, UnsupportedError
 
 MAX_SAMPLE_RATE = 384_000  # Hz, the highest rate in common PCM use
 
+WAVE_FORMAT_PCM, WAVE_FORMAT_EXTENSIBLE = 0x0001, 0xFFFE
+# the SubFormat GUID of integer PCM in a WAVE_FORMAT_EXTENSIBLE fmt chunk
+# (KSDATAFORMAT_SUBTYPE_PCM), in the byte order of the file
+PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -76,7 +81,9 @@ def _pad_or_trim(samples: np.ndarray, target: int) -> np.ndarray:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a PCM-16 mono WAV as a 1-second clip (end-padded or truncated)."""
+    """Read a PCM-16 mono WAV as a 1-second clip (end-padded or truncated).
+    The fmt chunk's format is PCM, or WAVE_FORMAT_EXTENSIBLE with the PCM
+    SubFormat GUID."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
@@ -90,7 +97,7 @@ def read_wav(path) -> AudioClip:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise FormatError(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = body
         elif chunk_id == b"data":
             if len(body) < chunk_len:
                 raise FormatError(
@@ -101,8 +108,19 @@ def read_wav(path) -> AudioClip:
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or data is None:
         raise FormatError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
+    audio_format, channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if audio_format == WAVE_FORMAT_EXTENSIBLE:
+        # the format proper is the SubFormat GUID at bytes 24-40 of the chunk
+        if len(fmt) < 40:
+            raise FormatError(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes, "
+                f"expected at least 40"
+            )
+        if fmt[24:40] != PCM_SUBFORMAT:
+            raise UnsupportedError(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE with non-PCM subformat {fmt[24:40].hex()}"
+            )
+    elif audio_format != WAVE_FORMAT_PCM:
         raise UnsupportedError(f"{path}: non-PCM audio format {audio_format}")
     if channels != 1:
         raise UnsupportedError(f"{path}: {channels} channels, expected mono")

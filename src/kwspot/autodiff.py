@@ -154,7 +154,9 @@ class Tensor:
 
         def bw(g):
             full = np.zeros(src_shape, dtype)
-            full[key] += g
+            # unbuffered: an index repeated by advanced indexing adds once
+            # per occurrence
+            np.add.at(full, key, g)
             return (full,)
 
         return _node(self.data[key], (self,), bw)

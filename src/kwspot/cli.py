@@ -73,17 +73,22 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    values = read_key_values(read_text(args.spec, ConfigError), SYNTH_KEYS, args.spec)
+def read_synth_spec(path) -> tuple:
+    """(SynthSpec, seed) of a synth spec file; a missing required key or a
+    bad value raises ConfigError naming the file."""
+    values = read_key_values(read_text(path, ConfigError), SYNTH_KEYS, path)
     missing = sorted(SYNTH_KEYS.keys() - values.keys())
     if missing:
-        raise ConfigError(f"{args.spec}: missing synth keys {missing}")
+        raise ConfigError(f"{path}: missing synth keys {missing}")
     seed = values.pop("seed")
     try:
-        spec = audio_io.SynthSpec(**values)
+        return audio_io.SynthSpec(**values), seed
     except DatasetError as exc:
-        raise ConfigError(f"{args.spec}: {exc}") from None
-    index = audio_io.synth_dataset(spec, seed)
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _cmd_synth(args) -> int:
+    index = audio_io.synth_dataset(*read_synth_spec(args.spec))
     out = Path(args.out)
     counters: dict[str, int] = {}
     for clip, label in index.entries:

@@ -1,23 +1,27 @@
 """Neural building blocks on top of the autodiff engine.
 
 Convolution (one GEMM per sample on that sample's im2col, in the forward
-and in both gradients), 2x2 max pooling (four strided views; the backward
-reads a uint8 code of the window position that won), batch normalization
-(the closed-form backward) and the LSTM scan (every direction of a
-sequence in one time loop, with closed-form BPTT) are custom primitives
-with hand-written backward passes; everything else is composed from the
-engine's elementwise and matmul primitives. Each backward closure captures
-only the arrays it reads, never a Tensor, so a conv output dies once batch
-norm has read it and a batch-norm output once the pool has. The models
-pool before the ReLU: max commutes with a monotone map, so max_pool then
-relu gives the values and gradients of relu then max_pool, with the ReLU
-on a quarter of the elements. In infer mode they also pool before batch
-norm, which with running statistics is a per-channel affine map, so that
-it too runs on a quarter of the elements and gives the same bits.
+and in both gradients; the input gradient's col2im runs over rows padded
+to the padded input's width, one flat add per kernel offset), 2x2 max
+pooling (four strided views; the backward reads a uint8 code of the window
+position that won), batch normalization (the closed-form backward) and the
+LSTM scan (every direction of a sequence in one time loop, with
+closed-form BPTT) are custom primitives with hand-written backward passes;
+dropout draws its mask from raw 32-bit integers; everything else is
+composed from the engine's elementwise and matmul primitives. Each
+backward closure captures only the arrays it reads, never a Tensor, so a
+conv output dies once batch norm has read it and a batch-norm output once
+the pool has. The models pool before the ReLU: max commutes with a
+monotone map, so max_pool then relu gives the values and gradients of relu
+then max_pool, with the ReLU on a quarter of the elements. In infer mode
+they also pool before batch norm, which with running statistics is a
+per-channel affine map, so that it too runs on a quarter of the elements
+and gives the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +85,35 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
         g = g.reshape(n, oc, h * w)
         gx = gk = None
         if windows is not None:
-            gk = sum(g[s] @ windows[s].reshape(c * kh * kw, h * w).T for s in range(n))
-            gk = gk.reshape(oc, c, kh, kw)
+            # (sum_s cols_s @ g[s]^T)^T: OpenBLAS runs this orientation of
+            # the GEMM faster than g[s] @ cols_s^T at the models' second conv
+            # by more than it loses at the first
+            gk = windows[0].reshape(c * kh * kw, h * w) @ g[0].T
+            term = np.empty_like(gk)
+            for s in range(1, n):
+                gk += np.matmul(windows[s].reshape(c * kh * kw, h * w), g[s].T, out=term)
+            gk = gk.T.reshape(oc, c, kh, kw)
         if need_x:
-            # each sample's k2d^T @ g[s] holds kh * kw shifted blocks of its
-            # padded input gradient
-            gxp = np.zeros((n, c, h + kh - 1, w + kw - 1), dtype)
+            # g[s] padded to the padded input's width wp: row y of kernel
+            # offset (i, j) then lands at flat offset (y + i) * wp + j of the
+            # padded input gradient, so each offset is one flat add of h * wp
+            # values; the zero columns add zeros, one spare row takes the
+            # overrun of the last offset. The kernel rows are ordered
+            # (i, j, c), so that each offset's block is contiguous; each
+            # value is the same dot product over oc as in k2d^T @ g[s]
+            hp, wp = h + kh - 1, w + kw - 1
+            k_ijc = k2d.reshape(oc, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, oc)
+            gpad = np.zeros((oc, h, wp), dtype)
+            blocks = np.empty((kh, kw, c, h * wp), dtype)
+            gxp = np.zeros((n, c, (hp + 1) * wp), dtype)
             for s in range(n):
-                blocks = (k2d.T @ g[s]).reshape(c, kh, kw, h, w)
+                gpad[:, :, :w] = g[s].reshape(oc, h, w)
+                np.matmul(k_ijc, gpad.reshape(oc, h * wp), out=blocks.reshape(-1, h * wp))
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[s, :, i:i + h, j:j + w] += blocks[:, i, j]
-            gx = gxp[:, :, pt:pt + h, pl:pl + w]
+                        o = i * wp + j
+                        gxp[s, :, o:o + h * wp] += blocks[i, j]
+            gx = gxp.reshape(n, c, hp + 1, wp)[:, :, pt:pt + h, pl:pl + w]
         return gx, gk
 
     return custom_op(out.reshape(n, oc, h, w), (x, kernels), bw)
@@ -199,7 +220,12 @@ def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
         return x
     if rng is None:
         raise ConfigError("dropout in train mode needs a seeded rng")
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    # each raw 64-bit draw gives two uint32 values; one is kept when it is at
+    # least ceil(rate * 2**32), with probability 1 - ceil(rate * 2**32) / 2**32
+    bits = rng.bit_generator.random_raw((x.size + 1) // 2).view(np.uint32)[:x.size]
+    keep = bits.reshape(x.shape) >= math.ceil(rate * 2.0 ** 32)
+    mask = keep.astype(x.data.dtype)
+    mask /= 1.0 - rate
     return x * Tensor(mask)
 
 

@@ -102,18 +102,29 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 def adam_step(params: dict, state: AdamState, lr: float):
-    """One Adam update in place; missing gradients are treated as zero."""
+    """One Adam update in place, of the parameters and of the moments;
+    missing gradients are treated as zero."""
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else 0.0
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), each operation in
+        # this order
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        step = m / bias1
+        step *= lr
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:

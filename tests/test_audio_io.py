@@ -4,18 +4,31 @@ import numpy as np
 import pytest
 
 from kwspot import audio_io, dsp
-from kwspot.audio_io import AudioClip, SynthSpec
+from kwspot.audio_io import PCM_SUBFORMAT, AudioClip, SynthSpec
 from kwspot.errors import DatasetError, FormatError, SplitError, UnsupportedError
+
+# KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, in the byte order of the file
+FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def extensible_fmt(sample_rate, channels=1, bits=16, subformat=PCM_SUBFORMAT):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk with its chunk header:
+    the PCM fields, cbSize 22, valid bits, channel mask and SubFormat."""
+    return b"fmt " + struct.pack(
+        "<IHHIIHHHHI", 40, 0xFFFE, channels, sample_rate,
+        sample_rate * channels * bits // 8, channels * bits // 8, bits, 22, bits, 0x4,
+    ) + subformat
 
 
 def _write_pcm(path, pcm: np.ndarray, sample_rate=16000, channels=1, bits=16,
-               audio_format=1):
+               audio_format=1, fmt=None):
     body = pcm.astype("<i2").tobytes()
-    blob = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    blob += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, audio_format, channels, sample_rate,
-        sample_rate * channels * bits // 8, channels * bits // 8, bits,
-    )
+    if fmt is None:
+        fmt = b"fmt " + struct.pack(
+            "<IHHIIHH", 16, audio_format, channels, sample_rate,
+            sample_rate * channels * bits // 8, channels * bits // 8, bits,
+        )
+    blob = b"RIFF" + struct.pack("<I", 4 + len(fmt) + 8 + len(body)) + b"WAVE" + fmt
     blob += b"data" + struct.pack("<I", len(body)) + body
     path.write_bytes(blob)
 
@@ -70,6 +83,29 @@ class TestReadWav:
         p = tmp_path / "f32.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), audio_format=3)
         with pytest.raises(UnsupportedError):
+            audio_io.read_wav(p)
+
+    def test_extensible_pcm_reads_as_pcm(self, tmp_path):
+        pcm = (np.arange(16000) % 2000 - 1000).astype(np.int16)
+        _write_pcm(tmp_path / "plain.wav", pcm)
+        _write_pcm(tmp_path / "ext.wav", pcm, fmt=extensible_fmt(16000))
+        plain, ext = (audio_io.read_wav(tmp_path / f) for f in ("plain.wav", "ext.wav"))
+        assert ext.sample_rate == plain.sample_rate == 16000
+        assert np.array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("fmt, error, message", [
+        (extensible_fmt(16000, subformat=FLOAT_SUBFORMAT), UnsupportedError,
+         "ext.wav: WAVE_FORMAT_EXTENSIBLE with non-PCM subformat 03000000"),
+        (extensible_fmt(16000, channels=2), UnsupportedError, "ext.wav: 2 channels"),
+        (extensible_fmt(16000, bits=24), UnsupportedError, "ext.wav: 24 bits/sample"),
+        # the 16 PCM bytes of a fmt chunk that declares WAVE_FORMAT_EXTENSIBLE
+        (b"fmt " + struct.pack("<IHHIIHH", 16, 0xFFFE, 1, 16000, 32000, 2, 16),
+         FormatError, "ext.wav: WAVE_FORMAT_EXTENSIBLE fmt chunk of 16 bytes"),
+    ], ids=["float", "stereo", "24-bit", "short-fmt"])
+    def test_extensible_refused(self, tmp_path, fmt, error, message):
+        p = tmp_path / "ext.wav"
+        _write_pcm(p, np.zeros(100, dtype=np.int16), fmt=fmt)
+        with pytest.raises(error, match=message):
             audio_io.read_wav(p)
 
     def test_stereo_rejected(self, tmp_path):

@@ -55,6 +55,19 @@ class TestBackward:
         backward((x * x).sum())
         assert np.allclose(x.grad, 2 * x.data)
 
+    @pytest.mark.parametrize("key, want", [
+        (np.array([0, 0, 2]), [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]),
+        ((np.array([1, 1, 1]), np.array([0, 1, 0])), [[0.0, 0.0], [2.0, 1.0], [0.0, 0.0]]),
+        ((slice(None), 1), [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        (np.array([True, False, True]), [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
+    ], ids=["repeated-rows", "repeated-pairs", "slice", "mask"])
+    def test_getitem_gradient_counts_repeats(self, key, want):
+        # an index repeated by advanced indexing adds its gradient once per
+        # occurrence
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        backward(x[key].sum())
+        assert np.array_equal(x.grad, want)
+
     def test_non_scalar_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(UsageError):

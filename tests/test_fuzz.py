@@ -1,6 +1,8 @@
 """Mutation fuzz of files kwspot reads: the `key = value` metadata block and
-the array section of a sealed checkpoint, a config file and a WAV clip. Every mutated input
-either loads or raises a KwspotError subclass. Runs are derandomized, so a
+the array section of a sealed checkpoint, a config file, a synth spec, a
+metrics CSV, a report CSV and a WAV clip (plain PCM and
+WAVE_FORMAT_EXTENSIBLE). Every mutated input either loads or raises a
+KwspotError subclass. Runs are derandomized, so a
 failure reproduces on every run; each shrunk failure is kept as a plain
 test."""
 
@@ -11,16 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kwspot.audio_io import AudioClip, read_wav, write_wav
-from kwspot.cli import parse_config
+from kwspot.audio_io import AudioClip, SynthSpec, read_wav, write_wav
+from kwspot.cli import parse_config, read_synth_spec
 from kwspot.dsp import DspConfig
 from kwspot.errors import CheckpointError, KwspotError
+from kwspot.eval import confusion_matrix, emit_report, parse_report_csv
 from kwspot.keyvalue import from_config
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
-from kwspot.training import TrainConfig, load_checkpoint, save_checkpoint
+from kwspot.training import (
+    EpochRecord, TrainConfig, TrainHistory, load_checkpoint, read_metrics_csv,
+    save_checkpoint, write_metrics_csv,
+)
 
 from conftest import write_sealed_checkpoint
-from test_cli import SMALL_CONFIG
+from test_audio_io import extensible_fmt
+from test_cli import SMALL_CONFIG, SYNTH_SPEC
 
 FUZZ = settings(
     derandomize=True, database=None, max_examples=150, deadline=None,
@@ -159,11 +166,69 @@ def test_config_file_mutations(tmp_path, edit_list):
         return
 
 
-# the chunk ids and little-endian fields of a RIFF/WAVE header
+@FUZZ
+@given(edit_list=edits)
+def test_synth_spec_mutations(tmp_path, edit_list):
+    path = tmp_path / "fuzz.spec"
+    path.write_bytes(mutate(SYNTH_SPEC.encode(), edit_list))
+    try:
+        spec, seed = read_synth_spec(path)
+    except KwspotError as exc:
+        assert "fuzz.spec" in str(exc)
+        return
+    assert isinstance(spec, SynthSpec) and isinstance(seed, int)
+
+
+# the separators and number forms of the two CSV formats
+CSV_TOKENS = [b",", b"\n", b"\r", b" ", b"-", b"0", b".", b"9", b"1e999", b"nan", b"inf",
+              b"\xff", b"\x00", b"__overall__", b"label,accuracy,n", b"epoch", b"yes"]
+
+csv_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, 300),
+        st.sampled_from(CSV_TOKENS) | st.text("0123456789-+.e,\n", min_size=1,
+                                              max_size=3).map(str.encode),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def csv_bytes(tmp_path_factory):
+    """A two-epoch metrics CSV and a three-label report CSV."""
+    root = tmp_path_factory.mktemp("csv")
+    history = TrainHistory(records=[EpochRecord(1, 1.2, 0.4, 1.3, 0.35, 1e-3, 0.5),
+                                    EpochRecord(2, 0.9, 0.6, 1.0, 0.55, 9e-4, 0.5)])
+    write_metrics_csv(history, root / "metrics.csv")
+    cm = confusion_matrix(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]), 3, ["a", "b", "c"])
+    emit_report(cm, root / "report.csv")
+    return (root / "metrics.csv").read_bytes(), (root / "report.csv").read_bytes()
+
+
+@FUZZ
+@given(which=st.integers(0, 1), edit_list=csv_edits)
+def test_csv_mutations(tmp_path, csv_bytes, which, edit_list):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(mutate(csv_bytes[which], edit_list))
+    try:
+        if which == 0:
+            assert all(isinstance(r, EpochRecord) for r in read_metrics_csv(path))
+        else:
+            per_keyword, overall, n_samples = parse_report_csv(path)
+            assert isinstance(overall, float) and isinstance(n_samples, int)
+    except KwspotError as exc:
+        assert "fuzz.csv" in str(exc)
+
+
+# the chunk ids and little-endian fields of a RIFF/WAVE header, and pieces
+# of WAVE_FORMAT_EXTENSIBLE's tag and SubFormat GUID
 WAV_TOKENS = [b"RIFF", b"WAVE", b"fmt ", b"data", b"LIST", b"\x00", b"\x01", b"\x02",
               b"\x10", b"\xff", b"\x00\x00\x00\x00", b"\x01\x00\x00\x00",
               b"\xff\xff\xff\xff", b"\xfe\xff\xff\x7f", b"\x01\x00\x01\x00",
-              b"\x03\x00", b"\x08\x00", b"\x20\x00", b"\x40\x1f\x00\x00"]
+              b"\x03\x00", b"\x08\x00", b"\x20\x00", b"\x40\x1f\x00\x00",
+              b"\xfe\xff", b"\x16\x00", b"\x28\x00\x00\x00", b"\x00\x00\x10\x00",
+              b"\x80\x00\x00\xaa\x00\x38\x9b\x71"]
 
 wav_edits = st.lists(
     st.tuples(
@@ -177,19 +242,25 @@ wav_edits = st.lists(
 
 @pytest.fixture(scope="module")
 def wav_bytes(tmp_path_factory):
-    """A short 8 kHz clip: 32 samples after the 44-byte header, so that
-    most edits land in the header."""
+    """A short 8 kHz clip: 32 samples after the header, so that most edits
+    land in the header; once with a plain PCM fmt chunk and once with a
+    WAVE_FORMAT_EXTENSIBLE one."""
     path = tmp_path_factory.mktemp("wav") / "clip.wav"
     samples = np.sin(np.arange(32) / 3.0) * 0.5
     write_wav(path, AudioClip(samples=samples, sample_rate=8000))
-    return path.read_bytes()
+    plain = path.read_bytes()
+    body = plain[44:]
+    fmt = extensible_fmt(8000)
+    extensible = (b"RIFF" + struct.pack("<I", 4 + len(fmt) + 8 + len(body)) + b"WAVE"
+                  + fmt + b"data" + struct.pack("<I", len(body)) + body)
+    return plain, extensible
 
 
 @FUZZ
-@given(edit_list=wav_edits)
-def test_wav_mutations(tmp_path, wav_bytes, edit_list):
+@given(which=st.integers(0, 1), edit_list=wav_edits)
+def test_wav_mutations(tmp_path, wav_bytes, which, edit_list):
     path = tmp_path / "fuzz.wav"
-    path.write_bytes(mutate(wav_bytes, edit_list))
+    path.write_bytes(mutate(wav_bytes[which], edit_list))
     try:
         clip = read_wav(path)
     except KwspotError as exc:

@@ -36,6 +36,23 @@ def _kernels(rng, oc, ic, kh, kw):
     return Tensor(rng.normal(size=(oc, ic, kh, kw)), requires_grad=True)
 
 
+def shift_add_input_grad(g, k):
+    """conv2d's input gradient in the NCHW shift-add form: each kernel
+    offset (i, j) of a sample's k2d^T @ g[s] added to an h x w window of the
+    padded input gradient, offsets in row-major order."""
+    n, oc, h, w = g.shape
+    _, c, kh, kw = k.shape
+    k2d = k.reshape(oc, c * kh * kw)
+    gxp = np.zeros((n, c, h + kh - 1, w + kw - 1), g.dtype)
+    for s in range(n):
+        blocks = (k2d.T @ g[s].reshape(oc, h * w)).reshape(c, kh, kw, h, w)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[s, :, i:i + h, j:j + w] += blocks[:, i, j]
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    return gxp[:, :, pt:pt + h, pl:pl + w]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -90,6 +107,23 @@ class TestConv2d:
         assert grad_check(
             lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
         ) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,kernel", [
+        ((3, 2, 7, 5, 4), (3, 3)), ((2, 3, 6, 8, 5), (3, 3)), ((2, 2, 5, 6, 3), (2, 3)),
+        ((2, 3, 8, 7, 2), (3, 2)), ((2, 1, 6, 6, 4), (1, 4)), ((1, 2, 1, 9, 3), (4, 1)),
+        ((2, 32, 49, 20, 64), (3, 3)),
+    ])
+    def test_input_gradient_matches_shift_add(self, shape, kernel, dtype):
+        # the width-padded col2im adds the same terms in the same order
+        n, c, h, w, oc = shape
+        rng = np.random.default_rng(h * 100 + w)
+        x = Tensor(rng.normal(size=(n, c, h, w)).astype(dtype), requires_grad=True)
+        k = Tensor(rng.normal(size=(oc, c) + kernel).astype(dtype))
+        g = rng.normal(size=(n, oc, h, w)).astype(dtype)
+        backward((conv2d(x, k) * Tensor(g)).sum())
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, shift_add_input_grad(g, k.data))
 
     def test_peak_memory(self):
         # the backward copies one shifted window of the padded input at a
@@ -393,6 +427,33 @@ class TestDropout:
         survivors = (out != 0).mean()
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keep_fraction_binomial(self, seed):
+        # rate 0.25 keeps a draw >= 2**30: probability 3/4 exactly; the
+        # count of 200001 draws (odd: half of the last raw draw unused) lies
+        # within 5 standard deviations of the binomial mean
+        n, p = 200_001, 0.75
+        out = dropout(Tensor(np.ones(n)), 0.25, "train", np.random.default_rng(seed)).data
+        kept = int((out != 0).sum())
+        assert abs(kept - n * p) < 5 * (n * p * (1 - p)) ** 0.5
+        assert set(np.unique(out)) == {0.0, 1.0 / 0.75}
+
+    def test_seeded_mask_float32(self):
+        # the same seed gives the same mask; a float32 input gets a float32
+        # mask, so its output and gradient stay float32
+        runs = []
+        for _ in range(2):
+            x = Tensor(np.ones((3, 5, 7), np.float32), requires_grad=True)
+            out = dropout(x, 0.3, "train", np.random.default_rng(11))
+            backward(out.sum())
+            assert out.data.dtype == x.grad.dtype == np.float32
+            runs.append((out.data, x.grad))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[0][0])
+        kept = runs[0][0] != 0
+        assert 0 < kept.sum() < kept.size
+        assert np.all(runs[0][0][kept] == np.float32(1.0) / np.float32(0.7))
 
 
 class TestDense:

@@ -13,7 +13,7 @@ from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
 from kwspot.training import (
-    AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
     cross_entropy_loss, evaluate_arrays, featurize_index, fit, init_adam,
     load_checkpoint, lr_schedule, read_metrics_csv, save_checkpoint,
     train_epoch, write_metrics_csv,
@@ -132,6 +132,37 @@ class TestAdam:
                 adam_step(params, state, 0.05)
             results.append(params["w"].data.copy())
         assert np.array_equal(results[0], results[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_update(self, dtype):
+        # the in-place update runs the operations of this out-of-place
+        # expression in the same order: three steps give the same bits
+        rng = np.random.default_rng(4)
+        shapes = {"w": (4, 6), "b": (6,)}
+        params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        state = init_adam(params)
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        for t in range(1, 4):
+            for k, s in shapes.items():
+                # no gradient for "b" at the second step
+                params[k].grad = None if (k, t) == ("b", 2) else rng.normal(size=s).astype(dtype)
+            adam_step(params, state, 0.01)
+            for k, p in params.items():
+                g = p.grad if p.grad is not None else 0.0
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                ref[k] -= 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+        for k, p in params.items():
+            assert p.data.dtype == state.m[k].dtype == dtype
+            assert np.array_equal(p.data, ref[k])
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
 
     def test_step_counter(self):
         params = self._params([0.0])
