@@ -107,12 +107,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _ensure(other, self)
-        negate = other.requires_grad
-        return _node(self.data - other.data, (self, other),
-                     lambda g: (g, -g if negate else None))
-
     def __mul__(self, other):
         other = _ensure(other, self)
         # each side's gradient reads the other side's value: save a value
@@ -204,10 +198,6 @@ class Tensor:
 
     # ---- nonlinearities ----------------------------------------------
 
-    def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return _node(out, (self,), lambda g: (g * out * (1.0 - out),))
-
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
         return _node(out, (self,), lambda g: (g * (1.0 - out * out),))
@@ -217,14 +207,6 @@ class Tensor:
         # the output is kept for it
         keep = self.data > 0.0 if self.requires_grad else None
         return _node(np.maximum(self.data, 0.0), (self,), lambda g: (g * keep,))
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return _node(out, (self,), lambda g: (g * out,))
-
-    def log(self) -> "Tensor":
-        x = self.data
-        return _node(np.log(x), (self,), lambda g: (g / x,))
 
     def softmax(self, axis: int = -1) -> "Tensor":
         # max subtraction keeps exp in range; the shift cancels exactly
@@ -264,13 +246,6 @@ def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
 def custom_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Record an externally implemented primitive (conv, pooling, ...)."""
     return _node(data, parents, backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def backward(loss: Tensor):

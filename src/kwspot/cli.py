@@ -161,13 +161,11 @@ def _cmd_report(args) -> int:
     records = training.read_metrics_csv(args.metrics)
     print(f"{'epoch':>5} {'train_loss':>11} {'train_acc':>10} "
           f"{'val_loss':>11} {'val_acc':>10} {'lr':>10}")
-    best_epoch, best_acc = 0, -1.0
     for r in records:
         print(f"{r.epoch:>5} {r.train_loss:>11.6f} {r.train_acc:>10.6f} "
               f"{r.val_loss:>11.6f} {r.val_acc:>10.6f} {r.lr:>10.8g}")
-        if r.val_acc > best_acc:
-            best_epoch, best_acc = r.epoch, r.val_acc
-    print(f"best epoch: {best_epoch} (val_acc {best_acc:.4f})")
+    best = max(records, key=lambda r: r.val_acc)  # the first of equal ones
+    print(f"best epoch: {best.epoch} (val_acc {best.val_acc:.4f})")
     return 0
 
 

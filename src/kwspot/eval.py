@@ -69,7 +69,10 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
     """The confusion matrix of the frozen model over every entry of a
     dataset index, run in chunks of EVAL_BATCH clips: each chunk is
     featurized and then forwarded as one batch, so at most EVAL_BATCH clips'
-    features are held at a time."""
+    features are held at a time. The result is a function of the index's
+    order and EVAL_BATCH: a batched matmul may sum in another order than a
+    batch of 1, so predict's logits for a clip may differ from these in
+    the last bits."""
     if len(index.label_set) > model.config.n_classes:
         raise DataError(
             f"dataset has {len(index.label_set)} labels but the model only "

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, dsp
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, custom_op
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
 from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, write_key_values
 from .models import Model, ModelConfig, make_model, model_forward
@@ -88,17 +88,29 @@ class TrainHistory:
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood via the log-sum-exp stable form."""
+    """Mean negative log-likelihood via the log-sum-exp stable form, as one
+    primitive whose backward is (softmax - onehot) / N. It runs the float
+    operations of a graph of exp, sum, log, sub and mean in that graph's
+    order, so the loss and its gradient have that graph's bits."""
     labels = np.asarray(labels)
-    n, c = logits.shape
+    x = logits.data
+    n, c = x.shape
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= c:
         raise DataError(f"labels outside [0, {c})")
-    row_max = logits.data.max(axis=1, keepdims=True)  # constant shift
-    lse = (logits - row_max).exp().sum(axis=1).log() + Tensor(row_max.reshape(-1))
-    onehot = np.zeros((n, c), dtype=logits.data.dtype)
-    onehot[np.arange(n), labels] = 1.0
-    picked = (logits * Tensor(onehot)).sum(axis=1)
-    return (lse - picked).mean()
+    rows = np.arange(n)
+    row_max = x.max(axis=1)  # constant shift
+    e = np.exp(x - row_max[:, None])
+    s = e.sum(axis=1)
+    inv_n = np.asarray(1.0 / n, dtype=x.dtype)
+    loss = ((np.log(s) + row_max) - x[rows, labels]).sum() * inv_n
+
+    def bw(g):
+        scale = g * inv_n
+        grad = e * (scale / s)[:, None]
+        grad[rows, labels] -= scale
+        return (grad,)
+
+    return custom_op(loss, (logits,), bw)
 
 
 def adam_step(params: dict, state: AdamState, lr: float):
@@ -220,19 +232,27 @@ def write_metrics_csv(history: TrainHistory, path):
 
 def read_metrics_csv(path) -> list:
     """The EpochRecords of a file written by write_metrics_csv. A foreign
-    file or a malformed row raises ConfigError."""
+    file, one with no epoch rows, a malformed row or an accuracy outside
+    [0, 1] (NaN included) raises ConfigError."""
     lines = read_text(path, ConfigError).strip().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ConfigError(f"{path}: not a kwspot metrics CSV")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no epoch rows")
     records = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
             epoch, *values = line.split(",")
-            records.append(EpochRecord(int(epoch), *(float(v) for v in values)))
+            record = EpochRecord(int(epoch), *(float(v) for v in values))
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{path}:{lineno}: expected {METRICS_HEADER}, got {line!r}"
             ) from None
+        for name in ("train_acc", "val_acc"):
+            value = getattr(record, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{path}:{lineno}: {name} {value} outside [0, 1]")
+        records.append(record)
     return records
 
 

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from kwspot.autodiff import Tensor, backward, concat, grad_check
+from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import ShapeError, UsageError
 from kwspot.layers import max_pool
 
@@ -182,7 +182,6 @@ class TestMaxPoolRouting:
 
 PRIMITIVE_CASES = [
     ("add", lambda a, b: (a + b).sum(), 2),
-    ("sub", lambda a, b: (a - b).sum(), 2),
     ("mul", lambda a, b: (a * b).sum(), 2),
     ("matmul", lambda a, b: (a @ b).sum(), "matmul"),
     ("reshape", lambda a: a.reshape(-1).sum(), 1),
@@ -190,10 +189,7 @@ PRIMITIVE_CASES = [
     ("slice", lambda a: a[1:, ::2].sum(), 1),
     ("sum_axis", lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), 1),
     ("mean_axis", lambda a: (a.mean(axis=1) * a.mean(axis=1)).sum(), 1),
-    ("sigmoid", lambda a: a.sigmoid().sum(), 1),
     ("tanh", lambda a: a.tanh().sum(), 1),
-    ("exp", lambda a: a.exp().sum(), 1),
-    ("log", lambda a: (a * a + 0.5).log().sum(), 1),
     ("softmax", lambda a: (a.softmax(axis=1) * a).sum(), 1),
 ]
 
@@ -224,14 +220,6 @@ def test_relu_gradient_off_kink():
     assert grad_check(lambda: a.relu().sum(), [a]) < 1e-6
 
 
-def test_concat_gradient():
-    rng = np.random.default_rng(11)
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-    params = [a, b]
-    assert grad_check(lambda: (concat(params, axis=1) ** 2.0).sum(), params) < 1e-6
-
-
 def test_broadcast_gradient():
     rng = np.random.default_rng(12)
     a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
@@ -245,7 +233,7 @@ def test_random_shapes_property():
     for trial in range(10):
         shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
         a = Tensor(rng.normal(size=shape), requires_grad=True)
-        assert grad_check(lambda: (a.tanh() * a.sigmoid()).sum(), [a]) < 1e-6
+        assert grad_check(lambda: (a * a.tanh()).sum(), [a]) < 1e-6
 
 
 class TestGradCheckItself:
@@ -258,4 +246,6 @@ class TestGradCheckItself:
         w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         params = [w, x]
-        assert grad_check(lambda: (params[1] @ params[0]).sigmoid().sum(), params) < 1e-6
+        # the engine has no sigmoid: sigmoid(z) = tanh(z / 2) / 2 + 1 / 2
+        assert grad_check(lambda: ((params[1] @ params[0] * 0.5).tanh() * 0.5 + 0.5).sum(),
+                          params) < 1e-6

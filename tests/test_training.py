@@ -8,7 +8,7 @@ import pytest
 
 from conftest import script_validation, write_metadata, write_sealed_checkpoint
 from kwspot import errors, models
-from kwspot.autodiff import Tensor, backward
+from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
@@ -86,16 +86,54 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             cross_entropy_loss(Tensor(np.zeros((2, 3))), [-1, 0])
 
+    @staticmethod
+    def _softmax_minus_onehot(logits, labels):
+        x = logits.astype(np.float64)
+        probs = np.exp(x - x.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(len(labels)), labels] -= 1.0
+        return probs / len(labels)
+
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(1)
-        logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        labels = np.array([0, 2, 4, 1])
-        backward(cross_entropy_loss(logits, labels))
-        probs = np.exp(logits.data)
-        probs /= probs.sum(axis=1, keepdims=True)
-        onehot = np.zeros((4, 5))
-        onehot[np.arange(4), labels] = 1.0
-        assert np.abs(logits.grad - (probs - onehot) / 4).max() < 1e-12
+        # distinct labels, a single row and a label repeated across rows
+        for labels in ([0, 2, 4, 1], [3], [2, 2, 0, 2]):
+            logits = Tensor(rng.normal(size=(len(labels), 5)), requires_grad=True)
+            backward(cross_entropy_loss(logits, labels))
+            want = self._softmax_minus_onehot(logits.data, labels)
+            assert np.abs(logits.grad - want).max() < 1e-12
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(2)
+        labels = np.array([1, 0, 4, 4, 2, 3])
+        logits = Tensor(rng.normal(size=(6, 5)).astype(np.float32), requires_grad=True)
+        loss = cross_entropy_loss(logits, labels)
+        backward(loss)
+        assert loss.data.dtype == np.float32 and logits.grad.dtype == np.float32
+        want = self._softmax_minus_onehot(logits.data, labels)
+        assert np.abs(logits.grad - want).max() < 1e-7
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        labels = np.array([0, 3, 3, 1, 2])
+        assert grad_check(lambda: cross_entropy_loss(logits, labels), [logits]) < 1e-6
+
+    def test_one_node_over_the_logits(self):
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        logits = Tensor(rng.normal(size=(2, 3))) @ w
+        loss = cross_entropy_loss(logits, [1, 3])
+        assert loss._parents == (logits._node,)
+
+    def test_infer_mode_records_no_node(self):
+        # as in evaluate_arrays: an infer-mode forward's logits need no
+        # gradient, so neither does the loss
+        model = _tiny_model()
+        model.set_mode("infer")
+        x, y = _toy_data(n=4)
+        loss = cross_entropy_loss(model_forward(model, x), y)
+        assert loss._node is None and not loss.requires_grad
 
 
 class TestAdam:
@@ -309,6 +347,34 @@ class TestFit:
         for got, want in zip(records, history.records):
             assert got.lr == pytest.approx(want.lr, rel=1e-7)
             assert got.val_acc == pytest.approx(want.val_acc, abs=5e-7)
+
+
+class TestReadMetricsCsv:
+    HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr,seconds\n"
+
+    def test_no_epoch_rows_refused(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.HEADER)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: no epoch rows")):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("row, name", [
+        ("2,0.5,1.5,0.5,0.5,0.001,0.1", "train_acc"),
+        ("2,0.5,NaN,0.5,0.5,0.001,0.1", "train_acc"),
+        ("2,0.5,0.5,0.5,nan,0.001,0.1", "val_acc"),
+        ("2,0.5,0.5,0.5,-0.25,0.001,0.1", "val_acc"),
+    ], ids=["train_acc-high", "train_acc-nan", "val_acc-nan", "val_acc-negative"])
+    def test_accuracy_outside_unit_interval_refused(self, tmp_path, row, name):
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.HEADER + "1,0.5,0.5,0.5,0.5,0.001,0.1\n" + row + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: {name}")):
+            read_metrics_csv(path)
+
+    def test_accuracy_bounds_accepted(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.HEADER + "1,0.5,0,0.5,1,0.001,0.1\n")
+        (record,) = read_metrics_csv(path)
+        assert (record.train_acc, record.val_acc) == (0.0, 1.0)
 
 
 class TestEvaluateArrays:
