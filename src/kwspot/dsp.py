@@ -1,5 +1,10 @@
 """MFCC front end: pre-emphasis, framing, windowing, power spectrum,
-triangular mel filterbank, log compression and DCT-II."""
+triangular mel filterbank, log compression and DCT-II.
+
+mfcc_pipeline writes each clip's windowed frames once, straight into the
+zero-padded buffer that the FFT reads, with the window built once per
+(frame length, window kind); squaring and the log run in place. Its
+features equal the public stages chained, bit for bit."""
 
 from __future__ import annotations
 
@@ -90,27 +95,36 @@ def pre_emphasis(signal: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def frame_signal(signal: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
-    """Slice a signal into overlapping frames; trailing remainder dropped."""
+    """Overlapping frames as a read-only strided view of the signal;
+    trailing remainder dropped."""
     signal = np.asarray(signal, dtype=np.float64)
     if len(signal) < frame_len:
         raise DspError(f"signal of {len(signal)} samples shorter than frame {frame_len}")
-    return sliding_window_view(signal, frame_len)[::hop_len].copy()
+    return sliding_window_view(signal, frame_len)[::hop_len]
+
+
+@lru_cache(maxsize=16)
+def _window(n: int, window: str) -> np.ndarray:
+    """The n-point window, built once per (n, window) and read-only."""
+    if window == "rectangular":
+        w = np.ones(n)
+    else:
+        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    w.flags.writeable = False
+    return w
 
 
 def apply_window(frames: np.ndarray, window: str = "hamming") -> np.ndarray:
-    if window == "rectangular":
-        return np.asarray(frames, dtype=np.float64)
-    n = frames.shape[1]
-    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-    return frames * w
+    frames = np.asarray(frames, dtype=np.float64)
+    return frames * _window(frames.shape[1], window)
 
 
 def power_spectrum(frames: np.ndarray, n_fft: int) -> np.ndarray:
     """|FFT|^2 of zero-padded frames, one-sided (bins 0..n_fft/2); DspConfig
     checks that n_fft is a power of two >= the frame length."""
     frames = np.asarray(frames, dtype=np.float64)
-    spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
-    return np.abs(spectrum) ** 2
+    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+    return np.multiply(power, power, out=power)
 
 
 def hz_to_mel(hz):
@@ -165,7 +179,8 @@ def mel_energies(spectra: np.ndarray, bank: MelFilterBank) -> np.ndarray:
 
 
 def log_compress(energies: np.ndarray, log_floor: float) -> np.ndarray:
-    return np.log(np.maximum(np.asarray(energies, dtype=np.float64), log_floor))
+    floored = np.maximum(np.asarray(energies, dtype=np.float64), log_floor)
+    return np.log(floored, out=floored)
 
 
 def dct_ii(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
@@ -191,8 +206,10 @@ def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
         )
     emphasized = pre_emphasis(clip.samples, config.pre_emphasis_alpha)
     frames = frame_signal(emphasized, config.frame_len, config.hop_len)
-    windowed = apply_window(frames, config.window)
-    spectra = power_spectrum(windowed, config.n_fft)
+    padded = np.zeros((len(frames), config.n_fft))
+    np.multiply(frames, _window(config.frame_len, config.window),
+                out=padded[:, :config.frame_len])
+    spectra = power_spectrum(padded, config.n_fft)
     bank = build_mel_filterbank(config)
     logmel = log_compress(mel_energies(spectra, bank), config.log_floor)
     values = logmel if kind == "log_mel" else dct_ii(logmel, config.n_mfcc)

@@ -3,10 +3,12 @@
 Convolution (one GEMM per sample on that sample's im2col, in the forward
 and in both gradients; the input gradient's col2im runs over rows padded
 to the padded input's width, one flat add per kernel offset), 2x2 max
-pooling (four strided views; the backward reads a uint8 code of the window
-position that won), batch normalization (the closed-form backward) and the
-LSTM scan (every direction of a sequence in one time loop, with
-closed-form BPTT) are custom primitives with hand-written backward passes;
+pooling (with a gradient, four strided views and a uint8 code of the
+window position that won, which the backward reads; without one, the
+maximum of each row's column pair, then of the two rows), batch
+normalization (the closed-form backward) and the LSTM scan (every
+direction of a sequence in one time loop, with closed-form BPTT) are
+custom primitives with hand-written backward passes;
 dropout draws its mask from raw 32-bit integers; everything else is
 composed from the engine's elementwise and matmul primitives. Each
 backward closure captures only the arrays it reads, never a Tensor, so a
@@ -130,14 +132,15 @@ def max_pool(x: Tensor) -> Tensor:
     # one strided view per window position, in scan order
     windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
                for i in (0, 1) for j in (0, 1)]
-    views = [x.data[key] for key in windows]
-    # the earlier view goes second: np.maximum returns its second argument
-    # on equal values, so a tie of 0.0 and -0.0 keeps the first one's sign
-    out = np.maximum(views[1], views[0])
-    for view in views[2:]:
-        np.maximum(view, out, out=out)
+    # the earlier argument goes second: np.maximum returns its second
+    # argument on equal values, so a tie of 0.0 and -0.0 keeps the sign of
+    # the first in scan order, as does taking each row's column pair first
     code = None
     if x.requires_grad:
+        views = [x.data[key] for key in windows]
+        out = np.maximum(views[1], views[0])
+        for view in views[2:]:
+            np.maximum(view, out, out=out)
         # the backward reads a uint8 code per window instead of the input:
         # the scan-order index of the first view equal to the maximum, 4 if
         # none is (a NaN window); bit k of `hits` marks a hit of view k
@@ -147,6 +150,14 @@ def max_pool(x: Tensor) -> Tensor:
             hit <<= k
             hits |= hit
         code = np.take(_FIRST_HIT, hits)
+    else:
+        # two passes instead of three: every row's column pair in one call,
+        # then the two rows. Pairing rows first would lose the scan order of
+        # a +-0 tie. In train, at batch 32, the half-size temporary costs
+        # more than the pass it saves.
+        rows = x.data[:, :, :2 * oh]
+        pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
+        out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
     shape, dtype = x.shape, x.data.dtype
 
     def bw(g):

@@ -257,16 +257,27 @@ def read_metrics_csv(path) -> list:
 
 
 def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
-    """Extract features for every entry: (N x T x D array, label indices).
-    An empty index raises DataError naming the split."""
+    """Extract features for every entry: (N x T x D array, label indices),
+    written row by row into one array shaped from the first clip. An empty
+    index, or a clip whose features differ in shape from the first's,
+    raises DataError naming the split (and the entry)."""
     if not index.entries:
         raise DataError(f"the {split} split holds no clips")
-    xs, ys = [], []
-    for entry in index.entries:
-        clip = audio_io.load_clip(entry)
-        xs.append(dsp.mfcc_pipeline(clip, dsp_config, kind).values)
-        ys.append(index.class_index(entry[1]))
-    return np.stack(xs), np.asarray(ys, dtype=np.int64)
+    x = None
+    y = np.empty(len(index.entries), dtype=np.int64)
+    for i, entry in enumerate(index.entries):
+        values = dsp.mfcc_pipeline(audio_io.load_clip(entry), dsp_config, kind).values
+        if x is None:
+            x = np.empty((len(index.entries),) + values.shape)
+        elif values.shape != x.shape[1:]:
+            source = "in-memory clip" if isinstance(entry[0], audio_io.AudioClip) else entry[0]
+            raise DataError(
+                f"{split} entry {i} ({source}): features of shape {values.shape}, "
+                f"expected {x.shape[1:]} as for entry 0"
+            )
+        x[i] = values
+        y[i] = index.class_index(entry[1])
+    return x, y
 
 
 # ---- checkpoint format ------------------------------------------------
@@ -350,7 +361,7 @@ def load_checkpoint(path):
         budget[0] -= math.prod(shape) * np.dtype(config.dtype).itemsize
         if budget[0] < 0:
             raise CheckpointError(f"{path}: metadata describes more values than the file stores")
-        return np.zeros(shape)
+        return np.zeros(shape, config.dtype)
 
     try:
         config = from_config(ModelConfig, meta)

@@ -66,6 +66,12 @@ class TestFraming:
         frames = dsp.frame_signal(sig, 8, 4)
         assert np.array_equal(frames[1], sig[4:12])
 
+    def test_read_only_view(self):
+        sig = np.arange(20.0)
+        frames = dsp.frame_signal(sig, 8, 4)
+        assert np.shares_memory(frames, sig)
+        assert not frames.flags.writeable
+
 
 class TestWindow:
     def test_rectangular_identity(self):
@@ -277,3 +283,54 @@ class TestPipeline:
             clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
             features = dsp.mfcc_pipeline(clip, cfg, "mfcc")
             assert features.values.shape[0] == 1 + (16000 - frame_len) // hop
+
+
+PIPELINE_CONFIGS = {
+    "default": dsp.DspConfig(),
+    "rectangular": dsp.DspConfig(window="rectangular"),
+    "readme_4khz": dsp.DspConfig(sample_rate=4000, frame_len=128, hop_len=64, n_fft=128,
+                                 n_mel_filters=20, fmin=50.0, fmax=1900.0),
+    "hop_is_frame": dsp.DspConfig(hop_len=400),
+    "n_fft_1024": dsp.DspConfig(n_fft=1024),
+}
+
+
+class TestPipelineStages:
+    """mfcc_pipeline writes the windowed frames straight into the FFT
+    buffer; its features must equal the public stages chained, bit for
+    bit."""
+
+    @staticmethod
+    def _stages(samples, config, kind):
+        frames = dsp.frame_signal(dsp.pre_emphasis(samples, config.pre_emphasis_alpha),
+                                  config.frame_len, config.hop_len)
+        spectra = dsp.power_spectrum(dsp.apply_window(frames, config.window), config.n_fft)
+        logmel = dsp.log_compress(dsp.mel_energies(spectra, dsp.build_mel_filterbank(config)),
+                                  config.log_floor)
+        return logmel if kind == "log_mel" else dsp.dct_ii(logmel, config.n_mfcc)
+
+    @pytest.mark.parametrize("name", PIPELINE_CONFIGS)
+    @pytest.mark.parametrize("kind", dsp.FEATURE_KINDS)
+    def test_matches_stage_by_stage(self, name, kind):
+        config = PIPELINE_CONFIGS[name]
+        rng = np.random.default_rng(len(name))
+        n = config.sample_rate
+        for samples in (np.zeros(n), rng.uniform(-1, 1, n), rng.normal(0, 0.05, n)):
+            got = dsp.mfcc_pipeline(AudioClip(samples, n), config, kind).values
+            want = self._stages(samples, config, kind)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_power_spectrum_per_clip(self, monkeypatch, small_dsp_config):
+        calls = []
+        real = dsp.power_spectrum
+
+        def counting(frames, n_fft):
+            calls.append(frames.shape)
+            return real(frames, n_fft)
+
+        monkeypatch.setattr(dsp, "power_spectrum", counting)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            dsp.mfcc_pipeline(AudioClip(rng.uniform(-1, 1, 4000), 4000), small_dsp_config, "mfcc")
+        assert calls == [(61, 128)] * 3

@@ -208,6 +208,58 @@ class TestMaxPool:
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
 
+    @staticmethod
+    def _scan_order(x):
+        """Per-window reference: the running maximum over the window in
+        scan order keeps the earlier value on a tie (so -0.0 before 0.0
+        wins), any NaN makes the result NaN, and the gradient goes to the
+        first position equal to the result (none for NaN)."""
+        n, c, h, w = x.shape
+        out = np.empty((n, c, h // 2, w // 2), x.dtype)
+        winner = np.full(out.shape, -1)
+        for idx in np.ndindex(out.shape):
+            ni, ci, y, xx = idx
+            window = x[ni, ci, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2].reshape(-1)
+            best = window[0]
+            for v in window[1:]:
+                if not np.isnan(best) and (np.isnan(v) or v > best):
+                    best = v
+            out[idx] = best
+            hits = np.flatnonzero(window == best)
+            winner[idx] = hits[0] if len(hits) else -1
+        return out, winner
+
+    @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (4, 7), (5, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_matches_scan_order_on_ties(self, h, w, dtype, requires_grad):
+        # values drawn from {0, -0, +-1, 2, NaN}: most windows hold a tie,
+        # many a +-0 tie, some a NaN
+        rng = np.random.default_rng(h * 100 + w)
+        palette = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
+        x = palette[rng.integers(0, len(palette), size=(12, 4, h, w))].astype(dtype)
+        # a +-0 tie whose scan-order winner is +0, where pooling the two
+        # rows before the column pair would give -0
+        x[0, 0, :2, :2] = [[-1.0, 0.0], [-0.0, -3.0]]
+        xt = Tensor(x.copy(), requires_grad=requires_grad)
+        out = max_pool(xt)
+        want, winner = self._scan_order(x)
+        assert out.data.dtype == x.dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(out.data), nan)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        assert np.array_equal(out.data.view(bits)[~nan], want.view(bits)[~nan])
+        if requires_grad:
+            g = rng.normal(size=out.shape).astype(dtype)
+            backward((out * Tensor(g)).sum())
+            want_grad = np.zeros_like(x)
+            for idx in np.ndindex(out.shape):
+                if winner[idx] >= 0:
+                    i, j = divmod(int(winner[idx]), 2)
+                    ni, ci, y, xx = idx
+                    want_grad[ni, ci, 2 * y + i, 2 * xx + j] = g[idx]
+            assert np.array_equal(xt.grad, want_grad)
+
 
 class TestPoolBeforeRelu:
     """The conv blocks pool before the ReLU: max commutes with a monotone

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import script_validation, write_metadata, write_sealed_checkpoint
-from kwspot import errors, models
+from kwspot import errors, models, training
+from kwspot.audio_io import AudioClip, DatasetIndex
 from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report
@@ -405,6 +406,17 @@ class TestFeaturize:
         x, _ = featurize_index(synth_index, small_dsp_config, kind="mfcc")
         assert x.shape == (60, 61, 10)
 
+    def test_clip_of_another_length_rejected(self, small_dsp_config):
+        rng = np.random.default_rng(4)
+        index = DatasetIndex(
+            entries=((AudioClip(rng.uniform(-1, 1, 4000), 4000), "a"),
+                     (AudioClip(rng.uniform(-1, 1, 2000), 4000), "b")),
+            label_set=("a", "b"),
+        )
+        with pytest.raises(DataError, match=r"train entry 1 \(in-memory clip\): features of "
+                                            r"shape \(30, 20\), expected \(61, 20\)"):
+            featurize_index(index, small_dsp_config, "log_mel", "train")
+
 
 class TestCheckpoint:
     def _trained(self, dtype="float32"):
@@ -457,6 +469,23 @@ class TestCheckpoint:
         for name, stats in model.bn_stats.items():
             assert np.array_equal(loaded.bn_stats[name].mean, stats.mean)
             assert np.array_equal(loaded.bn_stats[name].var, stats.var)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_load_draws_at_checkpoint_dtype(self, tmp_path, monkeypatch, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(arch="multilayer_attention", dtype=dtype), path)
+        drawn = []
+
+        def recording_make_model(config, draw):
+            def recorded(shape):
+                values = draw(shape)
+                drawn.append(values.dtype)
+                return values
+            return models.make_model(config, recorded)
+
+        monkeypatch.setattr(training, "make_model", recording_make_model)
+        load_checkpoint(path)
+        assert drawn and set(drawn) == {np.dtype(dtype)}
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
