@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import audio_io, dsp, eval as evaluation, training
-from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text
+from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text, write_atomic
 from .keyvalue import (
     PARSERS, REQUIRED, checked, from_config, parse_value, read_key_values, schema,
     write_key_values,
@@ -66,7 +66,7 @@ def _cmd_featurize(args) -> int:
         ",".join(f"{v:.6f}" for v in frame) for frame in features.values
     )
     if args.out:
-        Path(args.out).write_text(rows + "\n")
+        write_atomic(args.out, (rows + "\n").encode("utf-8"))
         print(f"wrote {features.values.shape[0]} frames to {args.out}")
     else:
         print(rows)

@@ -108,8 +108,10 @@ def _window(n: int, window: str) -> np.ndarray:
     """The n-point window, built once per (n, window) and read-only."""
     if window == "rectangular":
         w = np.ones(n)
-    else:
+    elif window == "hamming":
         w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
+    else:
+        raise DspError(f"unknown window {window!r}")
     w.flags.writeable = False
     return w
 

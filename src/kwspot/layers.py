@@ -3,14 +3,14 @@
 Convolution (one GEMM per sample on that sample's im2col, in the forward
 and in both gradients; the input gradient's col2im runs over rows padded
 to the padded input's width, one flat add per kernel offset), 2x2 max
-pooling (with a gradient, four strided views and a uint8 code of the
-window position that won, which the backward reads; without one, the
-maximum of each row's column pair, then of the two rows), batch
-normalization (the closed-form backward) and the LSTM scan (every
+pooling (the maximum of each row's column pair, then of the two rows; with
+a gradient, also a uint8 code of the window position that won, a chained
+product of the four strided views' miss masks, which the backward reads),
+batch normalization (the closed-form backward) and the LSTM scan (every
 direction of a sequence in one time loop, with closed-form BPTT) are
-custom primitives with hand-written backward passes;
-dropout draws its mask from raw 32-bit integers; everything else is
-composed from the engine's elementwise and matmul primitives. Each
+custom primitives with hand-written backward passes; dropout draws its
+mask from raw 32-bit integers; everything else is composed from the
+engine's elementwise and matmul primitives. Each
 backward closure captures only the arrays it reads, never a Tensor, so a
 conv output dies once batch norm has read it and a batch-norm output once
 the pool has. The models pool before the ReLU: max commutes with a
@@ -32,10 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import Tensor, custom_op
 from .errors import ConfigError, ShapeError
 
-
-# index of the lowest set bit of a 4-bit mask, 4 for none: the first of
-# max_pool's four views that holds the maximum
-_FIRST_HIT = np.array([4] + [(m & -m).bit_length() - 1 for m in range(1, 16)], dtype=np.uint8)
 
 # column blocks of LstmParams.W, U and b: input, forget, output, candidate
 LSTM_GATES = "ifog"
@@ -129,35 +125,28 @@ def max_pool(x: Tensor) -> Tensor:
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
         raise ShapeError(f"max_pool: 2x2 window exceeds input {h}x{w}")
+    # every row's column pair in one call, then the two rows. The earlier
+    # argument goes second: np.maximum returns its second argument on equal
+    # values, so a tie of 0.0 and -0.0 keeps the sign of the first in scan
+    # order, which pairing the rows first would lose
+    rows = x.data[:, :, :2 * oh]
+    pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
+    out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
     # one strided view per window position, in scan order
     windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
                for i in (0, 1) for j in (0, 1)]
-    # the earlier argument goes second: np.maximum returns its second
-    # argument on equal values, so a tie of 0.0 and -0.0 keeps the sign of
-    # the first in scan order, as does taking each row's column pair first
     code = None
     if x.requires_grad:
-        views = [x.data[key] for key in windows]
-        out = np.maximum(views[1], views[0])
-        for view in views[2:]:
-            np.maximum(view, out, out=out)
         # the backward reads a uint8 code per window instead of the input:
         # the scan-order index of the first view equal to the maximum, 4 if
-        # none is (a NaN window); bit k of `hits` marks a hit of view k
-        hits = np.zeros(out.shape, dtype=np.uint8)
-        for k, view in enumerate(views):
-            hit = (view == out).view(np.uint8)
-            hit <<= k
-            hits |= hit
-        code = np.take(_FIRST_HIT, hits)
-    else:
-        # two passes instead of three: every row's column pair in one call,
-        # then the two rows. Pairing rows first would lose the scan order of
-        # a +-0 tie. In train, at batch 32, the half-size temporary costs
-        # more than the pass it saves.
-        rows = x.data[:, :, :2 * oh]
-        pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
-        out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
+        # none is. With the miss masks m_k = (view_k != out) it is
+        # m0 * (1 + m1 * (1 + m2 * (1 + isnan(out)))): a window whose first
+        # three views miss has its maximum in view 3 unless it is a NaN,
+        # which every view misses. 0.0 != -0.0 is False, so a +-0 tie hits
+        code = np.isnan(out).view(np.uint8)
+        for key in windows[2::-1]:
+            code += 1
+            code *= (x.data[key] != out).view(np.uint8)
     shape, dtype = x.shape, x.data.dtype
 
     def bw(g):

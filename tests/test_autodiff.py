@@ -159,8 +159,13 @@ class TestMaxPoolRouting:
         [-0.0, 0.0, -1.0, -2.0],
         [-1.0, 0.0, -0.0, -3.0],
         [-4.0, -4.0, -5.0, -0.5],
+        # the code's last factor is isnan(max), not a fourth compare: these
+        # separate a NaN window (code 4) from a maximum in view 3 (code 3)
+        [1.0, np.nan, 2.0, 3.0],
+        [1.0, 5.0, 2.0, np.nan],
+        [1.0, 2.0, 3.0, 4.0],
     ]
-    ROUTED_TO = [None, None, 0, 1, 0, 1, 3]
+    ROUTED_TO = [None, None, 0, 1, 0, 1, 3, None, None, 3]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_first_maximum_in_scan_order(self, sign):
@@ -176,8 +181,9 @@ class TestMaxPoolRouting:
         assert np.array_equal(x.grad.reshape(n, 4), want)
         # a tie of 0.0 and -0.0 keeps the first one's sign
         assert np.signbit(out.data.reshape(-1)).tolist() == [
-            False, False, False, False, True, False, True]
-        assert np.isnan(out.data.reshape(-1)[:2]).all()
+            False, False, False, False, True, False, True, False, False, False]
+        assert np.isnan(out.data.reshape(-1)).tolist() == [
+            at is None for at in self.ROUTED_TO]
 
 
 PRIMITIVE_CASES = [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
-from kwspot import training
+from kwspot import errors, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
 from kwspot.keyvalue import REQUIRED, read_key_values, schema
@@ -257,6 +257,34 @@ class TestFeaturize:
         assert code == 0
         rows = out.read_text().strip().splitlines()
         assert all(len(r.split(",")) == 10 for r in rows)
+
+    def test_out_into_missing_directory(self, synth_dir, small_config_file, tmp_path,
+                                        capsys):
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        out = tmp_path / "missing" / "features.csv"
+        code = run_cli([
+            "featurize", str(wav), "--config", str(small_config_file), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_out_keeps_previous_file(self, synth_dir, small_config_file, tmp_path,
+                                            monkeypatch):
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        out = tmp_path / "features.csv"
+        out.write_text("previous contents\n")
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(errors.os, "fsync", fail)
+        code = run_cli([
+            "featurize", str(wav), "--config", str(small_config_file), "--out", str(out),
+        ])
+        assert code == 2
+        assert out.read_text() == "previous contents\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_missing_wav(self, tmp_path, capsys):
         code = run_cli(["featurize", str(tmp_path / "nope.wav")])

@@ -84,6 +84,12 @@ class TestWindow:
         assert out[0, 0] == pytest.approx(0.08)
         assert out[0, 32] == pytest.approx(1.0)  # midpoint of odd N
 
+    @pytest.mark.parametrize("window", ["hann", "Hamming", ""])
+    def test_unknown_window_refused(self, window):
+        # any other name once fell back to the Hamming window
+        with pytest.raises(DspError, match=f"unknown window {window!r}"):
+            dsp.apply_window(np.ones((1, 5)), window)
+
 
 class TestPowerSpectrum:
     def test_zero_frame(self):

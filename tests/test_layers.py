@@ -161,6 +161,8 @@ class TestConv2d:
 
 
 class TestMaxPool:
+    PALETTE = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
+
     def test_simple(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         assert max_pool(x).data.item() == 4.0
@@ -236,8 +238,7 @@ class TestMaxPool:
         # values drawn from {0, -0, +-1, 2, NaN}: most windows hold a tie,
         # many a +-0 tie, some a NaN
         rng = np.random.default_rng(h * 100 + w)
-        palette = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
-        x = palette[rng.integers(0, len(palette), size=(12, 4, h, w))].astype(dtype)
+        x = self.PALETTE[rng.integers(0, len(self.PALETTE), size=(12, 4, h, w))].astype(dtype)
         # a +-0 tie whose scan-order winner is +0, where pooling the two
         # rows before the column pair would give -0
         x[0, 0, :2, :2] = [[-1.0, 0.0], [-0.0, -3.0]]
@@ -259,6 +260,16 @@ class TestMaxPool:
                     ni, ci, y, xx = idx
                     want_grad[ni, ci, 2 * y + i, 2 * xx + j] = g[idx]
             assert np.array_equal(xt.grad, want_grad)
+
+    @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (4, 7), (5, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_with_and_without_grad(self, h, w, dtype):
+        rng = np.random.default_rng(h * 10 + w)
+        x = self.PALETTE[rng.integers(0, len(self.PALETTE), size=(12, 4, h, w))].astype(dtype)
+        infer = max_pool(Tensor(x.copy())).data
+        train = max_pool(Tensor(x.copy(), requires_grad=True)).data
+        assert train.dtype == infer.dtype == x.dtype
+        assert train.tobytes() == infer.tobytes()
 
 
 class TestPoolBeforeRelu:
