@@ -8,6 +8,7 @@ features equal the public stages chained, bit for bit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,8 +59,8 @@ class DspConfig:
             raise DspError(f"n_mfcc must be at least 1, got {self.n_mfcc}")
         if self.n_mfcc > self.n_mel_filters:
             raise DspError("n_mfcc cannot exceed n_mel_filters")
-        if self.log_floor <= 0:
-            raise DspError("log_floor must be positive")
+        if not 0 < self.log_floor < math.inf:
+            raise DspError(f"log_floor must be finite and positive, got {self.log_floor}")
         if self.window not in ("hamming", "rectangular"):
             raise DspError(f"unknown window {self.window!r}")
 

@@ -37,8 +37,10 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         for key in ("base_lr", "lr_decay"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+            # base_lr < 0 ascends the loss, lr_decay < 0 flips the step's
+            # sign every epoch, and either at 0 stops training
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
         if self.patience < 0:

@@ -421,6 +421,22 @@ class TestTrainEval:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("setting,message", [
+        ("base_lr=-1", "base_lr must be finite and positive, got -1.0"),
+        ("base_lr=-0.001", "base_lr must be finite and positive, got -0.001"),
+        ("lr_decay=0", "lr_decay must be finite and positive, got 0.0"),
+    ])
+    def test_non_positive_rate_refused(self, synth_dir, small_config_file, tmp_path, capsys,
+                                       setting, message):
+        # a negative base_lr used to train by gradient ascent without an error
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", setting, "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("key", ["val_ratio", "base_lr"])
     def test_nan_setting_refused_before_featurizing(self, synth_dir, small_config_file,
                                                     tmp_path, capsys, key):

@@ -28,6 +28,13 @@ class TestConfig:
     def test_zero_fmin_accepted(self):
         assert dsp.DspConfig(fmin=0.0).fmin == 0.0
 
+    @pytest.mark.parametrize("log_floor", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_log_floor_out_of_range_rejected(self, log_floor):
+        # a NaN floor lets log(0) through as -inf; an infinite one makes
+        # every feature inf
+        with pytest.raises(DspError, match=f"log_floor must be finite and positive, got {log_floor}"):
+            dsp.DspConfig(log_floor=log_floor)
+
     @pytest.mark.parametrize("n_mfcc", [0, -3])
     def test_n_mfcc_below_one_rejected(self, n_mfcc):
         # dct_ii would slice a negative n_mfcc from the end of its basis

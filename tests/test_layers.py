@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kwspot
 from kwspot.autodiff import Tensor, backward, custom_op, grad_check
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.layers import (
@@ -353,6 +358,60 @@ def _rel_err(got, want, scale=0.0):
     return np.abs(got - want).max() / max(np.abs(want).max(), scale, 1e-300)
 
 
+def two_pass_batch_norm(x, gamma, beta, mean, var, upstream, eps=1e-5):
+    """Train-mode batch norm in float64, the variance in a second pass over
+    x - mean: naive_batch_norm's (output, new running mean, new running
+    var), then the closed-form (dx, dgamma, dbeta) under the upstream
+    gradient."""
+    x, gamma, beta, mean, var, g = (
+        np.asarray(a, np.float64) for a in (x, gamma, beta, mean, var, upstream))
+    axes, shape = (0, 2, 3), (1, -1, 1, 1)
+    count = x.size // x.shape[1]
+    inv_std = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+    xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
+    dbeta, dgamma = g.sum(axis=axes), (g * xhat).sum(axis=axes)
+    dx = (gamma * inv_std).reshape(shape) * (
+        g - (dbeta / count).reshape(shape) - xhat * (dgamma / count).reshape(shape))
+    return naive_batch_norm(x, gamma, beta, mean, var, "train") + (dx, dgamma, dbeta)
+
+
+def _paper_bn_inputs(shape, seed):
+    """float32 (x, gamma, beta, mean, var, upstream) at a conv block's
+    shape; channel 1 sits 100 sigma off zero, where a one-pass
+    E[x^2] - mean^2 variance cancels away the digits that matter."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    x = rng.normal(0.5, 2.0, size=shape).astype(np.float32)
+    x[:, 1] += np.float32(200.0)
+    return (x, rng.uniform(0.5, 1.5, c).astype(np.float32), rng.normal(size=c).astype(np.float32),
+            rng.normal(size=c).astype(np.float32), rng.uniform(0.5, 2.0, c).astype(np.float32),
+            rng.normal(size=shape).astype(np.float32))
+
+
+def _train_bn(x, gamma, beta, mean, var, upstream):
+    """(output, running mean, running var, dx, dgamma, dbeta) of one
+    train-mode batch_norm forward and backward."""
+    stats = BnStats(mean=mean.copy(), var=var.copy())
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = batch_norm(*leaves, stats, "train")
+    backward((out * Tensor(upstream)).sum())
+    return (out.data, stats.mean, stats.var) + tuple(leaf.grad for leaf in leaves)
+
+
+# the conv blocks' batch-norm shapes in the paper-scale models
+PAPER_BN_SHAPES = [(32, 32, 98, 40), (32, 64, 49, 20)]
+
+# prints a SHA-256 of each of _train_bn's results at the paper shapes, one
+# line per shape; run with the test directory on the path
+THREAD_PROBE = """
+import hashlib
+from test_layers import PAPER_BN_SHAPES, _paper_bn_inputs, _train_bn
+for shape in PAPER_BN_SHAPES:
+    results = _train_bn(*_paper_bn_inputs(shape, 11))
+    print(" ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in results))
+"""
+
+
 class TestBatchNorm:
     @pytest.mark.parametrize("mode", ["train", "infer"])
     @pytest.mark.parametrize("trial", range(24))
@@ -387,6 +446,37 @@ class TestBatchNorm:
         assert _rel_err(leaves[0].grad, ref[0].grad, term) < 1e-12
         assert _rel_err(leaves[1].grad, ref[1].grad) < 1e-12
         assert _rel_err(leaves[2].grad, ref[2].grad) < 1e-12
+
+    # about 4x the largest error of each result measured at the paper shapes
+    # (out 1.1e-6, running mean 1.4e-7 and var 9.4e-8, dx 1.3e-7, dgamma
+    # 5.4e-6, dbeta 3.1e-7), each relative to the result's largest magnitude
+    ORACLE_BOUNDS = {"out": 5e-6, "mean": 5e-7, "var": 5e-7,
+                     "dx": 5e-7, "dgamma": 2e-5, "dbeta": 1e-6}
+
+    @pytest.mark.parametrize("shape", PAPER_BN_SHAPES)
+    def test_float32_matches_two_pass_oracle(self, shape):
+        inputs = _paper_bn_inputs(shape, 11)
+        got = _train_bn(*inputs)
+        want = two_pass_batch_norm(*inputs)
+        for (name, bound), a, b in zip(self.ORACLE_BOUNDS.items(), got, want):
+            assert a.dtype == np.float32, name
+            assert _rel_err(a, b) < bound, name
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # the per-channel sums are BLAS dot products, which must not split
+        # a row across threads at these row lengths
+        paths = os.pathsep.join([str(Path(kwspot.__file__).parents[1]),
+                                 str(Path(__file__).parent)])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=paths)
+            run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            runs.append(run.stdout.split())
+        assert len(runs[0]) == 6 * len(PAPER_BN_SHAPES)
+        assert runs[0] == runs[1]
 
     def test_peak_memory(self):
         # forward and backward at a moderate shape, with the elementwise

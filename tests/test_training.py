@@ -52,6 +52,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["base_lr", "lr_decay"])
+    @pytest.mark.parametrize("value", [-1.0, -0.001, 0.0, -0.0])
+    def test_non_positive_rate_refused(self, key, value):
+        # base_lr < 0 trains by gradient ascent, lr_decay < 0 flips the
+        # step's sign every epoch, and either at 0 stops training
+        with pytest.raises(ConfigError, match=f"{key} must be finite and positive, got {value}"):
+            TrainConfig(**{key: value})
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
