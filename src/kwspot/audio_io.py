@@ -68,8 +68,8 @@ class SynthSpec:
             raise DatasetError("need one frequency per class")
         if len(set(self.class_frequencies)) != self.n_classes:
             raise DatasetError("class frequencies must be distinct")
-        if not all(f < self.sample_rate / 2 for f in self.class_frequencies):
-            raise DatasetError("class frequencies must be below Nyquist")
+        if not all(0 < f < self.sample_rate / 2 for f in self.class_frequencies):
+            raise DatasetError("class frequencies must be above 0 Hz and below Nyquist")
 
 
 def _pad_or_trim(samples: np.ndarray, target: int) -> np.ndarray:

@@ -5,13 +5,13 @@ Define-by-run: every operation on a Tensor that requires gradients records
 a graph Node. A Node holds the nodes of its parents that require
 gradients, its backward closure and its accumulated gradient, but no
 forward value. The closure captures only the arrays its backward reads and
-maps an upstream gradient to one gradient per parent, None where a parent
-needs none; the engine accumulates them. A Tensor holds its value and its
-node, so a value that no closure saved is freed as soon as the forward
-drops its Tensor. A leaf Tensor that requires gradients is its own
-accumulation target. Gradients accumulate by summation; a leaf keeps its
-gradient after backward, so it must be zeroed explicitly between optimizer
-steps.
+maps an upstream gradient to one gradient per parent, or None where a
+parent needs none; the engine accumulates those of the parents that do.
+A Tensor holds its value and its node, so a value that no closure saved
+is freed as soon as the forward drops its Tensor. A leaf Tensor that
+requires gradients is its own accumulation target. Gradients accumulate
+by summation; a leaf keeps its gradient after backward, so it must be
+zeroed explicitly between optimizer steps.
 
 Every operation keeps its operands' dtype: a Python or NumPy scalar is cast
 to the dtype of the Tensor it meets, so a float32 graph stays float32.

@@ -81,6 +81,8 @@ def read_synth_spec(path) -> tuple:
     if missing:
         raise ConfigError(f"{path}: missing synth keys {missing}")
     seed = values.pop("seed")
+    if seed < 0:
+        raise ConfigError(f"{path}: seed must not be negative, got {seed}")
     try:
         return audio_io.SynthSpec(**values), seed
     except DatasetError as exc:
@@ -111,6 +113,8 @@ def _scan(data_dir, labels=None) -> audio_io.DatasetIndex:
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("train", cfg)
+    # checks the seed, among others, before the split draws with it
+    train_cfg = from_config(training.TrainConfig, cfg)
     index = _scan(args.data)
     # refuse a label the checkpoint could not store before training for it
     write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
@@ -118,7 +122,6 @@ def _cmd_train(args) -> int:
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )
     dsp_cfg = from_config(dsp.DspConfig, cfg)
-    train_cfg = from_config(training.TrainConfig, cfg)
     kind = cfg["feature_kind"]
     train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
     val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")

@@ -7,19 +7,21 @@ pooling (the maximum of each row's column pair, then of the two rows; with
 a gradient, also a uint8 code of the window position that won, a chained
 product of the four strided views' miss masks, which the backward reads
 into an uninitialized gradient, zero-filling only a dropped odd row or
-column), batch normalization (the closed-form backward; every per-channel
-sum is one dot product per (sample, channel) row, and train mode keeps
-x - mean instead of xhat) and the LSTM scan (every
-direction of a sequence in one time loop, with closed-form BPTT) are
-custom primitives with hand-written backward passes; dropout draws its
-mask from raw 32-bit integers; everything else is composed from the
-engine's elementwise and matmul primitives. Each
-backward closure captures only the arrays it reads, never a Tensor, so a
-conv output dies once batch norm has read it and a batch-norm output once
-the pool has. The models pool before the ReLU: max commutes with a
-monotone map, so max_pool then relu gives the values and gradients of relu
-then max_pool, with the ReLU on a quarter of the elements. In infer mode
-they also pool before batch norm, which with running statistics is a
+column), batch normalization (every per-channel sum is one dot product
+per (sample, channel) row; train mode keeps x - mean instead of xhat for
+its closed-form backward, and infer mode is a forward only) and the LSTM
+scan (every direction of a sequence in one time loop, with closed-form
+BPTT) are custom primitives with hand-written backward passes; dropout
+draws its mask from raw 32-bit integers; everything else is composed from
+the engine's elementwise and matmul primitives. Each backward returns all
+its gradients, and the engine keeps the required ones; only conv2d skips
+one, for an input that needs none (the raw features). Each backward
+closure captures only the arrays it reads, never a Tensor, so a conv
+output dies once batch norm has read it and a batch-norm output once the
+pool has. The models pool before the ReLU: max commutes with a monotone
+map, so max_pool then relu gives the values and gradients of relu then
+max_pool, with the ReLU on a quarter of the elements. In infer mode they
+also pool before batch norm, which with running statistics is a
 per-channel affine map, so that it too runs on a quarter of the elements
 and gives the same bits.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, custom_op
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, UsageError
 
 
 # column blocks of LstmParams.W, U and b: input, forget, output, candidate
@@ -79,43 +81,39 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     for s in range(n):
         np.matmul(k2d, windows[s].reshape(c * kh * kw, h * w), out=out[s])
     need_x, dtype = x.requires_grad, x.data.dtype
-    # only the kernel gradient reads the input
-    windows = windows if kernels.requires_grad else None
 
     def bw(g):
         g = g.reshape(n, oc, h * w)
-        gx = gk = None
-        if windows is not None:
-            # (sum_s cols_s @ g[s]^T)^T: OpenBLAS runs this orientation of
-            # the GEMM faster than g[s] @ cols_s^T at the models' second conv
-            # by more than it loses at the first
-            gk = windows[0].reshape(c * kh * kw, h * w) @ g[0].T
-            term = np.empty_like(gk)
-            for s in range(1, n):
-                gk += np.matmul(windows[s].reshape(c * kh * kw, h * w), g[s].T, out=term)
-            gk = gk.T.reshape(oc, c, kh, kw)
-        if need_x:
-            # g[s] padded to the padded input's width wp: row y of kernel
-            # offset (i, j) then lands at flat offset (y + i) * wp + j of the
-            # padded input gradient, so each offset is one flat add of h * wp
-            # values; the zero columns add zeros, one spare row takes the
-            # overrun of the last offset. The kernel rows are ordered
-            # (i, j, c), so that each offset's block is contiguous; each
-            # value is the same dot product over oc as in k2d^T @ g[s]
-            hp, wp = h + kh - 1, w + kw - 1
-            k_ijc = k2d.reshape(oc, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, oc)
-            gpad = np.zeros((oc, h, wp), dtype)
-            blocks = np.empty((kh, kw, c, h * wp), dtype)
-            gxp = np.zeros((n, c, (hp + 1) * wp), dtype)
-            for s in range(n):
-                gpad[:, :, :w] = g[s].reshape(oc, h, w)
-                np.matmul(k_ijc, gpad.reshape(oc, h * wp), out=blocks.reshape(-1, h * wp))
-                for i in range(kh):
-                    for j in range(kw):
-                        o = i * wp + j
-                        gxp[s, :, o:o + h * wp] += blocks[i, j]
-            gx = gxp.reshape(n, c, hp + 1, wp)[:, :, pt:pt + h, pl:pl + w]
-        return gx, gk
+        # (sum_s cols_s @ g[s]^T)^T: OpenBLAS runs this orientation of the
+        # GEMM faster than g[s] @ cols_s^T at the models' second conv by more
+        # than it loses at the first
+        gk = windows[0].reshape(c * kh * kw, h * w) @ g[0].T
+        term = np.empty_like(gk)
+        for s in range(1, n):
+            gk += np.matmul(windows[s].reshape(c * kh * kw, h * w), g[s].T, out=term)
+        gk = gk.T.reshape(oc, c, kh, kw)
+        if not need_x:
+            return None, gk
+        # g[s] padded to the padded input's width wp: row y of kernel
+        # offset (i, j) then lands at flat offset (y + i) * wp + j of the
+        # padded input gradient, so each offset is one flat add of h * wp
+        # values; the zero columns add zeros, one spare row takes the
+        # overrun of the last offset. The kernel rows are ordered
+        # (i, j, c), so that each offset's block is contiguous; each
+        # value is the same dot product over oc as in k2d^T @ g[s]
+        hp, wp = h + kh - 1, w + kw - 1
+        k_ijc = k2d.reshape(oc, c, kh, kw).transpose(2, 3, 1, 0).reshape(-1, oc)
+        gpad = np.zeros((oc, h, wp), dtype)
+        blocks = np.empty((kh, kw, c, h * wp), dtype)
+        gxp = np.zeros((n, c, (hp + 1) * wp), dtype)
+        for s in range(n):
+            gpad[:, :, :w] = g[s].reshape(oc, h, w)
+            np.matmul(k_ijc, gpad.reshape(oc, h * wp), out=blocks.reshape(-1, h * wp))
+            for i in range(kh):
+                for j in range(kw):
+                    o = i * wp + j
+                    gxp[s, :, o:o + h * wp] += blocks[i, j]
+        return gxp.reshape(n, c, hp + 1, wp)[:, :, pt:pt + h, pl:pl + w], gk
 
     return custom_op(out.reshape(n, oc, h, w), (x, kernels), bw)
 
@@ -183,65 +181,50 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
     mode (which also updates the running ones) and the running ones
     otherwise.
 
-    Train mode keeps the centered input d = x - mean, takes the variance in
-    a second pass as sum(d * d) / count, and writes d * (gamma / sigma) +
-    beta; its backward folds 1 / sigma into per-channel coefficients, so no
-    pass forms xhat, and writes the input gradient over d. Every
-    per-channel sum, forward and backward and in both modes, goes through
-    `_channel_sums`."""
+    Infer mode is a forward only, in place on one fresh array; an input that
+    requires a gradient there raises UsageError. Train mode keeps the
+    centered input d = x - mean, takes the variance in a second pass as
+    sum(d * d) / count, and writes d * (gamma / sigma) + beta; its backward
+    folds 1 / sigma into per-channel coefficients, so no pass forms xhat,
+    and writes the input gradient over d. Every per-channel sum goes
+    through `_channel_sums`."""
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     shape = (1, -1, 1, 1)
+    if mode != "train":
+        if x.requires_grad or gamma.requires_grad or beta.requires_grad:
+            raise UsageError("batch_norm: infer mode has no backward")
+        out = x.data - stats.mean.reshape(shape)
+        out *= ((stats.var + BN_EPS) ** -0.5).reshape(shape)
+        out *= gamma.data.reshape(shape)
+        out += beta.data.reshape(shape)
+        return Tensor(out)
     count = x.size // x.shape[1]
-    if mode == "train":
-        mu = _channel_sums(x.data) * (1.0 / count)
-        # d = x - mean, kept for the backward: xhat = d * inv_std
-        kept = x.data - mu.reshape(shape)
-        var = _channel_sums(kept, kept) * (1.0 / count)
-        stats.mean = BN_MOMENTUM * stats.mean + (1 - BN_MOMENTUM) * mu
-        stats.var = BN_MOMENTUM * stats.var + (1 - BN_MOMENTUM) * var
-        inv_std = (var + BN_EPS) ** -0.5
-        out = kept * (gamma.data * inv_std).reshape(shape)
-    else:
-        # xhat itself is kept for the backward
-        kept = x.data - stats.mean.reshape(shape)
-        inv_std = (stats.var + BN_EPS) ** -0.5
-        kept *= inv_std.reshape(shape)
-        if not gamma.requires_grad:
-            out = kept  # no backward reads xhat, so scale it in place
-            out *= gamma.data.reshape(shape)
-        else:
-            out = gamma.data.reshape(shape) * kept
+    mu = _channel_sums(x.data) * (1.0 / count)
+    # d = x - mean, kept for the backward: xhat = d * inv_std
+    d = x.data - mu.reshape(shape)
+    var = _channel_sums(d, d) * (1.0 / count)
+    stats.mean = BN_MOMENTUM * stats.mean + (1 - BN_MOMENTUM) * mu
+    stats.var = BN_MOMENTUM * stats.var + (1 - BN_MOMENTUM) * var
+    inv_std = (var + BN_EPS) ** -0.5
+    scale = (gamma.data * inv_std).reshape(shape)
+    out = d * scale
     out += beta.data.reshape(shape)
 
-    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
-    gamma_data = gamma.data
-
     def bw(g):
-        # closed form of Ioffe & Szegedy 2015 (arXiv 1502.03167); in train
-        # mode the batch statistics depend on x, which adds the mean terms
-        x_train = need_x and mode == "train"
-        gx = sum_g = sum_g_xhat = None
-        if need_beta or x_train:
-            sum_g = _channel_sums(g)
-        if need_gamma or x_train:
-            # sum(g * xhat), which is sum(g * d) * inv_std in train mode
-            sum_g_xhat = _channel_sums(g, kept)
-            if mode == "train":
-                sum_g_xhat *= inv_std
-        if need_x:
-            scale = (gamma_data * inv_std).reshape(shape)
-            if x_train:
-                # (g - sum_g / count - xhat * sum_g_xhat / count) * scale,
-                # written over d: the engine runs a closure once, and
-                # nothing else reads d
-                gx = kept
-                gx *= (sum_g_xhat * inv_std * (-1.0 / count)).reshape(shape)
-                gx += g
-                gx -= (sum_g * (1.0 / count)).reshape(shape)
-                gx *= scale
-            else:
-                gx = g * scale
+        # closed form of Ioffe & Szegedy 2015 (arXiv 1502.03167), with the
+        # mean terms of the batch statistics' dependence on x
+        sum_g = _channel_sums(g)
+        # sum(g * xhat) = sum(g * d) * inv_std
+        sum_g_xhat = _channel_sums(g, d) * inv_std
+        # (g - sum_g / count - xhat * sum_g_xhat / count) * gamma * inv_std,
+        # written over d: the engine runs a closure once, and nothing else
+        # reads d
+        gx = d
+        gx *= (sum_g_xhat * inv_std * (-1.0 / count)).reshape(shape)
+        gx += g
+        gx -= (sum_g * (1.0 / count)).reshape(shape)
+        gx *= scale
         return gx, sum_g_xhat, sum_g
 
     return custom_op(out, (x, gamma, beta), bw)
@@ -334,10 +317,6 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
     for k, (_, reverse) in enumerate(directions):
         out[:, :, k * hidden:(k + 1) * hidden] = steps(hs, k, reverse)
 
-    need_seq = seq.requires_grad
-    # only the gradients of W read the input
-    x2d = x2d if any(p.W.requires_grad for p in params) else None
-
     def gate_grads(grad):
         # dh_i = grad_i + dz_(i+1) U^T and dc_i = dh_i o_i (1 - tanh^2 c_i)
         # + dc_(i+1) f_(i+1), with step i+1 the one that reads step i's state
@@ -375,29 +354,23 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
         for k, (p, reverse) in enumerate(directions):
             # direction k's gradients as N * T rows in time order
             dz2d = np.ascontiguousarray(steps(dz, k, reverse)).reshape(n * t_len, 4 * hidden)
-            dW = x2d.T @ dz2d if p.W.requires_grad else None
-            dU = None
-            if p.U.requires_grad:
-                # the hidden state each step read, zero at the first
-                h_out = out[:, :, k * hidden:(k + 1) * hidden]
-                h_prev = np.zeros((n, t_len, hidden), dtype)
-                if reverse:
-                    h_prev[:, :-1] = h_out[:, 1:]
-                else:
-                    h_prev[:, 1:] = h_out[:, :-1]
-                dU = h_prev.reshape(n * t_len, hidden).T @ dz2d
-            per_dir += [dW, dU, dz2d.sum(axis=0)]
+            # the hidden state each step read, zero at the first
+            h_out = out[:, :, k * hidden:(k + 1) * hidden]
+            h_prev = np.zeros((n, t_len, hidden), dtype)
+            if reverse:
+                h_prev[:, :-1] = h_out[:, 1:]
+            else:
+                h_prev[:, 1:] = h_out[:, :-1]
+            per_dir += [x2d.T @ dz2d, h_prev.reshape(n * t_len, hidden).T @ dz2d,
+                        dz2d.sum(axis=0)]
             dz_rows.append(dz2d)
         # the input gradient last, once dz is freed: its N * T x d terms are
         # the largest arrays of the backward
         del dz
-        dseq = None
-        if need_seq:
-            dseq = dz_rows[0] @ params[0].W.data.T
-            for p, dz2d in zip(params[1:], dz_rows[1:]):
-                dseq += dz2d @ p.W.data.T
-            dseq = dseq.reshape(n, t_len, d)
-        return (dseq, *per_dir)
+        dseq = dz_rows[0] @ params[0].W.data.T
+        for p, dz2d in zip(params[1:], dz_rows[1:]):
+            dseq += dz2d @ p.W.data.T
+        return (dseq.reshape(n, t_len, d), *per_dir)
 
     parents = (seq,) + tuple(t for p in params for t in (p.W, p.U, p.b))
     return custom_op(out, parents, bw)

@@ -61,6 +61,8 @@ class ModelConfig:
             raise ConfigError("conv_channels must be one or more positive integers")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
 

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError("patience must not be negative")
         if not self.patience < self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
 
 
 # the ModelConfig fields, then what save_checkpoint was given, in the order

@@ -299,3 +299,9 @@ class TestSynthDataset:
     def test_nan_frequency_refused(self):
         with pytest.raises(DatasetError, match="below Nyquist"):
             SynthSpec(2, 1, 4000, (float("nan"), 900.0))
+
+    @pytest.mark.parametrize("frequencies", [(-100.0, 100.0), (0.0, 900.0), (500.0, -1e-9)])
+    def test_non_positive_frequency_refused(self, frequencies):
+        # -f Hz is the tone of f Hz up to phase, and 0 Hz a constant clip
+        with pytest.raises(DatasetError, match="above 0 Hz and below Nyquist"):
+            SynthSpec(2, 1, 4000, frequencies)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
-from kwspot import errors, training
+from kwspot import audio_io, errors, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
-from kwspot.keyvalue import REQUIRED, read_key_values, schema
+from kwspot.keyvalue import PARSERS, REQUIRED, read_key_values, schema
 from kwspot.models import ModelConfig, build_model
 from kwspot.training import save_checkpoint
 
@@ -215,6 +215,12 @@ class TestSynth:
         (b"n_classes = 2\nclips_per_class = 1\nsample_rate = 4000\n"
          b"class_frequencies = 400, 800\nnoise_amplitude = -0.5\n",
          "bad.spec: noise_amplitude must be at least 0, got -0.5"),
+        (b"n_classes = 2\nclips_per_class = 1\nsample_rate = 4000\n"
+         b"class_frequencies = -100, 100\n",
+         "bad.spec: class frequencies must be above 0 Hz and below Nyquist"),
+        (b"n_classes = 2\nclips_per_class = 1\nsample_rate = 4000\n"
+         b"class_frequencies = 400, 800\nseed = -1\n",
+         "bad.spec: seed must not be negative, got -1"),
     ])
     def test_bad_spec_line(self, tmp_path, capsys, body, message):
         spec = tmp_path / "bad.spec"
@@ -333,6 +339,53 @@ class TestFeaturize:
         assert capsys.readouterr().err.splitlines() == [
             "error: fmin must be at least 0, got -5000.0"
         ]
+
+
+# the config keys that hold one int or one float
+NUMBER_KEYS = [key for key, (parse, _) in CONFIG_KEYS.items() if parse in (int, PARSERS[float])]
+
+
+class TestMinusOne:
+    # -1 is out of range for every number key; each is refused with an error
+    # line and exit code 1 or 2. run_cli is all that main() runs, so an
+    # exception escaping it here is what would print a traceback there
+    @staticmethod
+    def _refused(code, capsys):
+        err = capsys.readouterr().err
+        assert code in (1, 2), err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_train_setting(self, synth_dir, small_config_file, tmp_path, capsys, key):
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", f"{key}=-1", "--out", str(tmp_path / "m.ckpt"),
+        ])
+        self._refused(code, capsys)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key", list(SYNTH_KEYS))
+    def test_synth_spec_key(self, tmp_path, capsys, key):
+        spec = tmp_path / "minus.spec"
+        spec.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = -1", SYNTH_SPEC))
+        assert f"{key} = -1" in spec.read_text()
+        code = run_cli(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        self._refused(code, capsys)
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_refused_before_the_split(self, synth_dir, small_config_file, tmp_path,
+                                           capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the seed is checked before the split draws with it")
+
+        monkeypatch.setattr(audio_io, "split_dataset", unreachable)
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", "seed=-1", "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must not be negative, got -1"]
 
 
 class TestTrainEval:

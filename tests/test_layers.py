@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import kwspot
 from kwspot.autodiff import Tensor, backward, custom_op, grad_check
-from kwspot.errors import ConfigError, ShapeError
+from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import (
     LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
     bilstm_sequence, conv2d, dense, dropout, lstm_sequence, max_pool,
@@ -338,18 +339,14 @@ def naive_batch_norm(x, gamma, beta, mean, var, mode, momentum=0.9, eps=1e-5):
     return out, new_mean, new_var
 
 
-def composed_batch_norm(x, gamma, beta, stats, mode, eps=1e-5):
-    """Batch norm composed of the engine's elementwise primitives, so that
-    autodiff derives its gradients independently of the fused backward;
-    x + mu * -1.0 is x - mu exactly."""
+def composed_batch_norm(x, gamma, beta, eps=1e-5):
+    """Train-mode batch norm composed of the engine's elementwise
+    primitives, so that autodiff derives its gradients independently of the
+    fused backward; x + mu * -1.0 is x - mu exactly."""
     axes = (0, 2, 3)
     shape = (1, -1, 1, 1)
-    if mode == "train":
-        mu = x.mean(axis=axes, keepdims=True)
-        var = ((x + mu * -1.0) * (x + mu * -1.0)).mean(axis=axes, keepdims=True)
-    else:
-        mu = Tensor(stats.mean.reshape(shape))
-        var = Tensor(stats.var.reshape(shape))
+    mu = x.mean(axis=axes, keepdims=True)
+    var = ((x + mu * -1.0) * (x + mu * -1.0)).mean(axis=axes, keepdims=True)
     xhat = (x + mu * -1.0) * ((var + eps) ** -0.5)
     return gamma.reshape(shape) * xhat + beta.reshape(shape)
 
@@ -429,20 +426,21 @@ class TestBatchNorm:
 
         want, want_mean, want_var = naive_batch_norm(x, gamma, beta, mean, var, mode)
         stats = BnStats(mean=mean.copy(), var=var.copy())
-        leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        # infer mode has no backward, so its leaves require no gradient
+        leaves = [Tensor(v, requires_grad=mode == "train") for v in (x, gamma, beta)]
         out = batch_norm(*leaves, stats, mode)
-        backward((out * Tensor(upstream)).sum())
         assert _rel_err(out.data, want) < 1e-12
         assert _rel_err(stats.mean, want_mean) < 1e-12
         assert _rel_err(stats.var, want_var) < 1e-12
+        if mode != "train":
+            return
 
+        backward((out * Tensor(upstream)).sum())
         ref = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-        ref_out = composed_batch_norm(*ref, BnStats(mean=mean.copy(), var=var.copy()), mode)
-        backward((ref_out * Tensor(upstream)).sum())
+        backward((composed_batch_norm(*ref) * Tensor(upstream)).sum())
         # the terms of the input gradient are of size |g| * gamma / sigma and
         # cancel when a channel holds few values; measure error against them
-        sigma2 = x.var(axis=(0, 2, 3)) if mode == "train" else var
-        term = np.abs(upstream).max() * np.max(gamma / np.sqrt(sigma2 + 1e-5))
+        term = np.abs(upstream).max() * np.max(gamma / np.sqrt(x.var(axis=(0, 2, 3)) + 1e-5))
         assert _rel_err(leaves[0].grad, ref[0].grad, term) < 1e-12
         assert _rel_err(leaves[1].grad, ref[1].grad) < 1e-12
         assert _rel_err(leaves[2].grad, ref[2].grad) < 1e-12
@@ -498,9 +496,9 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_infer_scales_in_place(self, dtype):
-        # with no gradient required no backward reads xhat, so gamma scales
-        # it in place; the input is untouched and the rounding is that of
-        # the out-of-place form
+        # infer mode normalizes and scales one fresh array in place; the
+        # input is untouched and the rounding is that of the out-of-place
+        # form
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(3, 4, 5, 6)).astype(dtype))
         x_before = x.data.copy()
@@ -514,6 +512,15 @@ class TestBatchNorm:
         assert np.array_equal(x.data, x_before)
         assert out.data.dtype == want.dtype == dtype
         assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("leaf", range(3))
+    def test_infer_refuses_a_leaf_that_requires_grad(self, leaf):
+        rng = np.random.default_rng(11)
+        leaves = [Tensor(rng.normal(size=shape)) for shape in ((2, 3, 4, 4), 3, 3)]
+        leaves[leaf].requires_grad = True
+        stats = BnStats(mean=np.zeros(3), var=np.ones(3))
+        with pytest.raises(UsageError, match="infer mode has no backward"):
+            batch_norm(*leaves, stats, "infer")
 
     def test_train_normalizes(self):
         rng = np.random.default_rng(4)
@@ -883,3 +890,48 @@ class TestAttention:
                 Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4, 5))),
                 Tensor(np.zeros((1, 4, 2))),
             )
+
+
+def _leaf_grads(fn, arrays, upstream, mask):
+    """The .grad of each leaf after a backward of fn under `upstream`, with
+    leaf i requiring a gradient where mask[i] is set."""
+    leaves = [Tensor(a, requires_grad=m) for a, m in zip(arrays, mask)]
+    backward((fn(*leaves) * Tensor(upstream)).sum())
+    return [leaf.grad for leaf in leaves]
+
+
+def _conv_case(rng):
+    return conv2d, [rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(4, 3, 3, 2))]
+
+
+def _bn_case(rng):
+    def fn(x, gamma, beta):
+        return batch_norm(x, gamma, beta, BnStats(mean=np.zeros(3), var=np.ones(3)), "train")
+    return fn, [rng.normal(size=(4, 3, 3, 2)), rng.uniform(0.5, 1.5, 3), rng.normal(size=3)]
+
+
+def _bilstm_case(rng):
+    def fn(seq, *p):
+        return bilstm_sequence(seq, LstmParams(*p[:3]), LstmParams(*p[3:]))
+    fwd, bwd = _lstm_params(rng, 3, 2, scale=2.0), _lstm_params(rng, 3, 2, scale=2.0)
+    params = [leaf.data for leaf in _lstm_leaves(fwd) + _lstm_leaves(bwd)]
+    return fn, [rng.normal(size=(2, 4, 3))] + params
+
+
+class TestSomeLeavesRequireGrad:
+    # each custom primitive's backward returns all its gradients, and the
+    # engine keeps only those of the leaves that require one
+    @pytest.mark.parametrize("case", [_conv_case, _bn_case, _bilstm_case])
+    def test_same_bits_as_all_leaves(self, case):
+        rng = np.random.default_rng(23)
+        fn, arrays = case(rng)
+        upstream = rng.normal(size=fn(*map(Tensor, arrays)).shape)
+        full = _leaf_grads(fn, arrays, upstream, [True] * len(arrays))
+        for mask in itertools.product((False, True), repeat=len(arrays)):
+            if all(mask) or not any(mask):
+                continue
+            for want, got, m in zip(full, _leaf_grads(fn, arrays, upstream, mask), mask):
+                if m:
+                    assert got.tobytes() == want.tobytes(), mask
+                else:
+                    assert got is None, mask

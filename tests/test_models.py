@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dtype"):
             _small_config("cnn", dtype="float16")
 
+    def test_negative_seed_refused(self):
+        # numpy's default_rng raised a bare ValueError from build_model
+        with pytest.raises(ConfigError, match="seed must not be negative, got -3"):
+            _small_config("cnn", seed=-3)
+
     def test_default_channels(self):
         assert _small_config("cnn", conv_channels=None).resolved_channels() == (32, 64, 64)
         assert _small_config("cnn_bilstm", conv_channels=None).resolved_channels() == (32, 64)

@@ -60,6 +60,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite and positive, got {value}"):
             TrainConfig(**{key: value})
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError, match="seed must not be negative, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
