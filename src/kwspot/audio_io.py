@@ -185,18 +185,13 @@ def split_dataset(index: DatasetIndex, ratios, seed: int):
                 f"label {label!r} has {len(group)} entries, fewer than "
                 f"{n_nonzero} non-empty splits"
             )
-        order = rng.permutation(len(group))
         n = len(group)
-        n_val = int(n * val_r)
-        n_test = int(n * test_r)
+        shuffled = [group[i] for i in rng.permutation(n)]
+        n_val, n_test = int(n * val_r), int(n * test_r)
         n_train = n - n_val - n_test
-        for rank, idx in enumerate(order):
-            if rank < n_train:
-                splits[0].append(group[idx])
-            elif rank < n_train + n_val:
-                splits[1].append(group[idx])
-            else:
-                splits[2].append(group[idx])
+        splits[0].extend(shuffled[:n_train])
+        splits[1].extend(shuffled[n_train:n_train + n_val])
+        splits[2].extend(shuffled[n_train + n_val:])
     return tuple(
         DatasetIndex(entries=tuple(part), label_set=index.label_set)
         for part in splits

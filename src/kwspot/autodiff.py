@@ -136,10 +136,6 @@ class Tensor:
         return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         inverse = tuple(np.argsort(axes))
         return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 

@@ -118,18 +118,17 @@ def _cmd_train(args) -> int:
     index = _scan(args.data)
     # refuse a label the checkpoint could not store before training for it
     write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
+    # and a model setting before the front end runs
+    dsp_cfg = from_config(dsp.DspConfig, cfg)
+    kind = cfg["feature_kind"]
+    model = build_model(from_config(ModelConfig, dict(
+        cfg, n_classes=len(index.label_set), input_shape=dsp.feature_shape(dsp_cfg, kind),
+        dtype=ModelConfig.dtype)))
     train_idx, val_idx, _ = audio_io.split_dataset(
         index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
     )
-    dsp_cfg = from_config(dsp.DspConfig, cfg)
-    kind = cfg["feature_kind"]
     train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
     val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")
-    t, d = train_data[0].shape[1:]
-    model_cfg = from_config(ModelConfig, dict(
-        cfg, n_classes=len(index.label_set), input_shape=(t, d), dtype=ModelConfig.dtype
-    ))
-    model = build_model(model_cfg)
     model, history = training.fit(model, train_data, val_data, train_cfg)
     training.save_checkpoint(
         model, args.out, train_config=train_cfg, labels=index.label_set

@@ -1,10 +1,9 @@
 """MFCC front end: pre-emphasis, framing, windowing, power spectrum,
 triangular mel filterbank, log compression and DCT-II.
 
-mfcc_pipeline writes each clip's windowed frames once, straight into the
-zero-padded buffer that the FFT reads, with the window built once per
-(frame length, window kind); squaring and the log run in place. Its
-features equal the public stages chained, bit for bit."""
+mfcc_pipeline chains the public stages; the window is built once per
+(frame length, window kind), the FFT zero-pads each frame to n_fft itself,
+and squaring and the log run in place."""
 
 from __future__ import annotations
 
@@ -43,6 +42,8 @@ class DspConfig:
             raise DspError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.hop_len < 1:
             raise DspError(f"hop_len must be at least 1, got {self.hop_len}")
+        if self.frame_len > self.sample_rate:  # a 1-second clip would hold no frame
+            raise DspError(f"frame_len {self.frame_len} exceeds sample_rate {self.sample_rate}")
         if self.hop_len > self.frame_len:
             raise DspError(f"hop_len {self.hop_len} exceeds frame_len {self.frame_len}")
         if not _is_power_of_two(self.n_fft) or self.n_fft < self.frame_len:
@@ -85,6 +86,13 @@ class FeatureMatrix:
 
 def n_frames(signal_len: int, frame_len: int, hop_len: int) -> int:
     return 1 + (signal_len - frame_len) // hop_len
+
+
+def feature_shape(config: DspConfig, kind: str) -> tuple:
+    """(frames, coefficients) of every clip's features: mfcc_pipeline takes
+    a clip at config.sample_rate, and read_wav makes each 1 second long."""
+    width = config.n_mel_filters if kind == "log_mel" else config.n_mfcc
+    return n_frames(config.sample_rate, config.frame_len, config.hop_len), width
 
 
 def pre_emphasis(signal: np.ndarray, alpha: float) -> np.ndarray:
@@ -209,10 +217,7 @@ def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
         )
     emphasized = pre_emphasis(clip.samples, config.pre_emphasis_alpha)
     frames = frame_signal(emphasized, config.frame_len, config.hop_len)
-    padded = np.zeros((len(frames), config.n_fft))
-    np.multiply(frames, _window(config.frame_len, config.window),
-                out=padded[:, :config.frame_len])
-    spectra = power_spectrum(padded, config.n_fft)
+    spectra = power_spectrum(apply_window(frames, config.window), config.n_fft)
     bank = build_mel_filterbank(config)
     logmel = log_compress(mel_energies(spectra, bank), config.log_floor)
     values = logmel if kind == "log_mel" else dct_ii(logmel, config.n_mfcc)

@@ -7,23 +7,23 @@ pooling (the maximum of each row's column pair, then of the two rows; with
 a gradient, also a uint8 code of the window position that won, a chained
 product of the four strided views' miss masks, which the backward reads
 into an uninitialized gradient, zero-filling only a dropped odd row or
-column), batch normalization (every per-channel sum is one dot product
-per (sample, channel) row; train mode keeps x - mean instead of xhat for
-its closed-form backward, and infer mode is a forward only) and the LSTM
-scan (every direction of a sequence in one time loop, with closed-form
-BPTT) are custom primitives with hand-written backward passes; dropout
-draws its mask from raw 32-bit integers; everything else is composed from
-the engine's elementwise and matmul primitives. Each backward returns all
-its gradients, and the engine keeps the required ones; only conv2d skips
-one, for an input that needs none (the raw features). Each backward
-closure captures only the arrays it reads, never a Tensor, so a conv
-output dies once batch norm has read it and a batch-norm output once the
-pool has. The models pool before the ReLU: max commutes with a monotone
-map, so max_pool then relu gives the values and gradients of relu then
-max_pool, with the ReLU on a quarter of the elements. In infer mode they
-also pool before batch norm, which with running statistics is a
-per-channel affine map, so that it too runs on a quarter of the elements
-and gives the same bits.
+column), batch normalization (every per-channel sum is one dot product per
+(sample, channel) row; train mode keeps x - mean instead of xhat for its
+closed-form backward, and infer mode is a forward only) and the LSTM scan
+(every direction of a sequence in one time loop, with closed-form BPTT
+over the states the forward stored) are custom primitives with
+hand-written backward passes; dropout draws its mask from raw 32-bit
+integers; everything else is composed from the engine's elementwise and
+matmul primitives. Each backward returns all its gradients, and the engine
+keeps the required ones; only conv2d skips one, for an input that needs
+none (the raw features). Each backward closure captures only the arrays it
+reads, never a Tensor, so a conv output dies once batch norm has read it
+and a batch-norm output once the pool has. The models pool before the
+ReLU: max commutes with a monotone map, so max_pool then relu gives the
+values and gradients of relu then max_pool, with the ReLU on a quarter of
+the elements. In infer mode they also pool before batch norm, which with
+running statistics is a per-channel affine map, so that it too runs on a
+quarter of the elements and gives the same bits.
 """
 
 from __future__ import annotations
@@ -246,15 +246,8 @@ def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
     return x * Tensor(mask)
 
 
-def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "none") -> Tensor:
-    out = x @ weights + bias
-    if activation == "none":
-        return out
-    if activation == "relu":
-        return out.relu()
-    if activation == "tanh":
-        return out.tanh()
-    raise ShapeError(f"dense: unknown activation {activation!r}")
+def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    return x @ weights + bias
 
 
 def lstm_scan(seq: Tensor, directions) -> Tensor:
@@ -268,14 +261,17 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
     i of every direction is the block gates[i], (4, D * N, hidden): each
     gate of all D * N rows is contiguous, each step runs one stacked matmul
     with the D recurrent matrices and one set of elementwise ops. The
-    forward keeps the gate activations and the cell states for the
-    backward. That runs the closed-form BPTT of Graves 2012 (Supervised
+    forward keeps the gate activations and the cell and hidden states for
+    the backward. That runs the closed-form BPTT of Graves 2012 (Supervised
     Sequence Labelling with Recurrent Neural Networks, ch. 4) over the
     steps in reverse to fill the gate pre-activation gradients, then, per
     direction in time order, takes the gradients of W, U and the input with
     one matmul each and that of b with one sum."""
     n, t_len, d = seq.shape
     params = [p for p, _ in directions]
+    # the closures capture these arrays and flags, not the Tensors
+    Ws = [p.W.data for p in params]
+    reverses = [reverse for _, reverse in directions]
     n_dir, hidden = len(directions), params[0].U.shape[0]
     rows = n_dir * n
     x2d = seq.data.reshape(n * t_len, d)
@@ -288,15 +284,18 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
 
     # pre-activations, overwritten step by step with the activations: step
     # i is gates[i], the four gate blocks of all D * N rows, each contiguous
-    dtype = np.result_type(x2d, *(p.W.data for p in params))
+    dtype = np.result_type(x2d, *Ws)
     gates = np.empty((t_len, 4, rows, hidden), dtype)
     for k, (p, reverse) in enumerate(directions):
-        np.add((x2d @ p.W.data).reshape(n, t_len, 4, hidden), p.b.data.reshape(4, hidden),
+        np.add((x2d @ Ws[k]).reshape(n, t_len, 4, hidden), p.b.data.reshape(4, hidden),
                out=steps(gates.swapaxes(1, 2), k, reverse))
     U = np.stack([p.U.data for p in params])
     cells = np.empty((t_len, rows, hidden), dtype)
-    hs = np.empty_like(cells)
-    h = c = np.zeros((rows, hidden), dtype)
+    # hs[i + 1] is the hidden state after step i and hs[i] the one that step
+    # read, so the backward reads the states each step read as hs[:-1]
+    hs = np.empty((t_len + 1, rows, hidden), dtype)
+    hs[0] = 0.0
+    h = c = hs[0]
     for i in range(t_len):
         z = gates[i]
         # the recurrent term of every direction in one stacked matmul
@@ -311,17 +310,17 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
         np.tanh(g, out=g)
         c = np.multiply(zf, c, out=cells[i])
         c += zi * g
-        h = np.tanh(c, out=hs[i])
+        h = np.tanh(c, out=hs[i + 1])
         h *= zo
     out = np.empty((n, t_len, n_dir * hidden), dtype)
-    for k, (_, reverse) in enumerate(directions):
-        out[:, :, k * hidden:(k + 1) * hidden] = steps(hs, k, reverse)
+    for k, reverse in enumerate(reverses):
+        out[:, :, k * hidden:(k + 1) * hidden] = steps(hs[1:], k, reverse)
 
     def gate_grads(grad):
         # dh_i = grad_i + dz_(i+1) U^T and dc_i = dh_i o_i (1 - tanh^2 c_i)
         # + dc_(i+1) f_(i+1), with step i+1 the one that reads step i's state
         grads = np.empty((t_len, rows, hidden), dtype)
-        for k, (_, reverse) in enumerate(directions):
+        for k, reverse in enumerate(reverses):
             steps(grads, k, reverse)[...] = grad[:, :, k * hidden:(k + 1) * hidden]
         # gate pre-activation gradients with the gates side by side, as the
         # matmuls read them, and a gate-major view of each step
@@ -351,34 +350,23 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
     def bw(grad):
         dz = gate_grads(grad)
         dz_rows, per_dir = [], []
-        for k, (p, reverse) in enumerate(directions):
-            # direction k's gradients as N * T rows in time order
+        for k, reverse in enumerate(reverses):
+            # direction k's gradients and the hidden states its steps read,
+            # as N * T rows in time order
             dz2d = np.ascontiguousarray(steps(dz, k, reverse)).reshape(n * t_len, 4 * hidden)
-            # the hidden state each step read, zero at the first
-            h_out = out[:, :, k * hidden:(k + 1) * hidden]
-            h_prev = np.zeros((n, t_len, hidden), dtype)
-            if reverse:
-                h_prev[:, :-1] = h_out[:, 1:]
-            else:
-                h_prev[:, 1:] = h_out[:, :-1]
-            per_dir += [x2d.T @ dz2d, h_prev.reshape(n * t_len, hidden).T @ dz2d,
-                        dz2d.sum(axis=0)]
+            h_prev = np.ascontiguousarray(steps(hs[:-1], k, reverse)).reshape(n * t_len, hidden)
+            per_dir += [x2d.T @ dz2d, h_prev.T @ dz2d, dz2d.sum(axis=0)]
             dz_rows.append(dz2d)
         # the input gradient last, once dz is freed: its N * T x d terms are
         # the largest arrays of the backward
         del dz
-        dseq = dz_rows[0] @ params[0].W.data.T
-        for p, dz2d in zip(params[1:], dz_rows[1:]):
-            dseq += dz2d @ p.W.data.T
+        dseq = dz_rows[0] @ Ws[0].T
+        for W, dz2d in zip(Ws[1:], dz_rows[1:]):
+            dseq += dz2d @ W.T
         return (dseq.reshape(n, t_len, d), *per_dir)
 
     parents = (seq,) + tuple(t for p in params for t in (p.W, p.U, p.b))
     return custom_op(out, parents, bw)
-
-
-def lstm_sequence(seq: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
-    """Run an LSTM over an N x T x d sequence; outputs N x T x hidden."""
-    return lstm_scan(seq, ((params, reverse),))
 
 
 def bilstm_sequence(seq: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:

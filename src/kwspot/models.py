@@ -79,9 +79,6 @@ class Model:
     bn_stats: dict        # name -> BnStats
     mode: str = "train"
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def set_mode(self, mode: str):
         """Parameters require gradients only in train mode, so that an
         infer-mode forward records no autodiff graph."""
@@ -260,22 +257,22 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
 
     if cfg.arch == "cnn":
         flat = feat.reshape(n, -1)
-        h1 = dense(flat, p["fc0_W"], p["fc0_b"], "relu")
-        h2 = dense(h1, p["fc1_W"], p["fc1_b"], "relu")
-        return dense(h2, p["fc2_W"], p["fc2_b"], "none")
+        h1 = dense(flat, p["fc0_W"], p["fc0_b"]).relu()
+        h2 = dense(h1, p["fc1_W"], p["fc1_b"]).relu()
+        return dense(h2, p["fc2_W"], p["fc2_b"])
 
     seq = _to_sequence(feat)
     l1 = bilstm_sequence(seq, _lstm_params(model, "lstm1f"), _lstm_params(model, "lstm1b"))
     if cfg.arch == "cnn_bilstm":
         pooled = l1.mean(axis=1)
-        return dense(pooled, p["out_W"], p["out_b"], "none")
+        return dense(pooled, p["out_W"], p["out_b"])
 
     l2 = bilstm_sequence(l1, _lstm_params(model, "lstm2f"), _lstm_params(model, "lstm2b"))
     if cfg.arch == "attention_rnn":
         mid = l2.shape[1] // 2
         query = l2[:, mid, :] @ p["query_proj"]
         context, _ = attention(query, l2, l2)
-        return dense(context, p["out_W"], p["out_b"], "none")
+        return dense(context, p["out_W"], p["out_b"])
 
     # multilayer_attention: three chained attention reads
     q1 = batch.mean(axis=1) @ p["stage1_proj"]
@@ -284,8 +281,8 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
     c2, a2 = attention(q2, l1, l1)
     q3 = c2 @ p["query_proj"]
     c3, a3 = attention(q3, l2, l2)
-    h1 = dense(c3, p["head0_W"], p["head0_b"], "relu")
-    logits = dense(h1, p["head1_W"], p["head1_b"], "none")
+    h1 = dense(c3, p["head0_W"], p["head0_b"]).relu()
+    logits = dense(h1, p["head1_W"], p["head1_b"])
     return (logits, (a1, a2, a3)) if stages else logits
 
 

@@ -262,22 +262,21 @@ def read_metrics_csv(path) -> list:
 
 def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
     """Extract features for every entry: (N x T x D array, label indices),
-    written row by row into one array shaped from the first clip. An empty
-    index, or a clip whose features differ in shape from the first's,
-    raises DataError naming the split (and the entry)."""
+    written row by row into one array of dsp.feature_shape. An empty index,
+    or a clip whose features have another shape, raises DataError naming
+    the split (and the entry)."""
     if not index.entries:
         raise DataError(f"the {split} split holds no clips")
-    x = None
+    shape = dsp.feature_shape(dsp_config, kind)
+    x = np.empty((len(index.entries),) + shape)
     y = np.empty(len(index.entries), dtype=np.int64)
     for i, entry in enumerate(index.entries):
         values = dsp.mfcc_pipeline(audio_io.load_clip(entry), dsp_config, kind).values
-        if x is None:
-            x = np.empty((len(index.entries),) + values.shape)
-        elif values.shape != x.shape[1:]:
+        if values.shape != shape:
             source = "in-memory clip" if isinstance(entry[0], audio_io.AudioClip) else entry[0]
             raise DataError(
                 f"{split} entry {i} ({source}): features of shape {values.shape}, "
-                f"expected {x.shape[1:]} as for entry 0"
+                f"expected {shape} of a 1-second clip"
             )
         x[i] = values
         y[i] = index.class_index(entry[1])

@@ -213,6 +213,19 @@ class TestSplitDataset:
             )
             assert len(merged) == len(set(merged))
 
+    def test_membership_pinned(self):
+        # which clip lands in which part, recorded once: a rewrite that
+        # reshuffled the parts would change every seeded training run
+        index = self._index({"a": 7, "b": 5, "c": 9})
+        parts = audio_io.split_dataset(index, (0.6, 0.25, 0.15), 11)
+        assert [[path for path, _ in part.entries] for part in parts] == [
+            ["a/3.wav", "a/1.wav", "a/4.wav", "a/5.wav", "a/2.wav",
+             "b/2.wav", "b/3.wav", "b/4.wav", "b/1.wav",
+             "c/2.wav", "c/3.wav", "c/8.wav", "c/0.wav", "c/1.wav", "c/4.wav"],
+            ["a/0.wav", "b/0.wav", "c/6.wav", "c/7.wav"],
+            ["a/6.wav", "c/5.wav"],
+        ]
+
     def test_too_few_entries(self):
         with pytest.raises(SplitError):
             audio_io.split_dataset(self._index({"a": 2}), (0.6, 0.2, 0.2), 0)

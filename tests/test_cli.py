@@ -520,6 +520,33 @@ class TestTrainEval:
         assert "m.ckpt: cannot write labels item 'a,b'" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("setting,message", [
+        ("lstm_hidden=-1", "lstm_hidden must be positive"),
+        ("dense_hidden=-1", "dense_hidden must be positive"),
+        ("dropout_rate=-1", "dropout_rate must be in [0, 1)"),
+        # 61 x 20 features are 3 x 1 at a fifth block's pool
+        ("conv_channels=2,2,2,2,2", "input (61, 20) too small for conv block 4"),
+    ])
+    def test_model_setting_refused_before_featurizing(self, synth_dir, small_config_file,
+                                                      tmp_path, capsys, monkeypatch,
+                                                      setting, message):
+        calls = []
+        real = training.featurize_index
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "featurize_index", counting)
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--set", setting, "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_empty_validation_split_named(self, synth_dir, small_config_file, tmp_path,
                                           capsys):
         # 6 clips per class at 0.8/0.1/0.1 leave no clip for validation

@@ -20,6 +20,18 @@ class TestConfig:
         with pytest.raises(DspError, match=f"frame_len must be at least 2, got {frame_len}"):
             dsp.DspConfig(frame_len=frame_len, hop_len=1)
 
+    def test_frame_longer_than_a_clip_rejected(self):
+        # a 1-second clip would hold no frame; this used to fail only inside
+        # frame_signal, once a clip was featurized
+        with pytest.raises(DspError, match="frame_len 4096 exceeds sample_rate 4000"):
+            dsp.DspConfig(sample_rate=4000, frame_len=4096, hop_len=64, n_fft=4096,
+                          fmax=1900.0)
+
+    def test_frame_of_one_second_accepted(self):
+        config = dsp.DspConfig(sample_rate=4000, frame_len=4000, hop_len=64, n_fft=4096,
+                               fmax=1900.0)
+        assert dsp.feature_shape(config, "log_mel") == (1, 40)
+
     @pytest.mark.parametrize("fmin", [-5000.0, -1e-9])
     def test_negative_fmin_rejected(self, fmin):
         with pytest.raises(DspError, match=f"fmin must be at least 0, got {fmin}"):
@@ -309,9 +321,8 @@ PIPELINE_CONFIGS = {
 
 
 class TestPipelineStages:
-    """mfcc_pipeline writes the windowed frames straight into the FFT
-    buffer; its features must equal the public stages chained, bit for
-    bit."""
+    """mfcc_pipeline is the public stages chained, called one by one here;
+    the features must be equal bit for bit, and of dsp.feature_shape."""
 
     @staticmethod
     def _stages(samples, config, kind):
@@ -333,6 +344,7 @@ class TestPipelineStages:
             want = self._stages(samples, config, kind)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert got.shape == dsp.feature_shape(config, kind)
 
     def test_one_power_spectrum_per_clip(self, monkeypatch, small_dsp_config):
         calls = []

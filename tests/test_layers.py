@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from kwspot.autodiff import Tensor, backward, custom_op, grad_check
 from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import (
     LSTM_GATES, BnStats, LstmParams, attention, batch_norm,
-    bilstm_sequence, conv2d, dense, dropout, lstm_sequence, max_pool,
+    bilstm_sequence, conv2d, dense, dropout, lstm_scan, max_pool,
 )
+from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
+from kwspot.training import cross_entropy_loss
 
 
 def naive_conv2d(x, k):
@@ -649,8 +653,13 @@ def _lstm_leaves(p):
     return [p.W, p.U, p.b]
 
 
+def lstm_direction(seq, params, reverse=False):
+    """One LSTM over an N x T x d sequence: lstm_scan with one direction."""
+    return lstm_scan(seq, ((params, reverse),))
+
+
 def naive_lstm(x, W, U, b, reverse=False):
-    """Per-gate, per-step reference for lstm_sequence on N x T x d."""
+    """Per-gate, per-step reference for one LSTM direction on N x T x d."""
     n, t_len, _ = x.shape
     hidden = U.shape[0]
     block = {gate: slice(k * hidden, (k + 1) * hidden) for k, gate in enumerate(LSTM_GATES)}
@@ -667,7 +676,7 @@ def naive_lstm(x, W, U, b, reverse=False):
 
 def sigmoid(x):
     """The logistic function as one primitive, with the float operations
-    of lstm_sequence's gates, forward and backward."""
+    of lstm_scan's gates, forward and backward."""
     out = 1.0 / (1.0 + np.exp(-x.data))
     return custom_op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
@@ -681,9 +690,9 @@ def concat(tensors, axis):
 
 
 def composed_lstm(seq, params, reverse=False):
-    """lstm_sequence composed of the engine's primitives, about 16 nodes per
-    step, so that autodiff derives its gradients independently of the
-    hand-written BPTT."""
+    """One LSTM direction composed of the engine's primitives, about 16
+    nodes per step, so that autodiff derives its gradients independently
+    of the hand-written BPTT."""
     n, t_len, d = seq.shape
     hidden = params.U.shape[0]
     proj = (seq.reshape(n * t_len, d) @ params.W + params.b).reshape(n, t_len, 4 * hidden)
@@ -718,13 +727,13 @@ def _lstm_run(fn, shape, reverse, dtype, seed):
 class TestLstm:
     def test_zero_weights_zero_state(self):
         params = _lstm_params(np.random.default_rng(11), 4, 3, scale=0.0)
-        out = lstm_sequence(Tensor(np.ones((2, 1, 4))), params)
+        out = lstm_direction(Tensor(np.ones((2, 1, 4))), params)
         assert np.abs(out.data).max() == 0.0
 
     def test_hidden_bounded(self):
         rng = np.random.default_rng(12)
         params = _lstm_params(rng, 4, 3, scale=5.0)
-        out = lstm_sequence(Tensor(10.0 * rng.normal(size=(2, 6, 4))), params)
+        out = lstm_direction(Tensor(10.0 * rng.normal(size=(2, 6, 4))), params)
         assert np.abs(out.data).max() < 1.0
 
     @pytest.mark.parametrize("trial", range(20))
@@ -735,7 +744,7 @@ class TestLstm:
         reverse = bool(trial % 2)
         params = _lstm_params(rng, d, hidden, scale=2.0)
         x = rng.normal(size=(n, t_len, d))
-        out = lstm_sequence(Tensor(x), params, reverse=reverse).data
+        out = lstm_direction(Tensor(x), params, reverse=reverse).data
         ref = naive_lstm(x, params.W.data, params.U.data, params.b.data, reverse)
         assert out.shape == (n, t_len, hidden)
         assert np.abs(out - ref).max() < 1e-12
@@ -746,7 +755,7 @@ class TestLstm:
         seq = Tensor(rng.normal(size=(5, 2, 3)).transpose(1, 0, 2))
 
         def f():
-            h = lstm_sequence(seq, params)[:, -1, :]
+            h = lstm_direction(seq, params)[:, -1, :]
             return (h * h).sum()
 
         assert grad_check(f, _lstm_leaves(params)) < 1e-5
@@ -755,7 +764,7 @@ class TestLstm:
     @pytest.mark.parametrize("shape", [(1, 1, 3, 2), (3, 5, 7, 4), (2, 6, 1, 5),
                                        (4, 24, 9, 6)])
     def test_matches_composed_graph(self, shape, reverse):
-        got = _lstm_run(lstm_sequence, shape, reverse, np.float64, 700 + sum(shape))
+        got = _lstm_run(lstm_direction, shape, reverse, np.float64, 700 + sum(shape))
         want = _lstm_run(composed_lstm, shape, reverse, np.float64, 700 + sum(shape))
         # the same float operations in the same order, except dU: one
         # matmul over all steps sums in another order than per-step ones
@@ -767,7 +776,7 @@ class TestLstm:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_float32_stays_float32(self, reverse):
-        got = _lstm_run(lstm_sequence, (3, 6, 5, 4), reverse, np.float32, 720)
+        got = _lstm_run(lstm_direction, (3, 6, 5, 4), reverse, np.float32, 720)
         assert [a.dtype for a in got] == [np.dtype(np.float32)] * 5
 
 
@@ -784,15 +793,15 @@ class TestBilstm:
         fwd, bwd = _lstm_params(rng, 4, 3), _lstm_params(rng, 4, 3)
         seq = Tensor(rng.normal(size=(2, 1, 4)))
         out = bilstm_sequence(seq, fwd, bwd)
-        assert np.array_equal(out.data[:, :, :3], lstm_sequence(seq, fwd).data)
-        assert np.array_equal(out.data[:, :, 3:], lstm_sequence(seq, bwd).data)
+        assert np.array_equal(out.data[:, :, :3], lstm_direction(seq, fwd).data)
+        assert np.array_equal(out.data[:, :, 3:], lstm_direction(seq, bwd).data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 1, 3, 2), (1, 7, 4, 3), (8, 12, 5, 4),
                                        (32, 6, 3, 2)])
     def test_matches_two_directions(self, shape, dtype):
         # the fused scan over both directions runs the float operations of
-        # one lstm_sequence per direction, forward and backward
+        # one single-direction lstm_scan per direction, forward and backward
         n, t_len, d, hidden = shape
 
         def run(fn):
@@ -810,7 +819,7 @@ class TestBilstm:
 
         got = run(bilstm_sequence)
         want = run(lambda seq, fwd, bwd: concat(
-            [lstm_sequence(seq, fwd), lstm_sequence(seq, bwd, reverse=True)], axis=2))
+            [lstm_direction(seq, fwd), lstm_direction(seq, bwd, reverse=True)], axis=2))
         assert len(got) == 8
         for name, g, w in zip(("out", "dx", "fW", "fU", "fb", "bW", "bU", "bb"), got, want):
             assert g.dtype == np.dtype(dtype), name
@@ -935,3 +944,76 @@ class TestSomeLeavesRequireGrad:
                     assert got.tobytes() == want.tobytes(), mask
                 else:
                     assert got is None, mask
+
+
+def _pool_case(rng):
+    return max_pool, [rng.normal(size=(2, 3, 5, 4))]
+
+
+def _loss_case(rng):
+    return (lambda logits: cross_entropy_loss(logits, [0, 2, 1])), [rng.normal(size=(3, 4))]
+
+
+def _tensors_held(obj, seen) -> int:
+    """The Tensors reachable from obj through closure cells, nested
+    closures, lists, tuples, dicts and dataclass fields."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return 1
+    if isinstance(obj, types.FunctionType):
+        children = []
+        for cell in obj.__closure__ or ():
+            try:
+                children.append(cell.cell_contents)
+            except ValueError:  # a cell whose variable is not yet bound
+                pass
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return 0
+    return sum(_tensors_held(child, seen) for child in children)
+
+
+class TestClosuresHoldNoTensor:
+    # a backward closure captures only the arrays it reads, never a Tensor,
+    # whose value it would keep alive until the backward (the autodiff and
+    # layers module docstrings)
+    @pytest.mark.parametrize("case", [_conv_case, _pool_case, _bn_case, _bilstm_case,
+                                      _loss_case])
+    def test_custom_primitive(self, case):
+        fn, arrays = case(np.random.default_rng(24))
+        out = fn(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert _tensors_held(out._node._backward, set()) == 0
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_every_node_of_a_train_step(self, arch):
+        model = build_model(ModelConfig(arch, 3, (16, 12), conv_channels=(2, 3),
+                                        lstm_hidden=3, dense_hidden=4))
+        x = np.random.default_rng(25).normal(size=(4, 16, 12))
+        logits = model_forward(model, x, rng=np.random.default_rng(26))
+        stack, seen = [cross_entropy_loss(logits, [0, 1, 2, 0])._node], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or not hasattr(node, "_backward"):  # a leaf
+                continue
+            seen.add(id(node))
+            assert _tensors_held(node._backward, set()) == 0
+            stack.extend(node._parents)
+        assert len(seen) > 10
+
+    def test_walk_reaches_nested_tensors(self):
+        params = LstmParams(*(Tensor(np.zeros(1)) for _ in range(3)))
+
+        def inner():
+            return {"k": [(params, True)]}
+
+        def outer():
+            return inner()
+
+        assert _tensors_held(outer, set()) == 3

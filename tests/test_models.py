@@ -96,7 +96,7 @@ class TestBuild:
         lstm1 = 2 * 4 * (seq_dim * h + h * h + h)
         lstm2 = 2 * 4 * (2 * h * h + h * h + h)
         head = (2 * h) * (2 * h) + (2 * h) * n_cls + n_cls
-        assert model.param_count() == conv + lstm1 + lstm2 + head
+        assert sum(p.size for p in model.params.values()) == conv + lstm1 + lstm2 + head
 
     def test_snapshot_restore_round_trip(self):
         model = build_model(_small_config("cnn"))
