@@ -4,6 +4,7 @@ subcommands over a flat key=value configuration."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,10 +16,15 @@ from .keyvalue import (
 )
 from .models import ModelConfig, build_model
 
-# key -> (parser, default); every key is documented in the README
-CONFIG_KEYS = {
+# the front end's keys: DspConfig's fields and the feature kind
+FRONT_END_KEYS = {
     **schema(dsp.DspConfig),
     "feature_kind": (checked(str, lambda v: v in dsp.FEATURE_KINDS), "log_mel"),
+}
+
+# key -> (parser, default); every key is documented in the README
+CONFIG_KEYS = {
+    **FRONT_END_KEYS,
     "arch": (str, "multilayer_attention"),
     # a model's dtype is fixed by `kwspot train`, not a config key
     **{key: (parse, default) for key, (parse, default) in schema(ModelConfig).items()
@@ -147,7 +153,9 @@ def _cmd_eval(args) -> int:
     model, meta = training.load_checkpoint(args.ckpt)
     index = _scan(args.data, meta.get("labels"))
     cfg = parse_config(args.config, _collect_overrides(args))
-    _print_header("eval", cfg)
+    # the model is the checkpoint's: only the front end comes from the config
+    _print_header("eval", {key: cfg[key] for key in FRONT_END_KEYS}
+                  | dataclasses.asdict(model.config))
     report = evaluation.evaluate(
         model, index, from_config(dsp.DspConfig, cfg), cfg["feature_kind"]
     )

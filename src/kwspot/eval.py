@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dsp
 from .audio_io import DatasetIndex
-from .errors import DataError, read_text, write_atomic
+from .errors import ConfigError, DataError, read_text, write_atomic
 from .models import Model
 from .training import evaluate_arrays, featurize_index
 
@@ -72,7 +72,8 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
     features are held at a time. The result is a function of the index's
     order and EVAL_BATCH: a batched matmul may sum in another order than a
     batch of 1, so predict's logits for a clip may differ from these in
-    the last bits."""
+    the last bits. A front end whose features do not have the model's
+    input shape raises ConfigError before any clip is featurized."""
     if len(index.label_set) > model.config.n_classes:
         raise DataError(
             f"dataset has {len(index.label_set)} labels but the model only "
@@ -80,6 +81,13 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
         )
     if not index.entries:
         raise DataError("the evaluation split holds no clips")
+    shape, want = dsp.feature_shape(dsp_config, kind), tuple(model.config.input_shape)
+    if shape != want:
+        width = "n_mel_filters" if kind == "log_mel" else "n_mfcc"
+        keys = ", ".join(f"{key} = {getattr(dsp_config, key)}"
+                         for key in ("sample_rate", "frame_len", "hop_len", width))
+        raise ConfigError(f"the front end ({keys}, feature_kind = {kind}) gives features "
+                          f"of shape {shape}, but the model takes {want}")
     preds, truths = [], []
     for start in range(0, len(index.entries), EVAL_BATCH):
         chunk = DatasetIndex(index.entries[start:start + EVAL_BATCH], index.label_set)

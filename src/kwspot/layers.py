@@ -14,9 +14,14 @@ closed-form backward, and infer mode is a forward only) and the LSTM scan
 over the states the forward stored) are custom primitives with
 hand-written backward passes; dropout draws its mask from raw 32-bit
 integers; everything else is composed from the engine's elementwise and
-matmul primitives. Each backward returns all its gradients, and the engine
-keeps the required ones; only conv2d skips one, for an input that needs
-none (the raw features). Each backward closure captures only the arrays it
+matmul primitives. Conv, the pool and train-mode batch norm run their
+passes one sample at a time: a conv block's activation at batch 32 is
+larger than a core's L2 cache, and one sample's slab fits, so each pass
+reads what the one before it wrote from cache instead of from memory
+(loop blocking over the batch axis; Lam, Rothberg & Wolf 1991). Each
+backward returns all its gradients, and the engine keeps the required
+ones; only conv2d skips one, for an input that needs none (the raw
+features). Each backward closure captures only the arrays it
 reads, never a Tensor, so a conv output dies once batch norm has read it
 and a batch-norm output once the pool has. The models pool before the
 ReLU: max commutes with a monotone map, so max_pool then relu gives the
@@ -121,33 +126,41 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
 def max_pool(x: Tensor) -> Tensor:
     """Maximum over non-overlapping 2x2 windows; an odd last row or column
     is dropped. The gradient routes to the first maximum in scan order; a
-    window with no view equal to its maximum (a NaN) routes none."""
+    window with no view equal to its maximum (a NaN) routes none. Both
+    directions run one sample at a time, so that a sample's pairs, maximum
+    and winner code stay in cache between passes; the values are those of
+    whole-batch passes."""
     h, w = x.shape[2:]
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
         raise ShapeError(f"max_pool: 2x2 window exceeds input {h}x{w}")
-    # every row's column pair in one call, then the two rows. The earlier
-    # argument goes second: np.maximum returns its second argument on equal
-    # values, so a tie of 0.0 and -0.0 keeps the sign of the first in scan
-    # order, which pairing the rows first would lose
+    n, c = x.shape[:2]
     rows = x.data[:, :, :2 * oh]
-    pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
-    out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
-    # one strided view per window position, in scan order
-    windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
+    # one strided view per window position of one sample, in scan order
+    windows = [(slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
                for i in (0, 1) for j in (0, 1)]
-    code = None
-    if x.requires_grad:
-        # the backward reads a uint8 code per window instead of the input:
-        # the scan-order index of the first view equal to the maximum, 4 if
-        # none is. With the miss masks m_k = (view_k != out) it is
-        # m0 * (1 + m1 * (1 + m2 * (1 + isnan(out)))): a window whose first
-        # three views miss has its maximum in view 3 unless it is a NaN,
-        # which every view misses. 0.0 != -0.0 is False, so a +-0 tie hits
-        code = np.isnan(out).view(np.uint8)
-        for key in windows[2::-1]:
-            code += 1
-            code *= (x.data[key] != out).view(np.uint8)
+    out = np.empty((n, c, oh, ow), x.data.dtype)
+    # the backward reads a uint8 code per window instead of the input: the
+    # scan-order index of the first view equal to the maximum, 4 if none is
+    code = np.empty(out.shape, np.uint8) if x.requires_grad else None
+    for s in range(n):
+        # each row's column pair, then the two rows. The earlier argument
+        # goes second: np.maximum returns its second argument on equal
+        # values, so a tie of 0.0 and -0.0 keeps the sign of the first in
+        # scan order, which pairing the rows first would lose
+        pairs = np.maximum(rows[s, ..., 1:2 * ow:2], rows[s, ..., 0:2 * ow:2])
+        o = np.maximum(pairs[:, 1::2], pairs[:, 0::2], out=out[s])
+        if code is not None:
+            # with the miss masks m_k = (view_k != out) the code is
+            # m0 * (1 + m1 * (1 + m2 * (1 + isnan(out)))): a window whose
+            # first three views miss has its maximum in view 3 unless it is
+            # a NaN, which every view misses. 0.0 != -0.0 is False, so a
+            # +-0 tie hits
+            cs = code[s]
+            np.isnan(o, out=cs.view(bool))
+            for key in windows[2::-1]:
+                cs += 1
+                cs *= (x.data[s][key] != o).view(np.uint8)
     shape, dtype = x.shape, x.data.dtype
 
     def bw(g):
@@ -156,23 +169,23 @@ def max_pool(x: Tensor) -> Tensor:
         gx = np.empty(shape, dtype)
         gx[:, :, 2 * oh:] = 0
         gx[:, :, :, 2 * ow:] = 0
-        for k, key in enumerate(windows):
-            np.multiply(g, code == k, out=gx[key])
+        for s in range(n):
+            for k, key in enumerate(windows):
+                np.multiply(g[s], code[s] == k, out=gx[s][key])
         return (gx,)
 
     return custom_op(out, (x,), bw)
 
 
-def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums over an NCHW array: sum(a), or sum(a * b) given b.
-    Each is one dot product per (sample, channel) row of the (N, C, H*W)
-    view, against a ones vector for the plain sum, then a sum over N; that
-    needs no product temporary and runs faster than a sum over axes
-    (0, 2, 3)."""
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums over an NCHW array: one dot product per (sample,
+    channel) row of the (N, C, H*W) view against a ones vector, then a sum
+    over N; that needs no product temporary and runs faster than a sum over
+    axes (0, 2, 3). batch_norm takes its other sums the same way, row by
+    row per sample."""
     n, c = a.shape[:2]
     a3 = a.reshape(n, c, -1)
-    b3 = np.ones(a3.shape[2], a.dtype) if b is None else b.reshape(n, c, -1)
-    return np.vecdot(a3, b3).sum(axis=0)
+    return np.vecdot(a3, np.ones(a3.shape[2], a.dtype)).sum(axis=0)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str) -> Tensor:
@@ -186,8 +199,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
     centered input d = x - mean, takes the variance in a second pass as
     sum(d * d) / count, and writes d * (gamma / sigma) + beta; its backward
     folds 1 / sigma into per-channel coefficients, so no pass forms xhat,
-    and writes the input gradient over d. Every per-channel sum goes
-    through `_channel_sums`."""
+    and writes the input gradient over d. After the mean, every pass runs
+    one sample at a time, so that d[s] is still in cache when the next pass
+    reads it; each sum is one dot product per (sample, channel) row into an
+    (N, C) array, then a sum over N, as in `_channel_sums`, so the values
+    are those of whole-batch passes."""
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     shape = (1, -1, 1, 1)
@@ -199,33 +215,54 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
         out *= gamma.data.reshape(shape)
         out += beta.data.reshape(shape)
         return Tensor(out)
-    count = x.size // x.shape[1]
+    n, c = x.shape[:2]
+    count = x.size // c
     mu = _channel_sums(x.data) * (1.0 / count)
+    # per-channel shapes against one CHW sample
+    ch = (c, 1, 1)
+    mu_ch = mu.reshape(ch)
     # d = x - mean, kept for the backward: xhat = d * inv_std
-    d = x.data - mu.reshape(shape)
-    var = _channel_sums(d, d) * (1.0 / count)
+    d = np.empty_like(x.data)
+    d_rows = np.empty((n, c), d.dtype)
+    for s in range(n):
+        ds = np.subtract(x.data[s], mu_ch, out=d[s]).reshape(c, -1)
+        np.vecdot(ds, ds, out=d_rows[s])
+    var = d_rows.sum(axis=0) * (1.0 / count)
     stats.mean = BN_MOMENTUM * stats.mean + (1 - BN_MOMENTUM) * mu
     stats.var = BN_MOMENTUM * stats.var + (1 - BN_MOMENTUM) * var
     inv_std = (var + BN_EPS) ** -0.5
-    scale = (gamma.data * inv_std).reshape(shape)
-    out = d * scale
-    out += beta.data.reshape(shape)
+    scale = (gamma.data * inv_std).reshape(ch)
+    beta_ch = beta.data.reshape(ch)
+    out = np.empty_like(d, dtype=np.result_type(d, scale))
+    for s in range(n):
+        np.multiply(d[s], scale, out=out[s])
+        out[s] += beta_ch
 
     def bw(g):
         # closed form of Ioffe & Szegedy 2015 (arXiv 1502.03167), with the
         # mean terms of the batch statistics' dependence on x
-        sum_g = _channel_sums(g)
+        ones = np.ones(d[0].size // c, g.dtype)
+        g_rows = np.empty((n, c), g.dtype)
+        gd_rows = np.empty((n, c), np.result_type(g, d))
+        for s in range(n):
+            gs = g[s].reshape(c, -1)
+            np.vecdot(gs, ones, out=g_rows[s])
+            np.vecdot(gs, d[s].reshape(c, -1), out=gd_rows[s])
+        sum_g = g_rows.sum(axis=0)
         # sum(g * xhat) = sum(g * d) * inv_std
-        sum_g_xhat = _channel_sums(g, d) * inv_std
+        sum_g_xhat = gd_rows.sum(axis=0) * inv_std
         # (g - sum_g / count - xhat * sum_g_xhat / count) * gamma * inv_std,
         # written over d: the engine runs a closure once, and nothing else
         # reads d
-        gx = d
-        gx *= (sum_g_xhat * inv_std * (-1.0 / count)).reshape(shape)
-        gx += g
-        gx -= (sum_g * (1.0 / count)).reshape(shape)
-        gx *= scale
-        return gx, sum_g_xhat, sum_g
+        coef_d = (sum_g_xhat * inv_std * (-1.0 / count)).reshape(ch)
+        mean_g = (sum_g * (1.0 / count)).reshape(ch)
+        for s in range(n):
+            gx = d[s]
+            gx *= coef_d
+            gx += g[s]
+            gx -= mean_g
+            gx *= scale
+        return d, sum_g_xhat, sum_g
 
     return custom_op(out, (x, gamma, beta), bw)
 

@@ -6,9 +6,12 @@ records the arguments of each call site, and then re-runs every probed
 site alone through `getattr(layers, name)` on float64 arguments rebuilt
 from those records. A change to a layer's name, its call path through
 models, its argument kinds or its float64 behaviour fails only there; this
-runs the same steps on a tiny model, without the timing.
+runs the same steps on a tiny model, without the timing. It also checks
+that the traced calls give a span for every per-layer forward metric that
+BENCHMARK.json declares, which measure._layer_values looks up by name.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -17,7 +20,8 @@ import pytest
 
 from kwspot import autodiff, layers, models, training
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import measure  # noqa: E402
 import tracing  # noqa: E402
 
@@ -63,3 +67,21 @@ def test_every_probed_site_reruns_alone(mode):
         for leaf in args + list(kwargs.values()):
             if isinstance(leaf, autodiff.Tensor) and leaf.requires_grad:
                 assert leaf.grad is not None and np.all(np.isfinite(leaf.grad)), span
+
+
+def _fwd_metric(span: str) -> str:
+    """The per-layer metric a layers.<fn>.<i> span adds to, by the rule of
+    measure._layer_values: both dropouts share one site, and both head
+    denses share dense.head."""
+    _, fn, i = span.split(".")
+    site = {"dropout": "dropout", "dense": "dense.head"}.get(fn, f"{fn}.{i}")
+    return f"layers.{site}.fwd_ms"
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_every_declared_layer_metric_has_a_span(mode):
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+                if m["name"].startswith("layers.") and m["name"].endswith(".fwd_ms")]
+    assert declared
+    recorded = {_fwd_metric(span) for span in _traced_sites(mode)}
+    assert [name for name in declared if name not in recorded] == []

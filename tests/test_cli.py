@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_sealed_checkpoint
-from kwspot import audio_io, errors, training
+from kwspot import audio_io, errors, eval as evaluation, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
 from kwspot.keyvalue import PARSERS, REQUIRED, read_key_values, schema
@@ -582,6 +582,55 @@ class TestTrainEval:
         assert code == 2
         assert "error: the evaluation split holds no clips" in capsys.readouterr().err
         assert not report.exists()
+
+    @staticmethod
+    def _small_cnn_checkpoint(path):
+        """An untrained cnn checkpoint for SMALL_CONFIG's 61 x 20 features
+        over the synth spec's three labels."""
+        save_checkpoint(build_model(ModelConfig(
+            arch="cnn", n_classes=3, input_shape=(61, 20), conv_channels=(2,),
+        )), path, labels=["class0", "class1", "class2"])
+
+    def test_eval_front_end_mismatch_refused_before_featurizing(
+            self, synth_dir, small_config_file, tmp_path, capsys, monkeypatch):
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.csv"
+        self._small_cnn_checkpoint(ckpt)
+        calls = []
+        real = evaluation.featurize_index
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "featurize_index", counting)
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir),
+                        "--config", str(small_config_file), "--set", "hop_len=32",
+                        "--out", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the front end (sample_rate = 4000, frame_len = 128, hop_len = 32, "
+            "n_mel_filters = 20, feature_kind = log_mel) gives features of shape (122, 20), "
+            "but the model takes (61, 20)"]
+        assert calls == []
+        assert not report.exists()
+
+    def test_eval_header_names_the_checkpoint_model(self, synth_dir, small_config_file,
+                                                    tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        self._small_cnn_checkpoint(ckpt)
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir),
+                        "--config", str(small_config_file),
+                        "--set", "arch=multilayer_attention", "--set", "lstm_hidden=5",
+                        "--out", str(tmp_path / "r.csv")])
+        assert code == 0, capsys.readouterr().err
+        header = capsys.readouterr().out.splitlines()[1:]
+        assert "  arch = cnn" in header
+        assert "  conv_channels = (2,)" in header
+        assert "  hop_len = 64" in header
+        assert "  n_classes = 3" in header
+        # model keys come from the checkpoint, and train keys are not read
+        assert "  lstm_hidden = 5" not in header
+        assert not [line for line in header if line.startswith(("  max_epochs", "  batch_size"))]
 
     def test_report_rejects_foreign_csv(self, tmp_path, capsys):
         path = tmp_path / "other.csv"

@@ -571,6 +571,99 @@ class TestBatchNorm:
         ) < 1e-5
 
 
+def whole_batch_pool(x, g):
+    """max_pool's forward and input gradient as whole-batch passes: each
+    row's column pair, then the two rows, and the winner code as the
+    chained product of the four views' miss masks over the whole batch."""
+    oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    rows = x[:, :, :2 * oh]
+    pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
+    out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
+    windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
+               for i in (0, 1) for j in (0, 1)]
+    code = np.isnan(out).view(np.uint8)
+    for key in windows[2::-1]:
+        code += 1
+        code *= (x[key] != out).view(np.uint8)
+    gx = np.zeros_like(x)
+    for k, key in enumerate(windows):
+        np.multiply(g, code == k, out=gx[key])
+    return out, gx
+
+
+def _channel_sums(a, b=None):
+    """Per-channel sums over a whole NCHW batch: one dot product per
+    (sample, channel) row of the (N, C, H*W) view, then a sum over N."""
+    n, c = a.shape[:2]
+    a3 = a.reshape(n, c, -1)
+    b3 = np.ones(a3.shape[2], a.dtype) if b is None else b.reshape(n, c, -1)
+    return np.vecdot(a3, b3).sum(axis=0)
+
+
+def whole_batch_train_bn(x, gamma, beta, mean, var, g, momentum=0.9, eps=1e-5):
+    """Train-mode batch_norm as whole-batch passes: (output, running mean,
+    running var, dx, dgamma, dbeta) from the same sums and in-place steps."""
+    shape = (1, -1, 1, 1)
+    count = x.size // x.shape[1]
+    mu = _channel_sums(x) * (1.0 / count)
+    d = x - mu.reshape(shape)
+    batch_var = _channel_sums(d, d) * (1.0 / count)
+    new_mean = momentum * mean + (1 - momentum) * mu
+    new_var = momentum * var + (1 - momentum) * batch_var
+    inv_std = (batch_var + eps) ** -0.5
+    scale = (gamma * inv_std).reshape(shape)
+    out = d * scale
+    out += beta.reshape(shape)
+    sum_g = _channel_sums(g)
+    sum_g_xhat = _channel_sums(g, d) * inv_std
+    gx = d
+    gx *= (sum_g_xhat * inv_std * (-1.0 / count)).reshape(shape)
+    gx += g
+    gx -= (sum_g * (1.0 / count)).reshape(shape)
+    gx *= scale
+    return out, new_mean, new_var, gx, sum_g_xhat, sum_g
+
+
+def _bits(a):
+    """The raw bits of a float array, so that NaN and -0.0 compare exactly."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestOneSampleAtATime:
+    """max_pool and train-mode batch_norm run their passes one sample at a
+    time; every output and gradient must keep the bits of whole-batch
+    passes over the same sums."""
+
+    # three samples at the models' two conv-block shapes, and an odd H and W
+    SHAPES = [(3, 32, 98, 40), (3, 64, 49, 20), (3, 5, 7, 9)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_matches_whole_batch(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        palette = TestMaxPool.PALETTE
+        x = palette[rng.integers(0, len(palette), size=shape)].astype(dtype)
+        g = rng.normal(size=(*shape[:2], shape[2] // 2, shape[3] // 2)).astype(dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = max_pool(xt)
+        backward((out * Tensor(g)).sum())
+        want_out, want_gx = whole_batch_pool(x, g)
+        assert np.array_equal(_bits(out.data), _bits(want_out))
+        assert np.array_equal(_bits(xt.grad), _bits(want_gx))
+        assert np.array_equal(_bits(max_pool(Tensor(x)).data), _bits(want_out))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_batch_norm_matches_whole_batch(self, shape, dtype):
+        inputs = [a.astype(dtype) for a in _paper_bn_inputs(shape, sum(shape))]
+        got = _train_bn(*inputs)
+        want = whole_batch_train_bn(*inputs)
+        names = ("out", "running mean", "running var", "dx", "dgamma", "dbeta")
+        for name, a, b in zip(names, got, want):
+            assert a.dtype == b.dtype == dtype, name
+            assert np.array_equal(_bits(a), _bits(b)), name
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.ones((3, 3)))
