@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .audio_io import MAX_SAMPLE_RATE
 from .errors import DspError
 
 FEATURE_KINDS = ("mfcc", "log_mel")
@@ -42,12 +43,21 @@ class DspConfig:
             raise DspError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.hop_len < 1:
             raise DspError(f"hop_len must be at least 1, got {self.hop_len}")
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            raise DspError(f"sample_rate must be at most {MAX_SAMPLE_RATE} Hz, "
+                           f"got {self.sample_rate}")
         if self.frame_len > self.sample_rate:  # a 1-second clip would hold no frame
             raise DspError(f"frame_len {self.frame_len} exceeds sample_rate {self.sample_rate}")
         if self.hop_len > self.frame_len:
             raise DspError(f"hop_len {self.hop_len} exceeds frame_len {self.frame_len}")
         if not _is_power_of_two(self.n_fft) or self.n_fft < self.frame_len:
             raise DspError(f"n_fft must be a power of two >= frame_len, got {self.n_fft}")
+        # a larger n_fft would pad each frame past one second; the smallest
+        # valid one never does, since frame_len <= sample_rate
+        max_fft = 1 << (self.sample_rate - 1).bit_length()
+        if self.n_fft > max_fft:
+            raise DspError(f"n_fft {self.n_fft} exceeds {max_fft}, the smallest power of two "
+                           f">= sample_rate {self.sample_rate}")
         if not 0.0 <= self.pre_emphasis_alpha < 1.0:
             raise DspError(f"pre_emphasis_alpha out of [0,1): {self.pre_emphasis_alpha}")
         if not self.fmin >= 0:

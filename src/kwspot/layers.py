@@ -9,16 +9,17 @@ product of the four strided views' miss masks, which the backward reads
 into an uninitialized gradient, zero-filling only a dropped odd row or
 column), batch normalization (every per-channel sum is one dot product per
 (sample, channel) row; train mode keeps x - mean instead of xhat for its
-closed-form backward, and infer mode is a forward only) and the LSTM scan
-(every direction of a sequence in one time loop, with closed-form BPTT
-over the states the forward stored) are custom primitives with
-hand-written backward passes; dropout draws its mask from raw 32-bit
-integers; everything else is composed from the engine's elementwise and
-matmul primitives. Conv, the pool and train-mode batch norm run their
-passes one sample at a time: a conv block's activation at batch 32 is
-larger than a core's L2 cache, and one sample's slab fits, so each pass
-reads what the one before it wrote from cache instead of from memory
-(loop blocking over the batch axis; Lam, Rothberg & Wolf 1991). Each
+closed-form backward, and infer mode is a forward only) and the BiLSTM
+(both directions of a sequence in one time loop over stacked direction
+weights, with closed-form BPTT over the states the forward stored) are
+custom primitives with hand-written backward passes; dropout draws its
+mask from raw 32-bit integers; everything else is composed from the
+engine's elementwise and matmul primitives. Conv, the pool and train-mode
+batch norm run their passes one sample at a time: a conv block's
+activation at batch 32 is larger than a core's L2 cache, and one sample's
+slab fits, so each pass reads what the one before it wrote from cache
+instead of from memory (loop blocking over the batch axis; Lam, Rothberg &
+Wolf 1991). Each
 backward returns all its gradients, and the engine keeps the required
 ones; only conv2d skips one, for an input that needs none (the raw
 features). Each backward closure captures only the arrays it
@@ -43,20 +44,12 @@ from .autodiff import Tensor, custom_op
 from .errors import ConfigError, ShapeError, UsageError
 
 
-# column blocks of LstmParams.W, U and b: input, forget, output, candidate
+# column blocks of each direction's W, U and b in bilstm_sequence: input,
+# forget, output, candidate
 LSTM_GATES = "ifog"
 
 # batch_norm's running-statistics momentum and variance epsilon
 BN_MOMENTUM, BN_EPS = 0.9, 1e-5
-
-
-@dataclass
-class LstmParams:
-    """All four gates side by side in LSTM_GATES order: W (d, 4h) maps the
-    input, U (h, 4h) the previous hidden state, b (4h)."""
-    W: Tensor
-    U: Tensor
-    b: Tensor
 
 
 @dataclass
@@ -287,46 +280,46 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return x @ weights + bias
 
 
-def lstm_scan(seq: Tensor, directions) -> Tensor:
-    """Run LSTMs over an N x T x d sequence, one per (LstmParams, reverse)
-    pair of `directions`, all of the same hidden size; outputs N x T x
-    (D * hidden), direction k in columns k * hidden to (k + 1) * hidden.
+def bilstm_sequence(seq: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """A forward and a time-reversed LSTM over an N x T x d sequence, side by
+    side per timestep: N x T x 2*hidden, the forward direction's outputs in
+    the first hidden columns. Each role stacks both directions, forward in
+    row 0 and time-reversed in row 1: W (2, d, 4h) maps the input, U (2, h,
+    4h) the previous hidden state and b (2, 4h) is the bias, each with the
+    four gates side by side in LSTM_GATES order.
 
-    One primitive over the whole sequence and every direction. Each
+    One primitive over the whole sequence and both directions. Each
     direction's input projection is one matmul ahead of the time loop,
-    stored step-major and a reverse direction's time-reversed, so that step
-    i of every direction is the block gates[i], (4, D * N, hidden): each
-    gate of all D * N rows is contiguous, each step runs one stacked matmul
-    with the D recurrent matrices and one set of elementwise ops. The
-    forward keeps the gate activations and the cell and hidden states for
-    the backward. That runs the closed-form BPTT of Graves 2012 (Supervised
-    Sequence Labelling with Recurrent Neural Networks, ch. 4) over the
-    steps in reverse to fill the gate pre-activation gradients, then, per
-    direction in time order, takes the gradients of W, U and the input with
-    one matmul each and that of b with one sum."""
+    stored step-major and the reversed direction's time-reversed, so that
+    step i of both directions is the block gates[i], (4, 2N, hidden): each
+    gate of all 2N rows is contiguous, each step runs one stacked matmul
+    with U and one set of elementwise ops. The forward keeps the gate
+    activations and the cell and hidden states for the backward. That runs
+    the closed-form BPTT of Graves 2012 (Supervised Sequence Labelling with
+    Recurrent Neural Networks, ch. 4) over the steps in reverse to fill the
+    gate pre-activation gradients, then, per direction in time order, takes
+    the gradients of W, U and the input with one matmul each and that of b
+    with one sum."""
     n, t_len, d = seq.shape
-    params = [p for p, _ in directions]
-    # the closures capture these arrays and flags, not the Tensors
-    Ws = [p.W.data for p in params]
-    reverses = [reverse for _, reverse in directions]
-    n_dir, hidden = len(directions), params[0].U.shape[0]
-    rows = n_dir * n
+    # the closures capture these arrays, not the Tensors
+    Wd, Ud = W.data, U.data
+    hidden = Ud.shape[1]
+    rows = 2 * n
     x2d = seq.data.reshape(n * t_len, d)
 
-    def steps(a, k, reverse):
-        # direction k of step-major `a`, (T, D * N, ...), as an N x T x ...
+    def steps(a, k):
+        # direction k of step-major `a`, (T, 2N, ...), as an N x T x ...
         # view in time order
-        a = a[::-1, k * n:(k + 1) * n] if reverse else a[:, k * n:(k + 1) * n]
+        a = a[::-1, n:] if k else a[:, :n]
         return a.swapaxes(0, 1)
 
     # pre-activations, overwritten step by step with the activations: step
-    # i is gates[i], the four gate blocks of all D * N rows, each contiguous
-    dtype = np.result_type(x2d, *Ws)
+    # i is gates[i], the four gate blocks of all 2N rows, each contiguous
+    dtype = np.result_type(x2d, Wd)
     gates = np.empty((t_len, 4, rows, hidden), dtype)
-    for k, (p, reverse) in enumerate(directions):
-        np.add((x2d @ Ws[k]).reshape(n, t_len, 4, hidden), p.b.data.reshape(4, hidden),
-               out=steps(gates.swapaxes(1, 2), k, reverse))
-    U = np.stack([p.U.data for p in params])
+    for k in range(2):
+        np.add((x2d @ Wd[k]).reshape(n, t_len, 4, hidden), b.data[k].reshape(4, hidden),
+               out=steps(gates.swapaxes(1, 2), k))
     cells = np.empty((t_len, rows, hidden), dtype)
     # hs[i + 1] is the hidden state after step i and hs[i] the one that step
     # read, so the backward reads the states each step read as hs[:-1]
@@ -335,8 +328,8 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
     h = c = hs[0]
     for i in range(t_len):
         z = gates[i]
-        # the recurrent term of every direction in one stacked matmul
-        z += np.matmul(h.reshape(n_dir, n, hidden), U).reshape(rows, 4, hidden).swapaxes(0, 1)
+        # the recurrent term of both directions in one stacked matmul
+        z += np.matmul(h.reshape(2, n, hidden), Ud).reshape(rows, 4, hidden).swapaxes(0, 1)
         # the gates in LSTM_GATES order; the first three are sigmoid gates
         s, zi, zf, zo, g = z[:3], z[0], z[1], z[2], z[3]
         # in place, in the order of 1 / (1 + exp(-z))
@@ -349,20 +342,18 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
         c += zi * g
         h = np.tanh(c, out=hs[i + 1])
         h *= zo
-    out = np.empty((n, t_len, n_dir * hidden), dtype)
-    for k, reverse in enumerate(reverses):
-        out[:, :, k * hidden:(k + 1) * hidden] = steps(hs[1:], k, reverse)
+    out = np.concatenate([steps(hs[1:], 0), steps(hs[1:], 1)], axis=2)
 
     def gate_grads(grad):
         # dh_i = grad_i + dz_(i+1) U^T and dc_i = dh_i o_i (1 - tanh^2 c_i)
         # + dc_(i+1) f_(i+1), with step i+1 the one that reads step i's state
         grads = np.empty((t_len, rows, hidden), dtype)
-        for k, reverse in enumerate(reverses):
-            steps(grads, k, reverse)[...] = grad[:, :, k * hidden:(k + 1) * hidden]
+        steps(grads, 0)[...] = grad[:, :, :hidden]
+        steps(grads, 1)[...] = grad[:, :, hidden:]
         # gate pre-activation gradients with the gates side by side, as the
         # matmuls read them, and a gate-major view of each step
         dz = np.empty((t_len, rows, 4 * hidden), dtype)
-        UT = U.swapaxes(1, 2)
+        UT = Ud.swapaxes(1, 2)
         dh_next = dc_next = None
         for i in reversed(range(t_len)):
             z = gates[i]
@@ -381,34 +372,32 @@ def lstm_scan(seq: Tensor, directions) -> Tensor:
             dzt[3] = dc * zi * (1.0 - g * g)
             if i:
                 dc_next = dc * zf
-                dh_next = np.matmul(dz[i].reshape(n_dir, n, 4 * hidden), UT).reshape(rows, hidden)
+                dh_next = np.matmul(dz[i].reshape(2, n, 4 * hidden), UT).reshape(rows, hidden)
         return dz
 
     def bw(grad):
         dz = gate_grads(grad)
-        dz_rows, per_dir = [], []
-        for k, reverse in enumerate(reverses):
+        dW = np.empty((2, d, 4 * hidden), dtype)
+        dU = np.empty((2, hidden, 4 * hidden), dtype)
+        db = np.empty((2, 4 * hidden), dtype)
+        dz_rows = []
+        for k in range(2):
             # direction k's gradients and the hidden states its steps read,
             # as N * T rows in time order
-            dz2d = np.ascontiguousarray(steps(dz, k, reverse)).reshape(n * t_len, 4 * hidden)
-            h_prev = np.ascontiguousarray(steps(hs[:-1], k, reverse)).reshape(n * t_len, hidden)
-            per_dir += [x2d.T @ dz2d, h_prev.T @ dz2d, dz2d.sum(axis=0)]
+            dz2d = np.ascontiguousarray(steps(dz, k)).reshape(n * t_len, 4 * hidden)
+            h_prev = np.ascontiguousarray(steps(hs[:-1], k)).reshape(n * t_len, hidden)
+            np.matmul(x2d.T, dz2d, out=dW[k])
+            np.matmul(h_prev.T, dz2d, out=dU[k])
+            dz2d.sum(axis=0, out=db[k])
             dz_rows.append(dz2d)
         # the input gradient last, once dz is freed: its N * T x d terms are
         # the largest arrays of the backward
         del dz
-        dseq = dz_rows[0] @ Ws[0].T
-        for W, dz2d in zip(Ws[1:], dz_rows[1:]):
-            dseq += dz2d @ W.T
-        return (dseq.reshape(n, t_len, d), *per_dir)
+        dseq = dz_rows[0] @ Wd[0].T
+        dseq += dz_rows[1] @ Wd[1].T
+        return dseq.reshape(n, t_len, d), dW, dU, db
 
-    parents = (seq,) + tuple(t for p in params for t in (p.W, p.U, p.b))
-    return custom_op(out, parents, bw)
-
-
-def bilstm_sequence(seq: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Forward and backward LSTMs side by side per timestep: N x T x 2*hidden."""
-    return lstm_scan(seq, ((fwd, False), (bwd, True)))
+    return custom_op(out, (seq, W, U, b), bw)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:

@@ -20,7 +20,6 @@ from .errors import ConfigError, ShapeError
 from .layers import (
     LSTM_GATES,
     BnStats,
-    LstmParams,
     attention,
     batch_norm,
     bilstm_sequence,
@@ -112,19 +111,17 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_lstm(draw, param, params, prefix, in_dim, hidden):
+def _init_bilstm(draw, param, params, prefix, in_dim, hidden):
     # each gate's blocks are drawn with that gate's own fans, W then U gate
-    # by gate; the forget gate's bias starts at 1
-    draws = [(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
-    for name, blocks in zip("WU", zip(*draws)):
-        params[f"{prefix}_{name}"] = param(np.concatenate(blocks, axis=1))
-    params[f"{prefix}_b"] = param(
-        np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES])
-    )
-
-
-def _lstm_params(model, prefix) -> LstmParams:
-    return LstmParams(*(model.params[f"{prefix}_{name}"] for name in "WUb"))
+    # by gate, the forward direction's gates before the reversed one's; the
+    # forget gate's bias starts at 1
+    draws = [[(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
+             for _ in range(2)]
+    for k, name in enumerate("WU"):
+        params[f"{prefix}_{name}"] = param(
+            [np.concatenate([gate[k] for gate in direction], axis=1) for direction in draws])
+    bias = np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES])
+    params[f"{prefix}_b"] = param([bias, bias])
 
 
 def build_model(config: ModelConfig) -> Model:
@@ -176,15 +173,12 @@ def make_model(config: ModelConfig, draw) -> Model:
         params["fc2_W"] = param(draw((dh, n_cls)))
         params["fc2_b"] = param(np.zeros(n_cls))
     elif config.arch == "cnn_bilstm":
-        _init_lstm(draw, param, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(draw, param, params, "lstm1b", seq_dim, hidden)
+        _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
         params["out_W"] = param(draw((2 * hidden, n_cls)))
         params["out_b"] = param(np.zeros(n_cls))
     else:
-        _init_lstm(draw, param, params, "lstm1f", seq_dim, hidden)
-        _init_lstm(draw, param, params, "lstm1b", seq_dim, hidden)
-        _init_lstm(draw, param, params, "lstm2f", 2 * hidden, hidden)
-        _init_lstm(draw, param, params, "lstm2b", 2 * hidden, hidden)
+        _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
+        _init_bilstm(draw, param, params, "lstm2", 2 * hidden, hidden)
         params["query_proj"] = param(draw((2 * hidden, 2 * hidden)))
         if config.arch == "multilayer_attention":
             params["stage1_proj"] = param(draw((config.input_shape[1], seq_dim)))
@@ -262,12 +256,12 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
         return dense(h2, p["fc2_W"], p["fc2_b"])
 
     seq = _to_sequence(feat)
-    l1 = bilstm_sequence(seq, _lstm_params(model, "lstm1f"), _lstm_params(model, "lstm1b"))
+    l1 = bilstm_sequence(seq, p["lstm1_W"], p["lstm1_U"], p["lstm1_b"])
     if cfg.arch == "cnn_bilstm":
         pooled = l1.mean(axis=1)
         return dense(pooled, p["out_W"], p["out_b"])
 
-    l2 = bilstm_sequence(l1, _lstm_params(model, "lstm2f"), _lstm_params(model, "lstm2b"))
+    l2 = bilstm_sequence(l1, p["lstm2_W"], p["lstm2_U"], p["lstm2_b"])
     if cfg.arch == "attention_rnn":
         mid = l2.shape[1] // 2
         query = l2[:, mid, :] @ p["query_proj"]

@@ -19,7 +19,7 @@ from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, w
 from .models import Model, ModelConfig, make_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -284,7 +284,7 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 
 
 # ---- checkpoint format ------------------------------------------------
-# magic "KWSA" | u32 version (3) | u32 metadata length | metadata (the
+# magic "KWSA" | u32 version (4) | u32 metadata length | metadata (the
 # key=value lines of METADATA_KEYS, UTF-8) | per array:
 # u32 name length | name | u32 rank | rank * u32 dims | raw values, <f4
 # or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte

@@ -16,7 +16,7 @@ from kwspot.cli import run_cli
 from kwspot.errors import CheckpointError
 from kwspot.eval import confusion_matrix, emit_report, parse_report_csv
 from kwspot.layers import (
-    BnStats, attention, batch_norm, conv2d, dense, max_pool,
+    BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, max_pool,
 )
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
 from kwspot.training import (
@@ -163,15 +163,15 @@ def _layer_gradchecks():
         lambda: (dense(xd, wd, bd).tanh() ** 2.0).sum(), [xd, wd, bd]
     ))
 
-    from test_layers import _lstm_leaves, _lstm_params, lstm_direction
-    lstm = _lstm_params(rng, 3, 2, scale=2.0)
+    from test_layers import _bilstm_params
+    lstm = _bilstm_params(rng, 3, 2, scale=2.0)
     seq = Tensor(rng.normal(size=(3, 2, 3)).transpose(1, 0, 2))
 
     def lstm_loss():
-        h = lstm_direction(seq, lstm)[:, -1, :]
+        h = bilstm_sequence(seq, *lstm)[:, -1, :]
         return (h * h).sum()
 
-    worst = max(worst, grad_check(lstm_loss, _lstm_leaves(lstm)))
+    worst = max(worst, grad_check(lstm_loss, lstm))
 
     q = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     keys = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)

@@ -373,6 +373,22 @@ class TestMinusOne:
         self._refused(code, capsys)
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("setting,error", [
+        ("sample_rate=10000000000000", "sample_rate must be at most 384000 Hz"),
+        ("n_fft=17592186044416", "n_fft 17592186044416 exceeds 4096"),
+    ])
+    def test_unbounded_front_end_refused(self, synth_dir, small_config_file, tmp_path,
+                                         capsys, setting, error):
+        # each once ended in a MemoryError traceback from the front end
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        for command in (["train", "--data", str(synth_dir), "--out", str(tmp_path / "m.ckpt")],
+                        ["featurize", str(wav)]):
+            code = run_cli(command + ["--config", str(small_config_file), "--set", setting])
+            err = capsys.readouterr().err
+            assert code in (1, 2) and "Traceback" not in err
+            assert err.startswith(f"error: {error}"), err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_seed_refused_before_the_split(self, synth_dir, small_config_file, tmp_path,
                                            capsys, monkeypatch):
         def unreachable(*args, **kwargs):

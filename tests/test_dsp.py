@@ -32,6 +32,24 @@ class TestConfig:
                                fmax=1900.0)
         assert dsp.feature_shape(config, "log_mel") == (1, 40)
 
+    def test_sample_rate_above_wav_bound_rejected(self):
+        # the front end once tried to allocate a 109 TiB frame array
+        with pytest.raises(DspError, match="sample_rate must be at most 384000 Hz, got 384001"):
+            dsp.DspConfig(sample_rate=384_001)
+
+    @pytest.mark.parametrize("sample_rate,n_fft", [(4000, 4096), (4096, 4096),
+                                                   (4097, 8192), (384_000, 524_288)])
+    def test_n_fft_of_at_most_a_second_accepted(self, sample_rate, n_fft):
+        dsp.DspConfig(sample_rate=sample_rate, n_fft=n_fft, fmax=1900.0)
+
+    @pytest.mark.parametrize("sample_rate,n_fft,bound", [(4000, 8192, 4096), (4096, 8192, 4096),
+                                                         (16000, 2 ** 44, 16384)])
+    def test_n_fft_past_a_second_rejected(self, sample_rate, n_fft, bound):
+        # the FFT once tried to allocate a 12.3 PiB spectrum
+        with pytest.raises(DspError, match=f"n_fft {n_fft} exceeds {bound}, the smallest "
+                                           f"power of two >= sample_rate {sample_rate}"):
+            dsp.DspConfig(sample_rate=sample_rate, n_fft=n_fft, fmax=1900.0)
+
     @pytest.mark.parametrize("fmin", [-5000.0, -1e-9])
     def test_negative_fmin_rejected(self, fmin):
         with pytest.raises(DspError, match=f"fmin must be at least 0, got {fmin}"):

@@ -77,7 +77,33 @@ class TestBuild:
         model = build_model(_small_config("cnn_bilstm"))
         bias = np.zeros(4 * 5)
         bias[5:10] = 1.0  # gates i, f, o, g: only the forget gate starts at 1
-        assert np.array_equal(model.params["lstm1f_b"].data, bias)
+        assert np.array_equal(model.params["lstm1_b"].data, [bias, bias])
+
+    @pytest.mark.parametrize("arch", ["cnn_bilstm", "multilayer_attention"])
+    def test_stacked_lstm_init(self, arch):
+        # make_model's draws in order: the conv kernel, then per direction,
+        # forward first, each gate's W and U blocks gate by gate
+        rng = np.random.default_rng(0)
+
+        def glorot(shape):
+            fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
+            fan_out = shape[1] if len(shape) == 2 else shape[0]
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, shape)
+
+        model = build_model(_small_config(arch))
+        kernel = glorot((3, 1, 3, 3))
+        assert np.array_equal(model.params["conv0_kernel"].data, kernel.astype(np.float32))
+        seq_dim, h = 3 * (12 // 2), 5
+        W, U = [], []
+        for _ in range(2):
+            blocks = [(glorot((seq_dim, h)), glorot((h, h))) for _ in "ifog"]
+            W.append(np.concatenate([w for w, _ in blocks], axis=1))
+            U.append(np.concatenate([u for _, u in blocks], axis=1))
+        bias = np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)])
+        for name, want in (("W", W), ("U", U), ("b", [bias, bias])):
+            got = model.params[f"lstm1_{name}"].data
+            assert np.array_equal(got, np.asarray(want, np.float32)), name
 
     def test_param_name_audit(self):
         rnn = set(build_model(_small_config("attention_rnn")).params)

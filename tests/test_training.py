@@ -593,10 +593,11 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=r"flip\.ckpt: checksum mismatch"):
                 load_checkpoint(bad)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_rejected(self, tmp_path, version):
         # version 1 stored one array per gate, version 2 float64 arrays
-        # without a dtype line
+        # without a dtype line, version 3 each LSTM direction's arrays under
+        # their own names
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
         blob = path.read_bytes()
