@@ -66,6 +66,10 @@ class DspConfig:
             raise DspError(f"fmin {self.fmin} must be below fmax {self.fmax}")
         if self.fmax > self.sample_rate / 2:
             raise DspError(f"fmax {self.fmax} above Nyquist {self.sample_rate / 2}")
+        # the m + 2 filter edges must be distinct bins in [0, n_fft / 2]
+        if self.n_mel_filters > self.n_fft // 2 - 1:
+            raise DspError(f"n_mel_filters {self.n_mel_filters} exceeds {self.n_fft // 2 - 1}, "
+                           f"the most that n_fft {self.n_fft} keeps on distinct bins")
         if self.n_mfcc < 1:
             raise DspError(f"n_mfcc must be at least 1, got {self.n_mfcc}")
         if self.n_mfcc > self.n_mel_filters:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from kwspot import dsp
-from kwspot.audio_io import AudioClip, SynthSpec, synth_dataset
 from kwspot.autodiff import Tensor, grad_check
 from kwspot.cli import run_cli
 from kwspot.errors import CheckpointError
@@ -25,7 +24,8 @@ from kwspot.training import (
 )
 
 import conftest
-from conftest import naive_dft_power, script_validation
+from conftest import _bilstm_params, script_validation
+from oracles import _worst_rel_err, naive_dct_ii, naive_dft_power, naive_mel_energies
 
 
 def _verdict(number, name, ok, detail=""):
@@ -39,7 +39,7 @@ def _verdict(number, name, ok, detail=""):
 
 # ---- criterion 1: DSP oracle equivalence ------------------------------
 
-def test_criterion_1_dsp_oracle_equivalence():
+def test_criterion_1_dsp_oracle_equivalence(small_dsp_config):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1001)
     worst_fft = 0.0
@@ -50,38 +50,14 @@ def test_criterion_1_dsp_oracle_equivalence():
         slow = naive_dft_power(frame, n_fft)
         worst_fft = max(worst_fft, np.abs(fast - slow).max())
 
-    config = dsp.DspConfig(
-        sample_rate=4000, frame_len=128, hop_len=64, n_fft=128,
-        n_mel_filters=20, n_mfcc=10, fmin=50.0, fmax=1900.0,
-    )
-    bank = dsp.build_mel_filterbank(config)
+    bank = dsp.build_mel_filterbank(small_dsp_config)
     spectra = rng.uniform(size=(8, bank.weights.shape[1]))
-    fast_mel = dsp.mel_energies(spectra, bank)
-    worst_mel = 0.0
-    for t in range(8):
-        for m in range(bank.weights.shape[0]):
-            slow = sum(
-                bank.weights[m, k] * spectra[t, k]
-                for k in range(bank.weights.shape[1])
-            )
-            worst_mel = max(
-                worst_mel, abs(fast_mel[t, m] - slow) / max(1e-30, abs(slow))
-            )
+    worst_mel = _worst_rel_err(dsp.mel_energies(spectra, bank),
+                               naive_mel_energies(spectra, bank.weights))
 
     m_dim, n_keep = 20, 10
     x = rng.normal(size=(6, m_dim))
-    fast_dct = dsp.dct_ii(x, n_keep)
-    worst_dct = 0.0
-    for t in range(6):
-        for c in range(n_keep):
-            s = np.sqrt(1.0 / m_dim) if c == 0 else np.sqrt(2.0 / m_dim)
-            slow = s * sum(
-                x[t, j] * np.cos(np.pi * c * (2 * j + 1) / (2 * m_dim))
-                for j in range(m_dim)
-            )
-            worst_dct = max(
-                worst_dct, abs(fast_dct[t, c] - slow) / max(1e-30, abs(slow))
-            )
+    worst_dct = _worst_rel_err(dsp.dct_ii(x, n_keep), naive_dct_ii(x, n_keep))
 
     elapsed = time.perf_counter() - t0
     ok = worst_fft < 1e-6 and worst_mel < 1e-9 and worst_dct < 1e-9 and elapsed < 10
@@ -163,7 +139,6 @@ def _layer_gradchecks():
         lambda: (dense(xd, wd, bd).tanh() ** 2.0).sum(), [xd, wd, bd]
     ))
 
-    from test_layers import _bilstm_params
     lstm = _bilstm_params(rng, 3, 2, scale=2.0)
     seq = Tensor(rng.normal(size=(3, 2, 3)).transpose(1, 0, 2))
 
@@ -243,18 +218,9 @@ def test_criterion_3_gradient_suite():
 
 # ---- criterion 4: overfit smoke test ----------------------------------
 
-def test_criterion_4_overfit_smoke():
+def test_criterion_4_overfit_smoke(synth_index, small_dsp_config):
     t0 = time.perf_counter()
-    spec = SynthSpec(
-        n_classes=3, clips_per_class=20, sample_rate=4000,
-        class_frequencies=(400.0, 800.0, 1400.0), noise_amplitude=0.05,
-    )
-    index = synth_dataset(spec, 42)
-    config = dsp.DspConfig(
-        sample_rate=4000, frame_len=128, hop_len=64, n_fft=128,
-        n_mel_filters=20, n_mfcc=10, fmin=50.0, fmax=1900.0,
-    )
-    x, y = featurize_index(index, config, "log_mel")
+    x, y = featurize_index(synth_index, small_dsp_config, "log_mel")
     model = build_model(ModelConfig(
         arch="multilayer_attention", n_classes=3, input_shape=x.shape[1:],
         conv_channels=(4,), lstm_hidden=8, dense_hidden=16,

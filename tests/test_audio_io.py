@@ -4,33 +4,23 @@ import numpy as np
 import pytest
 
 from kwspot import audio_io, dsp
-from kwspot.audio_io import PCM_SUBFORMAT, AudioClip, SynthSpec
+from kwspot.audio_io import AudioClip, SynthSpec
 from kwspot.errors import DatasetError, FormatError, SplitError, UnsupportedError
+
+from conftest import extensible_fmt, riff_wave
 
 # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, in the byte order of the file
 FLOAT_SUBFORMAT = bytes.fromhex("0300000000001000800000aa00389b71")
 
 
-def extensible_fmt(sample_rate, channels=1, bits=16, subformat=PCM_SUBFORMAT):
-    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk with its chunk header:
-    the PCM fields, cbSize 22, valid bits, channel mask and SubFormat."""
-    return b"fmt " + struct.pack(
-        "<IHHIIHHHHI", 40, 0xFFFE, channels, sample_rate,
-        sample_rate * channels * bits // 8, channels * bits // 8, bits, 22, bits, 0x4,
-    ) + subformat
-
-
 def _write_pcm(path, pcm: np.ndarray, sample_rate=16000, channels=1, bits=16,
                audio_format=1, fmt=None):
-    body = pcm.astype("<i2").tobytes()
     if fmt is None:
         fmt = b"fmt " + struct.pack(
             "<IHHIIHH", 16, audio_format, channels, sample_rate,
             sample_rate * channels * bits // 8, channels * bits // 8, bits,
         )
-    blob = b"RIFF" + struct.pack("<I", 4 + len(fmt) + 8 + len(body)) + b"WAVE" + fmt
-    blob += b"data" + struct.pack("<I", len(body)) + body
-    path.write_bytes(blob)
+    path.write_bytes(riff_wave(fmt, pcm.astype("<i2").tobytes()))
 
 
 class TestReadWav:

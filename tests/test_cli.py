@@ -3,64 +3,15 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import write_sealed_checkpoint
+from conftest import SYNTH_SPEC, record_calls, write_sealed_checkpoint
 from kwspot import audio_io, errors, eval as evaluation, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
 from kwspot.keyvalue import PARSERS, REQUIRED, read_key_values, schema
 from kwspot.models import ModelConfig, build_model
 from kwspot.training import save_checkpoint
-
-
-SYNTH_SPEC = """\
-# three tones, 4 kHz
-n_classes = 3
-clips_per_class = 6
-sample_rate = 4000
-class_frequencies = 400, 800, 1400
-noise_amplitude = 0.05
-seed = 7
-"""
-
-SMALL_CONFIG = """\
-sample_rate = 4000
-frame_len = 128
-hop_len = 64
-n_fft = 128
-n_mel_filters = 20
-n_mfcc = 10
-fmin = 50.0
-fmax = 1900.0
-conv_channels = 2
-lstm_hidden = 3
-dense_hidden = 4
-dropout_rate = 0.0
-max_epochs = 2
-patience = 1
-batch_size = 8
-train_ratio = 0.5
-val_ratio = 0.25
-test_ratio = 0.25
-"""
-
-
-@pytest.fixture
-def synth_dir(tmp_path):
-    spec = tmp_path / "synth.spec"
-    spec.write_text(SYNTH_SPEC)
-    data = tmp_path / "data"
-    assert run_cli(["synth", "--spec", str(spec), "--out", str(data)]) == 0
-    return data
-
-
-@pytest.fixture
-def small_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(SMALL_CONFIG)
-    return path
 
 
 def _float_keys(keys: dict) -> list:
@@ -376,6 +327,7 @@ class TestMinusOne:
     @pytest.mark.parametrize("setting,error", [
         ("sample_rate=10000000000000", "sample_rate must be at most 384000 Hz"),
         ("n_fft=17592186044416", "n_fft 17592186044416 exceeds 4096"),
+        ("n_mel_filters=1000000000000", "n_mel_filters 1000000000000 exceeds 63"),
     ])
     def test_unbounded_front_end_refused(self, synth_dir, small_config_file, tmp_path,
                                          capsys, setting, error):
@@ -546,14 +498,7 @@ class TestTrainEval:
     def test_model_setting_refused_before_featurizing(self, synth_dir, small_config_file,
                                                       tmp_path, capsys, monkeypatch,
                                                       setting, message):
-        calls = []
-        real = training.featurize_index
-
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(training, "featurize_index", counting)
+        calls = record_calls(monkeypatch, training, "featurize_index")
         code = run_cli([
             "train", "--data", str(synth_dir), "--config", str(small_config_file),
             "--set", setting, "--out", str(tmp_path / "m.ckpt"),
@@ -611,14 +556,7 @@ class TestTrainEval:
             self, synth_dir, small_config_file, tmp_path, capsys, monkeypatch):
         ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.csv"
         self._small_cnn_checkpoint(ckpt)
-        calls = []
-        real = evaluation.featurize_index
-
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "featurize_index", counting)
+        calls = record_calls(monkeypatch, evaluation, "featurize_index")
         code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir),
                         "--config", str(small_config_file), "--set", "hop_len=32",
                         "--out", str(report)])

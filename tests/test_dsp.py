@@ -5,7 +5,8 @@ from kwspot import dsp
 from kwspot.audio_io import AudioClip
 from kwspot.errors import DspError
 
-from conftest import naive_dft_power
+from conftest import record_calls
+from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies
 
 
 class TestConfig:
@@ -193,11 +194,14 @@ class TestFilterbank:
             bank.center_bins[0] = 0
 
     def test_collapsed_bins_rejected(self):
-        with pytest.raises(DspError):
-            dsp.build_mel_filterbank(dsp.DspConfig(
-                sample_rate=16000, frame_len=64, hop_len=32, n_fft=64,
-                n_mel_filters=60, n_mfcc=10, fmin=20.0, fmax=8000.0,
-            ))
+        # under DspConfig's bound of n_fft // 2 - 1 = 31 filters, yet the
+        # low filters' mel-spaced edges share a bin
+        config = dsp.DspConfig(
+            sample_rate=16000, frame_len=64, hop_len=32, n_fft=64,
+            n_mel_filters=30, n_mfcc=10, fmin=20.0, fmax=8000.0,
+        )
+        with pytest.raises(DspError, match="collapsed onto the same FFT bin"):
+            dsp.build_mel_filterbank(config)
 
 
 class TestMelEnergies:
@@ -218,13 +222,8 @@ class TestMelEnergies:
         rng = np.random.default_rng(4)
         spectra = rng.uniform(size=(6, bank.weights.shape[1]))
         fast = dsp.mel_energies(spectra, bank)
-        for t in range(6):
-            for m in range(bank.weights.shape[0]):
-                slow = sum(
-                    bank.weights[m, k] * spectra[t, k]
-                    for k in range(bank.weights.shape[1])
-                )
-                assert abs(fast[t, m] - slow) <= 1e-12 * max(1.0, abs(slow))
+        slow = naive_mel_energies(spectra, bank.weights)
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
 
     def test_dimension_mismatch(self, small_dsp_config):
         bank = dsp.build_mel_filterbank(small_dsp_config)
@@ -259,14 +258,9 @@ class TestDct:
         m = 12
         x = rng.normal(size=(3, m))
         y = dsp.dct_ii(x, m)
-        # inverse via the transposed orthonormal basis
-        c = np.arange(m)[:, None]
-        j = np.arange(m)[None, :]
-        basis = np.cos(np.pi * c * (2 * j + 1) / (2 * m))
-        scale = np.full(m, np.sqrt(2.0 / m))
-        scale[0] = np.sqrt(1.0 / m)
-        basis *= scale[:, None]
-        back = y @ basis
+        # inverse via the transposed orthonormal basis: the transform of
+        # the identity holds the basis vectors as its columns
+        back = y @ naive_dct_ii(np.eye(m), m).T
         assert np.abs(back - x).max() < 1e-9
         assert np.sum(y ** 2) == pytest.approx(np.sum(x ** 2))
 
@@ -275,14 +269,7 @@ class TestDct:
         m, n_keep = 10, 6
         x = rng.normal(size=(2, m))
         fast = dsp.dct_ii(x, n_keep)
-        for t in range(2):
-            for c in range(n_keep):
-                s = np.sqrt(1.0 / m) if c == 0 else np.sqrt(2.0 / m)
-                slow = s * sum(
-                    x[t, j] * np.cos(np.pi * c * (2 * j + 1) / (2 * m))
-                    for j in range(m)
-                )
-                assert abs(fast[t, c] - slow) < 1e-9
+        assert np.abs(fast - naive_dct_ii(x, n_keep)).max() < 1e-9
 
 
 class TestPipeline:
@@ -365,15 +352,8 @@ class TestPipelineStages:
             assert got.shape == dsp.feature_shape(config, kind)
 
     def test_one_power_spectrum_per_clip(self, monkeypatch, small_dsp_config):
-        calls = []
-        real = dsp.power_spectrum
-
-        def counting(frames, n_fft):
-            calls.append(frames.shape)
-            return real(frames, n_fft)
-
-        monkeypatch.setattr(dsp, "power_spectrum", counting)
+        calls = record_calls(monkeypatch, dsp, "power_spectrum")
         rng = np.random.default_rng(9)
         for _ in range(3):
             dsp.mfcc_pipeline(AudioClip(rng.uniform(-1, 1, 4000), 4000), small_dsp_config, "mfcc")
-        assert calls == [(61, 128)] * 3
+        assert [args[0].shape for args, _ in calls] == [(61, 128)] * 3

@@ -10,6 +10,8 @@ from kwspot.eval import (
 )
 from kwspot.models import ModelConfig, build_model, predict
 
+from conftest import record_calls
+
 
 class TestConfusionMatrix:
     def test_identity_predictions(self):
@@ -165,17 +167,6 @@ class TestEvaluate:
             dense_hidden=4, dropout_rate=0.0,
         ))
 
-    def _record_featurize(self, monkeypatch):
-        calls = []
-        real = evaluation.featurize_index
-
-        def recording(index, *args):
-            calls.append(tuple(index.entries))
-            return real(index, *args)
-
-        monkeypatch.setattr(evaluation, "featurize_index", recording)
-        return calls
-
     def test_end_to_end_contract(self, synth_index, small_dsp_config):
         model = self._model()
         report = evaluate(model, synth_index, small_dsp_config, "log_mel")
@@ -205,7 +196,7 @@ class TestEvaluate:
         assert model.mode == "train"
 
     def test_too_many_labels(self, synth_index, small_dsp_config, monkeypatch):
-        calls = self._record_featurize(monkeypatch)
+        calls = record_calls(monkeypatch, evaluation, "featurize_index")
         model = build_model(ModelConfig(
             arch="cnn", n_classes=2, input_shape=(61, 20), conv_channels=(2,),
             dense_hidden=4,
@@ -215,13 +206,14 @@ class TestEvaluate:
         assert calls == []  # checked before any clip is featurized
 
     def test_streams_in_chunks(self, synth_index, small_dsp_config, monkeypatch):
-        calls = self._record_featurize(monkeypatch)
+        calls = record_calls(monkeypatch, evaluation, "featurize_index")
         evaluate(self._model(), synth_index, small_dsp_config, "log_mel")
-        assert all(0 < len(chunk) <= EVAL_BATCH for chunk in calls)
-        assert [e for chunk in calls for e in chunk] == list(synth_index.entries)
+        chunks = [args[0].entries for args, _ in calls]
+        assert all(0 < len(chunk) <= EVAL_BATCH for chunk in chunks)
+        assert [e for chunk in chunks for e in chunk] == list(synth_index.entries)
 
     def test_empty_index_names_split(self, synth_index, small_dsp_config, monkeypatch):
-        calls = self._record_featurize(monkeypatch)
+        calls = record_calls(monkeypatch, evaluation, "featurize_index")
         empty = DatasetIndex((), synth_index.label_set)
         with pytest.raises(DataError, match="evaluation"):
             evaluate(self._model(), empty, small_dsp_config, "log_mel")

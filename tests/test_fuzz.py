@@ -7,32 +7,32 @@ failure reproduces on every run; each shrunk failure is kept as a plain
 test."""
 
 import struct
-import zlib
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kwspot.audio_io import AudioClip, SynthSpec, read_wav, write_wav
+from kwspot.audio_io import SynthSpec, read_wav
 from kwspot.cli import parse_config, read_synth_spec
 from kwspot.dsp import DspConfig
 from kwspot.errors import CheckpointError, KwspotError
-from kwspot.eval import confusion_matrix, emit_report, parse_report_csv
+from kwspot.eval import parse_report_csv
 from kwspot.keyvalue import from_config
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
-from kwspot.training import (
-    EpochRecord, TrainConfig, TrainHistory, load_checkpoint, read_metrics_csv,
-    save_checkpoint, write_metrics_csv,
-)
+from kwspot.training import EpochRecord, TrainConfig, load_checkpoint, read_metrics_csv
 
-from conftest import write_sealed_checkpoint
-from test_audio_io import extensible_fmt
-from test_cli import SMALL_CONFIG, SYNTH_SPEC
+from conftest import SMALL_CONFIG, SYNTH_SPEC, join_metadata, write_sealed_checkpoint
 
 FUZZ = settings(
     derandomize=True, database=None, max_examples=150, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+def edit_lists(*fields):
+    """One to four edits, each an operation followed by the given fields."""
+    return st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]), *fields),
+                    min_size=1, max_size=4)
+
 
 # pieces of the format more likely than random bytes to reach the checks
 # behind the line syntax
@@ -40,15 +40,9 @@ TOKENS = [b"=", b",", b"#", b"\n", b" ", b"-", b"0", b"9", b"99999", b"1e308", b
           b"inf", b"\xff", b"\xc2\x85", b"arch=", b"labels=", b"dtype=", b"float64",
           b"cnn", b"train.seed=", b"conv_channels=", b"input_shape="]
 
-edits = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "replace", "delete"]),
-        st.integers(0, 400),
-        st.sampled_from(TOKENS) | st.text("0123456789-+.e,=# \n_x", min_size=1,
-                                          max_size=3).map(str.encode),
-    ),
-    min_size=1, max_size=4,
-)
+edits = edit_lists(st.integers(0, 400),
+                   st.sampled_from(TOKENS) | st.text("0123456789-+.e,=# \n_x", min_size=1,
+                                                     max_size=3).map(str.encode))
 
 
 def mutate(data: bytes, edit_list) -> bytes:
@@ -64,32 +58,12 @@ def mutate(data: bytes, edit_list) -> bytes:
     return bytes(out)
 
 
-@pytest.fixture(scope="module")
-def sealed_bodies(tmp_path_factory):
-    """(metadata, body before it, body after it) of one small checkpoint
-    per architecture, with labels and a train config."""
-    out = []
-    for arch in ARCHITECTURES:
-        path = tmp_path_factory.mktemp("ckpt") / f"{arch}.ckpt"
-        model = build_model(ModelConfig(
-            arch=arch, n_classes=3, input_shape=(8, 8), conv_channels=(2,),
-            lstm_hidden=3, dense_hidden=4,
-        ))
-        save_checkpoint(model, path, TrainConfig(), labels=["a", "b", "c"])
-        body = path.read_bytes()[:-4]
-        n = struct.unpack("<I", body[8:12])[0]
-        out.append((body[12:12 + n], body[:8], body[12 + n:]))
-    return out
-
-
 @FUZZ
 @given(arch=st.integers(0, len(ARCHITECTURES) - 1), edit_list=edits)
 def test_checkpoint_metadata_mutations(tmp_path, sealed_bodies, arch, edit_list):
-    meta, head, tail = sealed_bodies[arch]
-    mutated = mutate(meta, edit_list)
-    body = head + struct.pack("<I", len(mutated)) + mutated + tail
+    head, meta, tail = sealed_bodies[arch]
     path = tmp_path / "fuzz.ckpt"
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    write_sealed_checkpoint(path, join_metadata(head, mutate(meta, edit_list), tail))
     try:
         model, values = load_checkpoint(path)
     except KwspotError as exc:
@@ -106,14 +80,10 @@ ARRAY_TOKENS = [b"\x00\x00\x00\x00", b"\x01\x00\x00\x00", b"\x02\x00\x00\x00",
                 b"conv0_kernel", b"conv0_gamma", b"conv0_bn_running_var", b"fc2_b",
                 b"\xff\xfe"]
 
-array_edits = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "replace", "delete"]),
-        st.integers(0, 40),   # which array header, modulo their count
-        st.integers(0, 48),   # offset from the start of that header
-        st.sampled_from(ARRAY_TOKENS) | st.binary(min_size=1, max_size=4),
-    ),
-    min_size=1, max_size=4,
+array_edits = edit_lists(
+    st.integers(0, 40),   # which array header, modulo their count
+    st.integers(0, 48),   # offset from the start of that header
+    st.sampled_from(ARRAY_TOKENS) | st.binary(min_size=1, max_size=4),
 )
 
 
@@ -136,12 +106,12 @@ def array_starts(section: bytes, itemsize: int = 4) -> list:
 def test_checkpoint_array_mutations(tmp_path, sealed_bodies, arch, edit_list):
     # the CRC trailer is kept consistent, so that every mutation reaches
     # the array parser
-    meta, head, tail = sealed_bodies[arch]
+    head, meta, tail = sealed_bodies[arch]
     starts = array_starts(tail)
     mutated = mutate(tail, [(op, starts[k % len(starts)] + offset, chunk)
                             for op, k, offset, chunk in edit_list])
     path = tmp_path / "fuzz.ckpt"
-    write_sealed_checkpoint(path, head + struct.pack("<I", len(meta)) + meta + mutated)
+    write_sealed_checkpoint(path, join_metadata(head, meta, mutated))
     try:
         model, _ = load_checkpoint(path)
     except CheckpointError as exc:
@@ -183,27 +153,9 @@ def test_synth_spec_mutations(tmp_path, edit_list):
 CSV_TOKENS = [b",", b"\n", b"\r", b" ", b"-", b"0", b".", b"9", b"1e999", b"nan", b"inf",
               b"\xff", b"\x00", b"__overall__", b"label,accuracy,n", b"epoch", b"yes"]
 
-csv_edits = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "replace", "delete"]),
-        st.integers(0, 300),
-        st.sampled_from(CSV_TOKENS) | st.text("0123456789-+.e,\n", min_size=1,
-                                              max_size=3).map(str.encode),
-    ),
-    min_size=1, max_size=4,
-)
-
-
-@pytest.fixture(scope="module")
-def csv_bytes(tmp_path_factory):
-    """A two-epoch metrics CSV and a three-label report CSV."""
-    root = tmp_path_factory.mktemp("csv")
-    history = TrainHistory(records=[EpochRecord(1, 1.2, 0.4, 1.3, 0.35, 1e-3, 0.5),
-                                    EpochRecord(2, 0.9, 0.6, 1.0, 0.55, 9e-4, 0.5)])
-    write_metrics_csv(history, root / "metrics.csv")
-    cm = confusion_matrix(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]), 3, ["a", "b", "c"])
-    emit_report(cm, root / "report.csv")
-    return (root / "metrics.csv").read_bytes(), (root / "report.csv").read_bytes()
+csv_edits = edit_lists(st.integers(0, 300),
+                       st.sampled_from(CSV_TOKENS) | st.text("0123456789-+.e,\n", min_size=1,
+                                                             max_size=3).map(str.encode))
 
 
 @FUZZ
@@ -230,30 +182,8 @@ WAV_TOKENS = [b"RIFF", b"WAVE", b"fmt ", b"data", b"LIST", b"\x00", b"\x01", b"\
               b"\xfe\xff", b"\x16\x00", b"\x28\x00\x00\x00", b"\x00\x00\x10\x00",
               b"\x80\x00\x00\xaa\x00\x38\x9b\x71"]
 
-wav_edits = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "replace", "delete"]),
-        st.integers(0, 120),
-        st.sampled_from(WAV_TOKENS) | st.binary(min_size=1, max_size=4),
-    ),
-    min_size=1, max_size=4,
-)
-
-
-@pytest.fixture(scope="module")
-def wav_bytes(tmp_path_factory):
-    """A short 8 kHz clip: 32 samples after the header, so that most edits
-    land in the header; once with a plain PCM fmt chunk and once with a
-    WAVE_FORMAT_EXTENSIBLE one."""
-    path = tmp_path_factory.mktemp("wav") / "clip.wav"
-    samples = np.sin(np.arange(32) / 3.0) * 0.5
-    write_wav(path, AudioClip(samples=samples, sample_rate=8000))
-    plain = path.read_bytes()
-    body = plain[44:]
-    fmt = extensible_fmt(8000)
-    extensible = (b"RIFF" + struct.pack("<I", 4 + len(fmt) + 8 + len(body)) + b"WAVE"
-                  + fmt + b"data" + struct.pack("<I", len(body)) + body)
-    return plain, extensible
+wav_edits = edit_lists(st.integers(0, 120),
+                       st.sampled_from(WAV_TOKENS) | st.binary(min_size=1, max_size=4))
 
 
 @FUZZ

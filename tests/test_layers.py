@@ -11,56 +11,24 @@ import numpy as np
 import pytest
 
 import kwspot
-from kwspot.autodiff import Tensor, backward, custom_op, grad_check
+from kwspot.autodiff import Tensor, backward, grad_check
 from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import (
-    LSTM_GATES, BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, dropout,
-    max_pool,
+    BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, dropout, max_pool,
 )
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model, model_forward
 from kwspot.training import cross_entropy_loss
 
-
-def naive_conv2d(x, k):
-    """Six-loop cross-correlation, zero "same" padding: (k-1)//2 on the top
-    and left, the rest on the bottom and right."""
-    n, c, h, w = x.shape
-    oc, ic, kh, kw = k.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    x = np.pad(x, ((0, 0), (0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl)))
-    out = np.zeros((n, oc, h, w))
-    for ni in range(n):
-        for o in range(oc):
-            for y in range(h):
-                for xx in range(w):
-                    acc = 0.0
-                    for ci in range(c):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += x[ni, ci, y + i, xx + j] * k[o, ci, i, j]
-                    out[ni, o, y, xx] = acc
-    return out
+from conftest import PAPER_BN_SHAPES, _bilstm_params, _paper_bn_inputs, _train_bn
+from oracles import (
+    _bits, _rel_err, composed_batch_norm, composed_bilstm, naive_batch_norm, naive_conv2d,
+    naive_lstm, naive_max_pool, shift_add_input_grad, two_pass_batch_norm,
+    whole_batch_pool, whole_batch_train_bn,
+)
 
 
 def _kernels(rng, oc, ic, kh, kw):
     return Tensor(rng.normal(size=(oc, ic, kh, kw)), requires_grad=True)
-
-
-def shift_add_input_grad(g, k):
-    """conv2d's input gradient in the NCHW shift-add form: each kernel
-    offset (i, j) of a sample's k2d^T @ g[s] added to an h x w window of the
-    padded input gradient, offsets in row-major order."""
-    n, oc, h, w = g.shape
-    _, c, kh, kw = k.shape
-    k2d = k.reshape(oc, c * kh * kw)
-    gxp = np.zeros((n, c, h + kh - 1, w + kw - 1), g.dtype)
-    for s in range(n):
-        blocks = (k2d.T @ g[s].reshape(oc, h * w)).reshape(c, kh, kw, h, w)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[s, :, i:i + h, j:j + w] += blocks[:, i, j]
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    return gxp[:, :, pt:pt + h, pl:pl + w]
 
 
 class TestConv2d:
@@ -202,44 +170,15 @@ class TestMaxPool:
         out = max_pool(xt)
         g = rng.normal(size=out.shape)
         backward((out * Tensor(g)).sum())
-        oh, ow = h // 2, w // 2
-        assert out.shape == (2, 2, oh, ow)
-        want_grad = np.zeros_like(x)
-        for ni in range(2):
-            for ci in range(2):
-                for y in range(oh):
-                    for xx in range(ow):
-                        window = x[ni, ci, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2]
-                        assert out.data[ni, ci, y, xx] == window.max()
-                        i, j = divmod(int(np.argmax(window)), 2)
-                        want_grad[ni, ci, 2 * y + i, 2 * xx + j] = g[ni, ci, y, xx]
+        assert out.shape == (2, 2, h // 2, w // 2)
+        want, want_grad = naive_max_pool(x, g)
+        assert np.array_equal(out.data, want)
         assert np.array_equal(xt.grad, want_grad)
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
-
-    @staticmethod
-    def _scan_order(x):
-        """Per-window reference: the running maximum over the window in
-        scan order keeps the earlier value on a tie (so -0.0 before 0.0
-        wins), any NaN makes the result NaN, and the gradient goes to the
-        first position equal to the result (none for NaN)."""
-        n, c, h, w = x.shape
-        out = np.empty((n, c, h // 2, w // 2), x.dtype)
-        winner = np.full(out.shape, -1)
-        for idx in np.ndindex(out.shape):
-            ni, ci, y, xx = idx
-            window = x[ni, ci, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2].reshape(-1)
-            best = window[0]
-            for v in window[1:]:
-                if not np.isnan(best) and (np.isnan(v) or v > best):
-                    best = v
-            out[idx] = best
-            hits = np.flatnonzero(window == best)
-            winner[idx] = hits[0] if len(hits) else -1
-        return out, winner
 
     @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (4, 7), (5, 6)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -254,21 +193,15 @@ class TestMaxPool:
         x[0, 0, :2, :2] = [[-1.0, 0.0], [-0.0, -3.0]]
         xt = Tensor(x.copy(), requires_grad=requires_grad)
         out = max_pool(xt)
-        want, winner = self._scan_order(x)
+        g = rng.normal(size=out.shape).astype(dtype) if requires_grad else None
+        want, want_grad = naive_max_pool(x, g)
         assert out.data.dtype == x.dtype
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(out.data), nan)
         bits = np.uint32 if dtype == np.float32 else np.uint64
         assert np.array_equal(out.data.view(bits)[~nan], want.view(bits)[~nan])
         if requires_grad:
-            g = rng.normal(size=out.shape).astype(dtype)
             backward((out * Tensor(g)).sum())
-            want_grad = np.zeros_like(x)
-            for idx in np.ndindex(out.shape):
-                if winner[idx] >= 0:
-                    i, j = divmod(int(winner[idx]), 2)
-                    ni, ci, y, xx = idx
-                    want_grad[ni, ci, 2 * y + i, 2 * xx + j] = g[idx]
             assert np.array_equal(xt.grad, want_grad)
 
     @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (4, 7), (5, 6)])
@@ -326,87 +259,11 @@ class TestPoolBeforeRelu:
         assert grad_a.tobytes() == grad_b.tobytes()
 
 
-def naive_batch_norm(x, gamma, beta, mean, var, mode, momentum=0.9, eps=1e-5):
-    """Channel-by-channel loop: (output, new running mean, new running var)."""
-    out = np.empty_like(x)
-    new_mean, new_var = mean.copy(), var.copy()
-    for ch in range(x.shape[1]):
-        plane = x[:, ch]
-        if mode == "train":
-            mu = plane.mean()
-            sigma2 = ((plane - mu) ** 2).mean()
-            new_mean[ch] = momentum * mean[ch] + (1 - momentum) * mu
-            new_var[ch] = momentum * var[ch] + (1 - momentum) * sigma2
-        else:
-            mu, sigma2 = mean[ch], var[ch]
-        out[:, ch] = gamma[ch] * (plane - mu) / np.sqrt(sigma2 + eps) + beta[ch]
-    return out, new_mean, new_var
-
-
-def composed_batch_norm(x, gamma, beta, eps=1e-5):
-    """Train-mode batch norm composed of the engine's elementwise
-    primitives, so that autodiff derives its gradients independently of the
-    fused backward; x + mu * -1.0 is x - mu exactly."""
-    axes = (0, 2, 3)
-    shape = (1, -1, 1, 1)
-    mu = x.mean(axis=axes, keepdims=True)
-    var = ((x + mu * -1.0) * (x + mu * -1.0)).mean(axis=axes, keepdims=True)
-    xhat = (x + mu * -1.0) * ((var + eps) ** -0.5)
-    return gamma.reshape(shape) * xhat + beta.reshape(shape)
-
-
-def _rel_err(got, want, scale=0.0):
-    return np.abs(got - want).max() / max(np.abs(want).max(), scale, 1e-300)
-
-
-def two_pass_batch_norm(x, gamma, beta, mean, var, upstream, eps=1e-5):
-    """Train-mode batch norm in float64, the variance in a second pass over
-    x - mean: naive_batch_norm's (output, new running mean, new running
-    var), then the closed-form (dx, dgamma, dbeta) under the upstream
-    gradient."""
-    x, gamma, beta, mean, var, g = (
-        np.asarray(a, np.float64) for a in (x, gamma, beta, mean, var, upstream))
-    axes, shape = (0, 2, 3), (1, -1, 1, 1)
-    count = x.size // x.shape[1]
-    inv_std = 1.0 / np.sqrt(x.var(axis=axes) + eps)
-    xhat = (x - x.mean(axis=axes).reshape(shape)) * inv_std.reshape(shape)
-    dbeta, dgamma = g.sum(axis=axes), (g * xhat).sum(axis=axes)
-    dx = (gamma * inv_std).reshape(shape) * (
-        g - (dbeta / count).reshape(shape) - xhat * (dgamma / count).reshape(shape))
-    return naive_batch_norm(x, gamma, beta, mean, var, "train") + (dx, dgamma, dbeta)
-
-
-def _paper_bn_inputs(shape, seed):
-    """float32 (x, gamma, beta, mean, var, upstream) at a conv block's
-    shape; channel 1 sits 100 sigma off zero, where a one-pass
-    E[x^2] - mean^2 variance cancels away the digits that matter."""
-    rng = np.random.default_rng(seed)
-    c = shape[1]
-    x = rng.normal(0.5, 2.0, size=shape).astype(np.float32)
-    x[:, 1] += np.float32(200.0)
-    return (x, rng.uniform(0.5, 1.5, c).astype(np.float32), rng.normal(size=c).astype(np.float32),
-            rng.normal(size=c).astype(np.float32), rng.uniform(0.5, 2.0, c).astype(np.float32),
-            rng.normal(size=shape).astype(np.float32))
-
-
-def _train_bn(x, gamma, beta, mean, var, upstream):
-    """(output, running mean, running var, dx, dgamma, dbeta) of one
-    train-mode batch_norm forward and backward."""
-    stats = BnStats(mean=mean.copy(), var=var.copy())
-    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-    out = batch_norm(*leaves, stats, "train")
-    backward((out * Tensor(upstream)).sum())
-    return (out.data, stats.mean, stats.var) + tuple(leaf.grad for leaf in leaves)
-
-
-# the conv blocks' batch-norm shapes in the paper-scale models
-PAPER_BN_SHAPES = [(32, 32, 98, 40), (32, 64, 49, 20)]
-
 # prints a SHA-256 of each of _train_bn's results at the paper shapes, one
 # line per shape; run with the test directory on the path
 THREAD_PROBE = """
 import hashlib
-from test_layers import PAPER_BN_SHAPES, _paper_bn_inputs, _train_bn
+from conftest import PAPER_BN_SHAPES, _paper_bn_inputs, _train_bn
 for shape in PAPER_BN_SHAPES:
     results = _train_bn(*_paper_bn_inputs(shape, 11))
     print(" ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in results))
@@ -571,64 +428,6 @@ class TestBatchNorm:
         ) < 1e-5
 
 
-def whole_batch_pool(x, g):
-    """max_pool's forward and input gradient as whole-batch passes: each
-    row's column pair, then the two rows, and the winner code as the
-    chained product of the four views' miss masks over the whole batch."""
-    oh, ow = x.shape[2] // 2, x.shape[3] // 2
-    rows = x[:, :, :2 * oh]
-    pairs = np.maximum(rows[..., 1:2 * ow:2], rows[..., 0:2 * ow:2])
-    out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
-    windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
-               for i in (0, 1) for j in (0, 1)]
-    code = np.isnan(out).view(np.uint8)
-    for key in windows[2::-1]:
-        code += 1
-        code *= (x[key] != out).view(np.uint8)
-    gx = np.zeros_like(x)
-    for k, key in enumerate(windows):
-        np.multiply(g, code == k, out=gx[key])
-    return out, gx
-
-
-def _channel_sums(a, b=None):
-    """Per-channel sums over a whole NCHW batch: one dot product per
-    (sample, channel) row of the (N, C, H*W) view, then a sum over N."""
-    n, c = a.shape[:2]
-    a3 = a.reshape(n, c, -1)
-    b3 = np.ones(a3.shape[2], a.dtype) if b is None else b.reshape(n, c, -1)
-    return np.vecdot(a3, b3).sum(axis=0)
-
-
-def whole_batch_train_bn(x, gamma, beta, mean, var, g, momentum=0.9, eps=1e-5):
-    """Train-mode batch_norm as whole-batch passes: (output, running mean,
-    running var, dx, dgamma, dbeta) from the same sums and in-place steps."""
-    shape = (1, -1, 1, 1)
-    count = x.size // x.shape[1]
-    mu = _channel_sums(x) * (1.0 / count)
-    d = x - mu.reshape(shape)
-    batch_var = _channel_sums(d, d) * (1.0 / count)
-    new_mean = momentum * mean + (1 - momentum) * mu
-    new_var = momentum * var + (1 - momentum) * batch_var
-    inv_std = (batch_var + eps) ** -0.5
-    scale = (gamma * inv_std).reshape(shape)
-    out = d * scale
-    out += beta.reshape(shape)
-    sum_g = _channel_sums(g)
-    sum_g_xhat = _channel_sums(g, d) * inv_std
-    gx = d
-    gx *= (sum_g_xhat * inv_std * (-1.0 / count)).reshape(shape)
-    gx += g
-    gx -= (sum_g * (1.0 / count)).reshape(shape)
-    gx *= scale
-    return out, new_mean, new_var, gx, sum_g_xhat, sum_g
-
-
-def _bits(a):
-    """The raw bits of a float array, so that NaN and -0.0 compare exactly."""
-    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
-
-
 class TestOneSampleAtATime:
     """max_pool and train-mode batch_norm run their passes one sample at a
     time; every output and gradient must keep the bits of whole-batch
@@ -729,75 +528,6 @@ class TestDense:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
-
-
-def _bilstm_params(rng, in_dim, hidden, scale=1.0):
-    """[W, U, b] of bilstm_sequence, both directions stacked: per direction,
-    forward first, one draw per gate block, all W blocks, then all U, then
-    all b."""
-    def block(shape):
-        return np.concatenate([scale * rng.normal(size=shape) / np.sqrt(max(shape))
-                               for _ in LSTM_GATES], axis=-1)
-    rows = [[block((in_dim, hidden)), block((hidden, hidden)), block((hidden,))]
-            for _ in range(2)]
-    return [Tensor(np.stack(role), requires_grad=True) for role in zip(*rows)]
-
-
-def naive_lstm(x, W, U, b, reverse=False):
-    """Per-gate, per-step reference for one LSTM direction on N x T x d."""
-    n, t_len, _ = x.shape
-    hidden = U.shape[0]
-    block = {gate: slice(k * hidden, (k + 1) * hidden) for k, gate in enumerate(LSTM_GATES)}
-    h, c = np.zeros((n, hidden)), np.zeros((n, hidden))
-    out = np.zeros((n, t_len, hidden))
-    for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        pre = {gate: x[:, t] @ W[:, s] + h @ U[:, s] + b[s] for gate, s in block.items()}
-        i, f, o = (1.0 / (1.0 + np.exp(-pre[gate])) for gate in "ifo")
-        c = f * c + i * np.tanh(pre["g"])
-        h = o * np.tanh(c)
-        out[:, t] = h
-    return out
-
-
-def sigmoid(x):
-    """The logistic function as one primitive, with the float operations
-    of bilstm_sequence's gates, forward and backward."""
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    return custom_op(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
-def concat(tensors, axis):
-    """Join tensors along axis as one primitive; the gradient is split back
-    along the same cuts."""
-    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return custom_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
-                     lambda g: np.split(g, cuts, axis=axis))
-
-
-def composed_lstm(seq, W, U, b, reverse=False):
-    """One LSTM direction composed of the engine's primitives, about 16
-    nodes per step, so that autodiff derives its gradients independently
-    of the hand-written BPTT."""
-    n, t_len, d = seq.shape
-    hidden = U.shape[0]
-    proj = (seq.reshape(n * t_len, d) @ W + b).reshape(n, t_len, 4 * hidden)
-    h = c = Tensor(np.zeros((n, hidden), dtype=seq.data.dtype))
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    outputs = [None] * t_len
-    for t in steps:
-        z = proj[:, t, :] + h @ U
-        ifo = sigmoid(z[:, :3 * hidden])
-        i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
-        c = f * c + i * z[:, 3 * hidden:].tanh()
-        h = o * c.tanh()
-        outputs[t] = h.reshape(n, 1, hidden)
-    return concat(outputs, axis=1)
-
-
-def composed_bilstm(seq, W, U, b):
-    """bilstm_sequence as the two composed directions side by side."""
-    return concat([composed_lstm(seq, W[0], U[0], b[0]),
-                   composed_lstm(seq, W[1], U[1], b[1], reverse=True)], axis=2)
 
 
 def _bilstm_run(fn, shape, dtype, seed, half=None):
@@ -917,7 +647,7 @@ class TestBilstm:
             assert g.dtype == np.dtype(dtype), name
             if name == "dU":
                 tol = {np.float32: 1e-6, np.float64: 1e-12}[dtype]
-                assert _rel_err(g.astype(np.float64), w.astype(np.float64)) < tol, name
+                assert _rel_err(g, w) < tol, name
             else:
                 assert np.array_equal(g, w), name
 

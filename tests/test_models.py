@@ -9,9 +9,11 @@ from kwspot.autodiff import backward
 from kwspot.errors import ConfigError, ShapeError
 from kwspot.layers import batch_norm, conv2d, dropout, max_pool
 from kwspot.models import (
-    ARCHITECTURES, DTYPES, Model, ModelConfig, build_model, model_forward, predict,
+    ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward, predict,
 )
 from kwspot.training import TrainConfig, init_adam, train_epoch
+
+from conftest import record_calls
 
 
 def _small_config(arch, **overrides):
@@ -247,15 +249,7 @@ class TestDtype:
     def test_float32_end_to_end(self, monkeypatch, arch):
         # one silent upcast to float64 anywhere in a train step would cost
         # the float32 speed-up: record the dtype of every graph node
-        node_dtypes = set()
-        node = autodiff._node
-
-        def recording_node(data, parents, backward):
-            out = node(data, parents, backward)
-            node_dtypes.add(out.data.dtype)
-            return out
-
-        monkeypatch.setattr(autodiff, "_node", recording_node)
+        nodes = record_calls(monkeypatch, autodiff, "_node")
         model = build_model(_small_config(arch, dropout_rate=0.25))
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(6, 16, 12)), np.arange(6) % 4
@@ -263,7 +257,7 @@ class TestDtype:
         train_epoch(model, (x, y), opt, TrainConfig(max_epochs=2, patience=1,
                                                      batch_size=6), 1)
         f32 = np.dtype(np.float32)
-        assert node_dtypes == {f32}
+        assert {out.data.dtype for _, out in nodes} == {f32}
         for name, p in model.params.items():
             assert (p.data.dtype, p.grad.dtype) == (f32, f32), name
             assert (opt.m[name].dtype, opt.v[name].dtype) == (f32, f32), name
@@ -277,14 +271,7 @@ class TestGraphSize:
     def test_train_step_records_few_nodes(self, monkeypatch):
         # every op a train step records is Python overhead paid per batch;
         # an LSTM composed per time step records about 16 nodes a step
-        calls = []
-        node = autodiff._node
-
-        def counting_node(data, parents, backward):
-            calls.append(None)
-            return node(data, parents, backward)
-
-        monkeypatch.setattr(autodiff, "_node", counting_node)
+        calls = record_calls(monkeypatch, autodiff, "_node")
         model = build_model(_small_config("multilayer_attention", dropout_rate=0.25))
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(4, 16, 12)), np.arange(4) % 4

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import script_validation, write_metadata, write_sealed_checkpoint
+from conftest import script_validation, split_metadata, write_metadata, write_sealed_checkpoint
 from kwspot import errors, models, training
 from kwspot.audio_io import AudioClip, DatasetIndex
 from kwspot.autodiff import Tensor, backward, grad_check
@@ -14,11 +14,13 @@ from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
 from kwspot.training import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, EpochRecord, TrainConfig, TrainHistory, adam_step,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EpochRecord, TrainConfig, TrainHistory, adam_step,
     cross_entropy_loss, evaluate_arrays, featurize_index, fit, init_adam,
     load_checkpoint, lr_schedule, read_metrics_csv, save_checkpoint,
     train_epoch, write_metrics_csv,
 )
+
+from oracles import softmax_minus_onehot
 
 
 def _tiny_model(arch="cnn", **overrides):
@@ -99,21 +101,13 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             cross_entropy_loss(Tensor(np.zeros((2, 3))), [-1, 0])
 
-    @staticmethod
-    def _softmax_minus_onehot(logits, labels):
-        x = logits.astype(np.float64)
-        probs = np.exp(x - x.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(len(labels)), labels] -= 1.0
-        return probs / len(labels)
-
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(1)
         # distinct labels, a single row and a label repeated across rows
         for labels in ([0, 2, 4, 1], [3], [2, 2, 0, 2]):
             logits = Tensor(rng.normal(size=(len(labels), 5)), requires_grad=True)
             backward(cross_entropy_loss(logits, labels))
-            want = self._softmax_minus_onehot(logits.data, labels)
+            want = softmax_minus_onehot(logits.data, labels)
             assert np.abs(logits.grad - want).max() < 1e-12
 
     def test_float32_stays_float32(self):
@@ -123,7 +117,7 @@ class TestCrossEntropy:
         loss = cross_entropy_loss(logits, labels)
         backward(loss)
         assert loss.data.dtype == np.float32 and logits.grad.dtype == np.float32
-        want = self._softmax_minus_onehot(logits.data, labels)
+        want = softmax_minus_onehot(logits.data, labels)
         assert np.abs(logits.grad - want).max() < 1e-7
 
     def test_grad_check(self):
@@ -565,7 +559,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
         body = path.read_bytes()[:-4]
-        meta_len = struct.unpack("<I", body[8:12])[0]
+        meta_len = len(split_metadata(body)[1])
         for offset, what in ((12, "metadata"), (12 + meta_len + 4, "array name")):
             bad = bytearray(body)
             bad[offset] = 0xFF
@@ -655,8 +649,7 @@ class TestCheckpoint:
         train = TrainConfig(base_lr=0.002) if extras in ("train", "both") else None
         model = _tiny_model(arch=arch, input_shape=(8, 12), conv_channels=None)
         save_checkpoint(model, path, train, labels)
-        blob = path.read_bytes()
-        meta = blob[12:12 + struct.unpack("<I", blob[8:12])[0]]
+        meta = split_metadata(path.read_bytes())[1]
         channels = "32,64,64" if arch == "cnn" else "32,64"
         expected = [
             f"arch={arch}", "n_classes=3", "input_shape=8,12", f"conv_channels={channels}",
@@ -676,8 +669,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
         expected = 4 + 4 + 4  # magic + version + CRC32 trailer
-        meta_len = path.read_bytes()[8:12]
-        expected += 4 + struct.unpack("<I", meta_len)[0]
+        expected += 4 + len(split_metadata(path.read_bytes())[1])
         items = [(k, v.data) for k, v in model.params.items()]
         for name, stats in model.bn_stats.items():
             items += [(f"{name}_running_mean", stats.mean),
