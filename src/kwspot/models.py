@@ -11,11 +11,12 @@ multilayer_attention as attention_rnn plus a three-stage chained attention
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, ufunc_buffer
 from .errors import ConfigError, ShapeError
 from .layers import (
     LSTM_GATES,
@@ -31,6 +32,9 @@ from .layers import (
 
 ARCHITECTURES = ("cnn", "cnn_bilstm", "attention_rnn", "multilayer_attention")
 DTYPES = ("float32", "float64")
+# the most randomly initialized weights a model may draw: about 160 times
+# the paper-scale multilayer_attention model's 610,336
+MAX_WEIGHTS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,25 @@ def _init_bilstm(draw, param, params, prefix, in_dim, hidden):
 
 
 def build_model(config: ModelConfig) -> Model:
-    """Deterministically initialize all parameters of the chosen architecture."""
+    """Deterministically initialize all parameters of the chosen architecture.
+    The draw that would take the weights past MAX_WEIGHTS raises ConfigError
+    before it allocates; as make_model's draws precede every array at least
+    as large, no array of more values is allocated. (A checkpoint load is
+    bounded by its file's size instead.)"""
     rng = np.random.default_rng(config.seed)
-    return make_model(config, lambda shape: _glorot(rng, shape))
+    drawn = 0
+
+    def draw(shape) -> np.ndarray:
+        nonlocal drawn
+        drawn += math.prod(shape)
+        if drawn > MAX_WEIGHTS:
+            raise ConfigError(
+                f"the model would have more than {MAX_WEIGHTS} weights; "
+                f"conv_channels, lstm_hidden and dense_hidden set their number"
+            )
+        return _glorot(rng, shape)
+
+    return make_model(config, draw)
 
 
 def make_model(config: ModelConfig, draw) -> Model:
@@ -229,6 +249,7 @@ def _to_sequence(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(n, h, c * w)
 
 
+@ufunc_buffer()
 def model_forward(model: Model, batch, rng=None, stages: bool = False):
     """Logits for an N x T x D feature batch, cast once to the model's dtype
     (softmax is applied at loss or prediction time, not here). With

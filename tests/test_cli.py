@@ -494,6 +494,10 @@ class TestTrainEval:
         ("dropout_rate=-1", "dropout_rate must be in [0, 1)"),
         # 61 x 20 features are 3 x 1 at a fifth block's pool
         ("conv_channels=2,2,2,2,2", "input (61, 20) too small for conv block 4"),
+        # each of these three used to end in a MemoryError traceback
+        *((f"{key}=1000000000000", "the model would have more than 100000000 weights; "
+           "conv_channels, lstm_hidden and dense_hidden set their number")
+          for key in ("lstm_hidden", "dense_hidden", "conv_channels")),
     ])
     def test_model_setting_refused_before_featurizing(self, synth_dir, small_config_file,
                                                       tmp_path, capsys, monkeypatch,

@@ -1,17 +1,18 @@
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 
 from kwspot import autodiff, models
-from kwspot.autodiff import backward
-from kwspot.errors import ConfigError, ShapeError
+from kwspot.autodiff import backward, custom_op
+from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import batch_norm, conv2d, dropout, max_pool
 from kwspot.models import (
     ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward, predict,
 )
-from kwspot.training import TrainConfig, init_adam, train_epoch
+from kwspot.training import TrainConfig, cross_entropy_loss, init_adam, train_epoch
 
 from conftest import record_calls
 
@@ -307,6 +308,94 @@ class TestSavedValues:
         assert len(refs) >= 4 and [r() is None for r in refs] == [True] * len(refs)
         backward(loss)
         assert all(p.grad is not None for p in model.params.values())
+
+
+class TestWeightCap:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("input_shape", [(98, 40), (61, 20)])  # paper scale, README
+    def test_cap_boundary(self, monkeypatch, arch, input_shape):
+        calls = record_calls(monkeypatch, models, "_glorot")
+        config = ModelConfig(arch, 12, input_shape)
+        build_model(config)  # allowed at the real cap
+        n_draws = len(calls)
+        monkeypatch.setattr(models, "MAX_WEIGHTS",
+                            sum(math.prod(args[1]) for args, _ in calls))
+        build_model(config)
+        monkeypatch.setattr(models, "MAX_WEIGHTS", models.MAX_WEIGHTS - 1)
+        calls.clear()
+        with pytest.raises(ConfigError, match="conv_channels, lstm_hidden and dense_hidden"):
+            build_model(config)
+        # the draw past the cap is refused before it runs
+        assert len(calls) == n_draws - 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("lstm_hidden", 10**12), ("dense_hidden", 10**12), ("conv_channels", (10**12,)),
+    ])
+    def test_huge_width_refused(self, key, value):
+        # each used to end in a MemoryError from the first draw (up to 146 TiB)
+        with pytest.raises(ConfigError, match=f"more than {models.MAX_WEIGHTS} weights"):
+            build_model(ModelConfig("multilayer_attention", 12, (98, 40), **{key: value}))
+
+
+class TestUfuncBuffer:
+    # per-channel rows of 40 * 30 = 1200 values: gathered into numpy's
+    # default 8192-element buffer, not into UFUNC_BUFSIZE's
+    SHAPE = (40, 30)
+
+    def _step(self, arch, dtype):
+        """(gradients of one train step, infer logits) of a small model."""
+        model = build_model(_small_config(arch, input_shape=self.SHAPE, dtype=dtype,
+                                          dropout_rate=0.25))
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(3,) + self.SHAPE), np.arange(3) % 4
+        backward(cross_entropy_loss(model_forward(model, x, rng=rng), y))
+        grads = {name: p.grad for name, p in model.params.items()}
+        model.set_mode("infer")
+        return grads, model_forward(model, x).data
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_bits_match_default_buffer(self, monkeypatch, arch, dtype):
+        grads, logits = self._step(arch, dtype)
+        monkeypatch.setattr(autodiff, "UFUNC_BUFSIZE", np.getbufsize())
+        want_grads, want_logits = self._step(arch, dtype)
+        assert logits.tobytes() == want_logits.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    def test_caller_settings_restored(self, monkeypatch):
+        seen = []
+
+        def spy(x, kernel):
+            seen.append(("forward", np.getbufsize()))
+
+            def bw(g):
+                seen.append(("backward", np.getbufsize()))
+                return (g,)
+
+            out = conv2d(x, kernel)
+            return custom_op(out.data, (out,), bw)
+
+        monkeypatch.setattr(models, "conv2d", spy)
+        model = build_model(_small_config("multilayer_attention"))
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(2, 16, 12)), np.arange(2)
+        with np.errstate(all="ignore"):
+            np.setbufsize(4096)
+            caller = (np.getbufsize(), np.geterr())
+            logits = model_forward(model, x, rng=rng)
+            assert (np.getbufsize(), np.geterr()) == caller
+            backward(cross_entropy_loss(logits, y))
+            assert (np.getbufsize(), np.geterr()) == caller
+            with pytest.raises(ShapeError):
+                model_forward(model, x[:, 1:], rng=rng)
+            assert (np.getbufsize(), np.geterr()) == caller
+            with pytest.raises(UsageError):
+                backward(model_forward(model, x, rng=rng))  # non-scalar
+            assert (np.getbufsize(), np.geterr()) == caller
+        size = autodiff.UFUNC_BUFSIZE
+        assert seen[:2] == [("forward", size), ("backward", size)]
+        assert {s for _, s in seen} == {size}
 
 
 class TestMultilayerAttention:
