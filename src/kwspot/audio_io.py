@@ -72,14 +72,6 @@ class SynthSpec:
             raise DatasetError("class frequencies must be above 0 Hz and below Nyquist")
 
 
-def _pad_or_trim(samples: np.ndarray, target: int) -> np.ndarray:
-    if len(samples) >= target:
-        return samples[:target]
-    out = np.zeros(target)
-    out[: len(samples)] = samples
-    return out
-
-
 def read_wav(path) -> AudioClip:
     """Read a PCM-16 mono WAV as a 1-second clip (end-padded or truncated).
     The fmt chunk's format is PCM, or WAVE_FORMAT_EXTENSIBLE with the PCM
@@ -131,8 +123,9 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedError(
             f"{path}: sample rate {sample_rate} Hz, expected 1 to {MAX_SAMPLE_RATE}"
         )
-    pcm = np.frombuffer(data[: 2 * (len(data) // 2)], dtype="<i2")
-    samples = _pad_or_trim(pcm.astype(np.float64) / 32768.0, sample_rate)
+    pcm = np.frombuffer(data[: 2 * min(len(data) // 2, sample_rate)], dtype="<i2")
+    samples = np.zeros(sample_rate)
+    samples[: len(pcm)] = pcm / 32768.0
     return AudioClip(samples=samples, sample_rate=sample_rate)
 
 
@@ -156,7 +149,7 @@ def scan_dataset(root, label_set) -> DatasetIndex:
         sub = root / label
         if not sub.is_dir():
             raise DatasetError(f"missing directory for label {label!r} under {root}")
-        for wav in sorted(sub.iterdir()):
+        for wav in sub.iterdir():
             if wav.suffix == ".wav" and wav.is_file():
                 entries.append((wav, label))
     entries.sort(key=lambda e: str(e[0]))

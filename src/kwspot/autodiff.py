@@ -124,7 +124,7 @@ class Tensor:
 
     def __add__(self, other):
         other = _ensure(other, self)
-        return _node(self.data + other.data, (self, other), lambda g: (g, g))
+        return record(self.data + other.data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
@@ -139,14 +139,14 @@ class Tensor:
             return (None if for_self is None else g * for_self,
                     None if for_other is None else g * for_other)
 
-        return _node(self.data * other.data, (self, other), bw)
+        return record(self.data * other.data, (self, other), bw)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
         p = float(exponent)
         base = self.data
-        return _node(base ** p, (self,), lambda g: (g * p * base ** (p - 1.0),))
+        return record(base ** p, (self,), lambda g: (g * p * base ** (p - 1.0),))
 
     # ---- structure ---------------------------------------------------
 
@@ -154,11 +154,11 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src_shape = self.shape
-        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
+        return record(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
     def transpose(self, *axes) -> "Tensor":
         inverse = tuple(np.argsort(axes))
-        return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
+        return record(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def __getitem__(self, key) -> "Tensor":
         src_shape, dtype = self.shape, self.data.dtype
@@ -170,7 +170,7 @@ class Tensor:
             np.add.at(full, key, g)
             return (full,)
 
-        return _node(self.data[key], (self,), bw)
+        return record(self.data[key], (self,), bw)
 
     def __matmul__(self, other):
         other = _ensure(other, self)
@@ -189,7 +189,7 @@ class Tensor:
             return (None if for_self is None else np.matmul(g, for_self.swapaxes(-1, -2)),
                     None if for_other is None else np.matmul(for_other.swapaxes(-1, -2), g))
 
-        return _node(np.matmul(self.data, other.data), (self, other), bw)
+        return record(np.matmul(self.data, other.data), (self, other), bw)
 
     # ---- reductions --------------------------------------------------
 
@@ -201,7 +201,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, src_shape),)
 
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
+        return record(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -217,13 +217,13 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
-        return _node(out, (self,), lambda g: (g * (1.0 - out * out),))
+        return record(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def relu(self) -> "Tensor":
         # the backward reads a boolean mask, so that neither the input nor
         # the output is kept for it
         keep = self.data > 0.0 if self.requires_grad else None
-        return _node(np.maximum(self.data, 0.0), (self,), lambda g: (g * keep,))
+        return record(np.maximum(self.data, 0.0), (self,), lambda g: (g * keep,))
 
     def softmax(self, axis: int = -1) -> "Tensor":
         # max subtraction keeps exp in range; the shift cancels exactly
@@ -235,7 +235,7 @@ class Tensor:
             inner = (g * out).sum(axis=axis, keepdims=True)
             return (out * (g - inner),)
 
-        return _node(out, (self,), bw)
+        return record(out, (self,), bw)
 
 
 def _ensure(value, like: Tensor) -> Tensor:
@@ -245,11 +245,12 @@ def _ensure(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """The one recording function: a Tensor of `data` with a Node if any
-    parent requires gradients. backward(g) returns one gradient per parent
-    and must capture arrays only, never a Tensor, whose value it would keep
-    alive."""
+def record(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """The one recording function, of the Tensor methods and of the
+    primitives written outside this module (conv, pooling, ...): a Tensor of
+    `data` with a Node if any parent requires gradients. backward(g) returns
+    one gradient per parent and must capture arrays only, never a Tensor,
+    whose value it would keep alive."""
     out = Tensor(data)
     which = tuple(i for i, p in enumerate(parents) if p.requires_grad)
     if which:
@@ -258,11 +259,6 @@ def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
                         for i in which)
         out._node = Node(out.shape, targets, which, backward)
     return out
-
-
-def custom_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Record an externally implemented primitive (conv, pooling, ...)."""
-    return _node(data, parents, backward)
 
 
 @ufunc_buffer()

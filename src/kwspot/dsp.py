@@ -178,15 +178,12 @@ def build_mel_filterbank(config: DspConfig) -> MelFilterBank:
             "adjacent mel filter centers collapsed onto the same FFT bin; "
             "increase n_fft or reduce n_mel_filters"
         )
-    n_bins = config.n_fft // 2 + 1
-    weights = np.zeros((m, n_bins))
-    k = np.arange(n_bins)
-    for row in range(m):
-        left, center, right = bins[row], bins[row + 1], bins[row + 2]
-        rising = (k >= left) & (k <= center)
-        falling = (k > center) & (k <= right)
-        weights[row, rising] = (k[rising] - left) / (center - left)
-        weights[row, falling] = (right - k[falling]) / (right - center)
+    k = np.arange(config.n_fft // 2 + 1)
+    left, center, right = bins[:-2, None], bins[1:-1, None], bins[2:, None]
+    # the rising edge is the smaller one up to the center, the falling one
+    # after it, and outside [left, right] one of them is negative
+    weights = np.maximum(np.minimum((k - left) / (center - left),
+                                    (right - k) / (right - center)), 0.0)
     weights.flags.writeable = False
     bins.flags.writeable = False
     return MelFilterBank(weights=weights, center_bins=bins)

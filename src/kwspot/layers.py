@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, custom_op
+from . import autodiff
+from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, UsageError
 
 
@@ -113,7 +114,7 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
                     gxp[s, :, o:o + h * wp] += blocks[i, j]
         return gxp.reshape(n, c, hp + 1, wp)[:, :, pt:pt + h, pl:pl + w], gk
 
-    return custom_op(out.reshape(n, oc, h, w), (x, kernels), bw)
+    return autodiff.record(out.reshape(n, oc, h, w), (x, kernels), bw)
 
 
 def max_pool(x: Tensor) -> Tensor:
@@ -167,18 +168,7 @@ def max_pool(x: Tensor) -> Tensor:
                 np.multiply(g[s], code[s] == k, out=gx[s][key])
         return (gx,)
 
-    return custom_op(out, (x,), bw)
-
-
-def _channel_sums(a: np.ndarray) -> np.ndarray:
-    """Per-channel sums over an NCHW array: one dot product per (sample,
-    channel) row of the (N, C, H*W) view against a ones vector, then a sum
-    over N; that needs no product temporary and runs faster than a sum over
-    axes (0, 2, 3). batch_norm takes its other sums the same way, row by
-    row per sample."""
-    n, c = a.shape[:2]
-    a3 = a.reshape(n, c, -1)
-    return np.vecdot(a3, np.ones(a3.shape[2], a.dtype)).sum(axis=0)
+    return autodiff.record(out, (x,), bw)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str) -> Tensor:
@@ -194,9 +184,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
     folds 1 / sigma into per-channel coefficients, so no pass forms xhat,
     and writes the input gradient over d. After the mean, every pass runs
     one sample at a time, so that d[s] is still in cache when the next pass
-    reads it; each sum is one dot product per (sample, channel) row into an
-    (N, C) array, then a sum over N, as in `_channel_sums`, so the values
-    are those of whole-batch passes."""
+    reads it. Each sum, the mean's too, is one dot product per (sample,
+    channel) row into an (N, C) array, then a sum over N: no product
+    temporary, faster than a sum over axes (0, 2, 3), and the values of
+    whole-batch passes."""
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     shape = (1, -1, 1, 1)
@@ -210,7 +201,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
         return Tensor(out)
     n, c = x.shape[:2]
     count = x.size // c
-    mu = _channel_sums(x.data) * (1.0 / count)
+    x3 = x.data.reshape(n, c, -1)
+    mu = np.vecdot(x3, np.ones(x3.shape[2], x3.dtype)).sum(axis=0) * (1.0 / count)
     # per-channel shapes against one CHW sample
     ch = (c, 1, 1)
     mu_ch = mu.reshape(ch)
@@ -257,7 +249,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
             gx *= scale
         return d, sum_g_xhat, sum_g
 
-    return custom_op(out, (x, gamma, beta), bw)
+    return autodiff.record(out, (x, gamma, beta), bw)
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
@@ -397,7 +389,7 @@ def bilstm_sequence(seq: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         dseq += dz_rows[1] @ Wd[1].T
         return dseq.reshape(n, t_len, d), dW, dU, db
 
-    return custom_op(out, (seq, W, U, b), bw)
+    return autodiff.record(out, (seq, W, U, b), bw)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:

@@ -163,6 +163,11 @@ def make_model(config: ModelConfig, draw) -> Model:
 
     params: dict[str, Tensor] = {}
     bn_stats: dict[str, BnStats] = {}
+
+    def dense_params(name, fan_in, fan_out):
+        params[f"{name}_W"] = param(draw((fan_in, fan_out)))
+        params[f"{name}_b"] = param(np.zeros(fan_out))
+
     h, w = config.input_shape
     in_c = 1
     for i, c in enumerate(config.resolved_channels()):
@@ -186,16 +191,12 @@ def make_model(config: ModelConfig, draw) -> Model:
     dh = config.dense_hidden
 
     if config.arch == "cnn":
-        params["fc0_W"] = param(draw((in_c * h * w, dh)))
-        params["fc0_b"] = param(np.zeros(dh))
-        params["fc1_W"] = param(draw((dh, dh)))
-        params["fc1_b"] = param(np.zeros(dh))
-        params["fc2_W"] = param(draw((dh, n_cls)))
-        params["fc2_b"] = param(np.zeros(n_cls))
+        dense_params("fc0", in_c * h * w, dh)
+        dense_params("fc1", dh, dh)
+        dense_params("fc2", dh, n_cls)
     elif config.arch == "cnn_bilstm":
         _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
-        params["out_W"] = param(draw((2 * hidden, n_cls)))
-        params["out_b"] = param(np.zeros(n_cls))
+        dense_params("out", 2 * hidden, n_cls)
     else:
         _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
         _init_bilstm(draw, param, params, "lstm2", 2 * hidden, hidden)
@@ -203,13 +204,10 @@ def make_model(config: ModelConfig, draw) -> Model:
         if config.arch == "multilayer_attention":
             params["stage1_proj"] = param(draw((config.input_shape[1], seq_dim)))
             params["stage2_proj"] = param(draw((seq_dim, 2 * hidden)))
-            params["head0_W"] = param(draw((2 * hidden, dh)))
-            params["head0_b"] = param(np.zeros(dh))
-            params["head1_W"] = param(draw((dh, n_cls)))
-            params["head1_b"] = param(np.zeros(n_cls))
+            dense_params("head0", 2 * hidden, dh)
+            dense_params("head1", dh, n_cls)
         else:
-            params["out_W"] = param(draw((2 * hidden, n_cls)))
-            params["out_b"] = param(np.zeros(n_cls))
+            dense_params("out", 2 * hidden, n_cls)
     return Model(config=config, params=params, bn_stats=bn_stats, mode="train")
 
 
@@ -313,6 +311,4 @@ def predict(model: Model, features):
     finally:
         model.set_mode(saved)
     row = logits.data[0].astype(np.float64)
-    shifted = np.exp(row - row.max())
-    probs = shifted / shifted.sum()
-    return int(np.argmax(row)), probs
+    return int(np.argmax(row)), Tensor(row).softmax().data

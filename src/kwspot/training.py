@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, dsp
-from .autodiff import Tensor, backward, custom_op
+from . import audio_io, autodiff, dsp
+from .autodiff import Tensor, backward
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
 from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, write_key_values
 from .models import Model, ModelConfig, make_model, model_forward
@@ -114,7 +114,7 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
         grad[rows, labels] -= scale
         return (grad,)
 
-    return custom_op(loss, (logits,), bw)
+    return autodiff.record(loss, (logits,), bw)
 
 
 def adam_step(params: dict, state: AdamState, lr: float):
@@ -200,8 +200,8 @@ def fit(model: Model, train_data, val_data, config: TrainConfig):
         raise DataError("train and validation splits must be non-empty")
     opt_state = init_adam(model.params)
     history = TrainHistory()
-    best_acc = -1.0
-    best_snap = model.snapshot()
+    best_acc = -1.0  # below any accuracy, so epoch 1 takes the first snapshot
+    best_snap = None
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         train_loss, train_acc = train_epoch(model, train_data, opt_state, config, epoch)

@@ -4,7 +4,7 @@ composed of autodiff primitives, the one part of kwspot imported here."""
 
 import numpy as np
 
-from kwspot.autodiff import Tensor, custom_op
+from kwspot.autodiff import Tensor, record
 
 
 def _rel_err(got, want, scale=0.0):
@@ -28,6 +28,20 @@ def naive_dft_power(frame: np.ndarray, n_fft: int) -> np.ndarray:
         im = np.sum(x * np.sin(-2.0 * np.pi * k * n / n_fft))
         out[k] = re * re + im * im
     return out
+
+
+def naive_mel_filterbank(center_bins, n_bins):
+    """Triangular filter weights filled one row at a time: row m rises from
+    center_bins[m] to center_bins[m + 1] and falls to center_bins[m + 2]."""
+    weights = np.zeros((len(center_bins) - 2, n_bins))
+    k = np.arange(n_bins)
+    for row in range(len(center_bins) - 2):
+        left, center, right = center_bins[row], center_bins[row + 1], center_bins[row + 2]
+        rising = (k >= left) & (k <= center)
+        falling = (k > center) & (k <= right)
+        weights[row, rising] = (k[rising] - left) / (center - left)
+        weights[row, falling] = (right - k[falling]) / (right - center)
+    return weights
 
 
 def naive_mel_energies(spectra, weights):
@@ -252,15 +266,15 @@ def sigmoid(x):
     """The logistic function as one primitive, with the float operations
     of bilstm_sequence's gates, forward and backward."""
     out = 1.0 / (1.0 + np.exp(-x.data))
-    return custom_op(out, (x,), lambda g: (g * out * (1.0 - out),))
+    return record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def concat(tensors, axis):
     """Join tensors along axis as one primitive; the gradient is split back
     along the same cuts."""
     cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return custom_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
-                     lambda g: np.split(g, cuts, axis=axis))
+    return record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                  lambda g: np.split(g, cuts, axis=axis))
 
 
 def composed_lstm(seq, W, U, b, reverse=False):

@@ -6,7 +6,7 @@ from kwspot.audio_io import AudioClip
 from kwspot.errors import DspError
 
 from conftest import record_calls
-from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies
+from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies, naive_mel_filterbank
 
 
 class TestConfig:
@@ -192,6 +192,20 @@ class TestFilterbank:
             bank.weights[0, 0] = 1.0
         with pytest.raises(ValueError):
             bank.center_bins[0] = 0
+
+    @pytest.mark.parametrize("config", [
+        dsp.DspConfig(),  # paper scale
+        dsp.DspConfig(sample_rate=4000, frame_len=128, hop_len=64, n_fft=128,
+                      n_mel_filters=20, fmin=50.0, fmax=1900.0),  # the README's
+        dsp.DspConfig(fmin=0.0),
+        # n_mel_filters at its bound of n_fft // 2 - 1: every bin an edge
+        dsp.DspConfig(sample_rate=64, frame_len=32, hop_len=16, n_fft=32,
+                      n_mel_filters=15, n_mfcc=10, fmin=0.0, fmax=32.0),
+    ], ids=["paper", "readme", "fmin0", "bound"])
+    def test_matches_row_loop_bit_for_bit(self, config):
+        bank = dsp.build_mel_filterbank(config)
+        want = naive_mel_filterbank(bank.center_bins, config.n_fft // 2 + 1)
+        assert bank.weights.tobytes() == want.tobytes()
 
     def test_collapsed_bins_rejected(self):
         # under DspConfig's bound of n_fft // 2 - 1 = 31 filters, yet the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kwspot import autodiff, models
-from kwspot.autodiff import backward, custom_op
+from kwspot.autodiff import backward, record
 from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import batch_norm, conv2d, dropout, max_pool
 from kwspot.models import (
@@ -250,7 +250,7 @@ class TestDtype:
     def test_float32_end_to_end(self, monkeypatch, arch):
         # one silent upcast to float64 anywhere in a train step would cost
         # the float32 speed-up: record the dtype of every graph node
-        nodes = record_calls(monkeypatch, autodiff, "_node")
+        nodes = record_calls(monkeypatch, autodiff, "record")
         model = build_model(_small_config(arch, dropout_rate=0.25))
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(6, 16, 12)), np.arange(6) % 4
@@ -272,7 +272,7 @@ class TestGraphSize:
     def test_train_step_records_few_nodes(self, monkeypatch):
         # every op a train step records is Python overhead paid per batch;
         # an LSTM composed per time step records about 16 nodes a step
-        calls = record_calls(monkeypatch, autodiff, "_node")
+        calls = record_calls(monkeypatch, autodiff, "record")
         model = build_model(_small_config("multilayer_attention", dropout_rate=0.25))
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(4, 16, 12)), np.arange(4) % 4
@@ -374,7 +374,7 @@ class TestUfuncBuffer:
                 return (g,)
 
             out = conv2d(x, kernel)
-            return custom_op(out.data, (out,), bw)
+            return record(out.data, (out,), bw)
 
         monkeypatch.setattr(models, "conv2d", spy)
         model = build_model(_small_config("multilayer_attention"))
