@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, FormatError, SplitError, UnsupportedError
+from .errors import ConfigError, DatasetError, FormatError, SplitError, UnsupportedError
 
 
 MAX_SAMPLE_RATE = 384_000  # Hz, the highest rate in common PCM use
@@ -164,7 +164,8 @@ def split_dataset(index: DatasetIndex, ratios, seed: int):
     train_r, val_r, test_r = ratios
     # written so that a NaN ratio, which every comparison rejects, fails it
     if not (min(train_r, val_r, test_r) >= 0 and abs(train_r + val_r + test_r - 1.0) <= 1e-9):
-        raise SplitError(f"ratios must be non-negative and sum to 1, got {ratios}")
+        raise ConfigError("train_ratio, val_ratio and test_ratio must be non-negative and "
+                          f"sum to 1, got {ratios}")
     n_nonzero = sum(1 for r in ratios if r > 0)
     rng = np.random.default_rng(seed)
     buckets: dict[str, list] = {label: [] for label in index.label_set}

@@ -150,15 +150,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # a bad setting is refused before the checkpoint is loaded or --data scanned
+    cfg = parse_config(args.config, _collect_overrides(args))
+    dsp_cfg = from_config(dsp.DspConfig, cfg)
     model, meta = training.load_checkpoint(args.ckpt)
     index = _scan(args.data, meta.get("labels"))
-    cfg = parse_config(args.config, _collect_overrides(args))
     # the model is the checkpoint's: only the front end comes from the config
     _print_header("eval", {key: cfg[key] for key in FRONT_END_KEYS}
                   | dataclasses.asdict(model.config))
-    report = evaluation.evaluate(
-        model, index, from_config(dsp.DspConfig, cfg), cfg["feature_kind"]
-    )
+    report = evaluation.evaluate(model, index, dsp_cfg, cfg["feature_kind"])
     evaluation.emit_report(report, args.out, args.format)
     print(
         f"evaluated {report.n_samples} clips: overall accuracy "

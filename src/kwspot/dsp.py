@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MAX_SAMPLE_RATE
-from .errors import DspError
+from .errors import ConfigError, DspError
 
 FEATURE_KINDS = ("mfcc", "log_mel")
 
@@ -40,44 +40,44 @@ class DspConfig:
 
     def __post_init__(self):
         if self.frame_len < 2:  # a Hamming window divides by frame_len - 1
-            raise DspError(f"frame_len must be at least 2, got {self.frame_len}")
+            raise ConfigError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.hop_len < 1:
-            raise DspError(f"hop_len must be at least 1, got {self.hop_len}")
+            raise ConfigError(f"hop_len must be at least 1, got {self.hop_len}")
         if self.sample_rate > MAX_SAMPLE_RATE:
-            raise DspError(f"sample_rate must be at most {MAX_SAMPLE_RATE} Hz, "
-                           f"got {self.sample_rate}")
+            raise ConfigError(f"sample_rate must be at most {MAX_SAMPLE_RATE} Hz, "
+                              f"got {self.sample_rate}")
         if self.frame_len > self.sample_rate:  # a 1-second clip would hold no frame
-            raise DspError(f"frame_len {self.frame_len} exceeds sample_rate {self.sample_rate}")
+            raise ConfigError(f"frame_len {self.frame_len} exceeds sample_rate {self.sample_rate}")
         if self.hop_len > self.frame_len:
-            raise DspError(f"hop_len {self.hop_len} exceeds frame_len {self.frame_len}")
+            raise ConfigError(f"hop_len {self.hop_len} exceeds frame_len {self.frame_len}")
         if not _is_power_of_two(self.n_fft) or self.n_fft < self.frame_len:
-            raise DspError(f"n_fft must be a power of two >= frame_len, got {self.n_fft}")
+            raise ConfigError(f"n_fft must be a power of two >= frame_len, got {self.n_fft}")
         # a larger n_fft would pad each frame past one second; the smallest
         # valid one never does, since frame_len <= sample_rate
         max_fft = 1 << (self.sample_rate - 1).bit_length()
         if self.n_fft > max_fft:
-            raise DspError(f"n_fft {self.n_fft} exceeds {max_fft}, the smallest power of two "
-                           f">= sample_rate {self.sample_rate}")
+            raise ConfigError(f"n_fft {self.n_fft} exceeds {max_fft}, the smallest power of two "
+                              f">= sample_rate {self.sample_rate}")
         if not 0.0 <= self.pre_emphasis_alpha < 1.0:
-            raise DspError(f"pre_emphasis_alpha out of [0,1): {self.pre_emphasis_alpha}")
+            raise ConfigError(f"pre_emphasis_alpha out of [0,1): {self.pre_emphasis_alpha}")
         if not self.fmin >= 0:
-            raise DspError(f"fmin must be at least 0, got {self.fmin}")
+            raise ConfigError(f"fmin must be at least 0, got {self.fmin}")
         if not self.fmin < self.fmax:
-            raise DspError(f"fmin {self.fmin} must be below fmax {self.fmax}")
+            raise ConfigError(f"fmin {self.fmin} must be below fmax {self.fmax}")
         if self.fmax > self.sample_rate / 2:
-            raise DspError(f"fmax {self.fmax} above Nyquist {self.sample_rate / 2}")
+            raise ConfigError(f"fmax {self.fmax} above Nyquist {self.sample_rate / 2}")
         # the m + 2 filter edges must be distinct bins in [0, n_fft / 2]
         if self.n_mel_filters > self.n_fft // 2 - 1:
-            raise DspError(f"n_mel_filters {self.n_mel_filters} exceeds {self.n_fft // 2 - 1}, "
-                           f"the most that n_fft {self.n_fft} keeps on distinct bins")
+            raise ConfigError(f"n_mel_filters {self.n_mel_filters} exceeds {self.n_fft // 2 - 1}, "
+                              f"the most that n_fft {self.n_fft} keeps on distinct bins")
         if self.n_mfcc < 1:
-            raise DspError(f"n_mfcc must be at least 1, got {self.n_mfcc}")
+            raise ConfigError(f"n_mfcc must be at least 1, got {self.n_mfcc}")
         if self.n_mfcc > self.n_mel_filters:
-            raise DspError("n_mfcc cannot exceed n_mel_filters")
+            raise ConfigError("n_mfcc cannot exceed n_mel_filters")
         if not 0 < self.log_floor < math.inf:
-            raise DspError(f"log_floor must be finite and positive, got {self.log_floor}")
+            raise ConfigError(f"log_floor must be finite and positive, got {self.log_floor}")
         if self.window not in ("hamming", "rectangular"):
-            raise DspError(f"unknown window {self.window!r}")
+            raise ConfigError(f"unknown window {self.window!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, w
 from .models import Model, ModelConfig, make_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
@@ -284,10 +284,11 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 
 
 # ---- checkpoint format ------------------------------------------------
-# magic "KWSA" | u32 version (4) | u32 metadata length | metadata (the
-# key=value lines of METADATA_KEYS, UTF-8) | per array:
-# u32 name length | name | u32 rank | rank * u32 dims | raw values, <f4
-# or <f8 as the dtype line says | u32 CRC32 (zlib) of every preceding byte
+# magic "KWSA" | u32 version (5) | u32 metadata length | metadata (the
+# key=value lines of METADATA_KEYS, UTF-8) | the raw values of every array
+# in Model.arrays() order, <f4 or <f8 as the dtype line says; the
+# metadata's model fixes each array's name and shape | u32 CRC32 (zlib) of
+# every preceding byte
 
 
 def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
@@ -304,61 +305,37 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     meta = write_key_values(values, METADATA_KEYS, path).encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
-    for name, arr in model.arrays():
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded)) + encoded
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    for _, arr in model.arrays():
         blob += np.ascontiguousarray(arr, dtype=stored).data
     blob += struct.pack("<I", zlib.crc32(blob))
     write_atomic(path, blob)
 
 
-class _Reader:
-    def __init__(self, path):
-        self.path = path
-        self.raw = Path(path).read_bytes()
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CheckpointError(f"{self.path}: truncated checkpoint file")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self, what: str) -> str:
-        """A u32-length-prefixed UTF-8 string."""
-        raw = self.take(self.u32())
-        try:
-            return str(raw, "utf-8")  # raw may be a memoryview of the file
-        except UnicodeDecodeError:
-            raise CheckpointError(
-                f"{self.path}: {what} at byte {self.pos - len(raw)} is not UTF-8"
-            ) from None
-
-
 def load_checkpoint(path):
     """Returns (model, typed METADATA_KEYS dict). Rejects bad magic, version,
-    checksum, truncation, undecodable text, metadata that the key = value
-    reader refuses or that describes more values than the file stores, and
-    an array that is unknown, missing or stored twice with CheckpointError."""
-    reader = _Reader(path)
-    if reader.take(4) != CHECKPOINT_MAGIC:
+    checksum, truncation, undecodable metadata, metadata that the key = value
+    reader refuses, and an array section of another size than the
+    metadata's model with CheckpointError."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 16:  # magic, version, metadata length and CRC32
+        raise CheckpointError(f"{path}: truncated checkpoint file")
+    magic, version, meta_len = struct.unpack_from("<4sII", raw)
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    body, trailer = memoryview(reader.raw)[:-4], reader.raw[-4:]
-    if len(body) < reader.pos or zlib.crc32(body) != int.from_bytes(trailer, "little"):
+    body = memoryview(raw)[:-4]
+    if zlib.crc32(body) != int.from_bytes(raw[-4:], "little"):
         raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated file)")
-    reader.raw = body
-    meta = read_key_values(reader.text("metadata"), METADATA_KEYS, f"{path}: metadata",
-                           CheckpointError)
-    budget = [len(reader.raw) - reader.pos]  # bytes left for the arrays
+    if 12 + meta_len > len(body):
+        raise CheckpointError(f"{path}: truncated checkpoint file")
+    try:
+        text = str(body[12:12 + meta_len], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: metadata at byte {12 + exc.start} is not UTF-8") from None
+    meta = read_key_values(text, METADATA_KEYS, f"{path}: metadata", CheckpointError)
+    section = body[12 + meta_len:]
+    budget = [len(section)]
 
     def zeros(shape):  # so that a forged size in the metadata cannot exhaust memory
         budget[0] -= math.prod(shape) * np.dtype(config.dtype).itemsize
@@ -374,31 +351,20 @@ def load_checkpoint(path):
     except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
     stored = np.dtype(config.dtype).newbyteorder("<")
-    expected = dict(model.arrays())
-    loaded = set()
-    while reader.pos < len(reader.raw):
-        # name and shape are checked before any value is read, so that only
-        # the expected shape ever reaches numpy
-        name = reader.text("array name")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unknown parameter {name!r}")
-        if name in loaded:
-            raise CheckpointError(f"{path}: array {name!r} is stored twice")
-        rank = reader.u32()
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        target = expected[name]
-        if target.shape != shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {shape}, expected {target.shape}"
-            )
-        raw = reader.take(stored.itemsize * target.size)
-        target[...] = np.frombuffer(raw, dtype=stored).reshape(shape)
-        loaded.add(name)
-    missing = [name for name in expected if name not in loaded]
-    if missing:
-        raise CheckpointError(
-            f"{path}: missing array {missing[0]!r} "
-            f"({len(missing)} of {len(expected)} arrays absent)"
-        )
+    names, arrays = zip(*model.arrays())
+    expected = stored.itemsize * sum(arr.size for arr in arrays)
+    if len(section) != expected:
+        short = ""
+        if len(section) < expected:  # name the first array the section cuts off
+            ends = np.cumsum([arr.nbytes for arr in arrays])
+            cut = names[np.searchsorted(ends, len(section), side="right")]
+            short = f"; {cut} is not stored whole"
+        raise CheckpointError(f"{path}: the arrays take {len(section)} bytes, but the "
+                              f"metadata's model needs {expected}{short}")
+    values = np.frombuffer(section, dtype=stored)
+    start = 0
+    for arr in arrays:
+        arr[...] = values[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
     model.set_mode("infer")
     return model, meta

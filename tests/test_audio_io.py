@@ -5,7 +5,7 @@ import pytest
 
 from kwspot import audio_io, dsp
 from kwspot.audio_io import AudioClip, SynthSpec
-from kwspot.errors import DatasetError, FormatError, SplitError, UnsupportedError
+from kwspot.errors import ConfigError, DatasetError, FormatError, SplitError, UnsupportedError
 
 from conftest import extensible_fmt, riff_wave
 
@@ -222,7 +222,7 @@ class TestSplitDataset:
             audio_io.split_dataset(self._index({"a": 2}), (0.6, 0.2, 0.2), 0)
 
     def test_bad_ratios(self):
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError, match="train_ratio, val_ratio and test_ratio must be"):
             audio_io.split_dataset(self._index({"a": 10}), (0.5, 0.2, 0.2), 0)
 
     @pytest.mark.parametrize("ratios", [
@@ -230,7 +230,7 @@ class TestSplitDataset:
     ])
     def test_non_finite_ratio_refused(self, ratios):
         # a NaN ratio once passed the check and then failed in int(n * ratio)
-        with pytest.raises(SplitError, match="sum to 1"):
+        with pytest.raises(ConfigError, match="sum to 1"):
             audio_io.split_dataset(self._index({"a": 10}), ratios, 0)
 
 

@@ -255,7 +255,7 @@ class TestFeaturize:
             "featurize", str(wav), "--config", str(small_config_file),
             "--set", "hop_len=0", "--out", str(out),
         ])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: hop_len must be at least 1, got 0"
         ]
@@ -270,7 +270,7 @@ class TestFeaturize:
                 "featurize", str(wav), "--set", "sample_rate=4000",
                 "--set", "frame_len=1", "--set", "hop_len=1", "--set", "fmax=1900",
             ])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: frame_len must be at least 2, got 1"
         ]
@@ -286,7 +286,7 @@ class TestFeaturize:
                 "featurize", str(wav), "--set", "sample_rate=4000",
                 "--set", "fmin=-5000", "--set", "fmax=1900",
             ])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: fmin must be at least 0, got -5000.0"
         ]
@@ -298,12 +298,13 @@ NUMBER_KEYS = [key for key, (parse, _) in CONFIG_KEYS.items() if parse in (int, 
 
 class TestMinusOne:
     # -1 is out of range for every number key; each is refused with an error
-    # line and exit code 1 or 2. run_cli is all that main() runs, so an
-    # exception escaping it here is what would print a traceback there
+    # line and exit code 1, as any bad setting is. run_cli is all that main()
+    # runs, so an exception escaping it here is what would print a traceback
+    # there
     @staticmethod
     def _refused(code, capsys):
         err = capsys.readouterr().err
-        assert code in (1, 2), err
+        assert code == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("key", NUMBER_KEYS)
@@ -337,7 +338,7 @@ class TestMinusOne:
                         ["featurize", str(wav)]):
             code = run_cli(command + ["--config", str(small_config_file), "--set", setting])
             err = capsys.readouterr().err
-            assert code in (1, 2) and "Traceback" not in err
+            assert code == 1 and "Traceback" not in err
             assert err.startswith(f"error: {error}"), err
         assert not (tmp_path / "m.ckpt").exists()
 
@@ -571,6 +572,22 @@ class TestTrainEval:
             "but the model takes (61, 20)"]
         assert calls == []
         assert not report.exists()
+
+    @pytest.mark.parametrize("setting,error", [
+        ("windw=hann", "command line: unknown key 'windw'"),
+        ("hop_len=0", "hop_len must be at least 1, got 0"),
+    ])
+    def test_eval_setting_refused_before_the_load(self, tmp_path, capsys, monkeypatch,
+                                                  setting, error):
+        def unreachable(*args):
+            raise AssertionError("the settings are read before the checkpoint is loaded")
+
+        monkeypatch.setattr(training, "load_checkpoint", unreachable)
+        code = run_cli(["eval", "--ckpt", str(tmp_path / "model.ckpt"),
+                        "--data", str(tmp_path / "data"), "--set", setting,
+                        "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
     def test_eval_header_names_the_checkpoint_model(self, synth_dir, small_config_file,
                                                     tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from kwspot import dsp
 from kwspot.audio_io import AudioClip
-from kwspot.errors import DspError
+from kwspot.errors import ConfigError, DspError
 
 from conftest import record_calls
 from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies, naive_mel_filterbank
@@ -12,19 +12,19 @@ from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies, naive_mel
 class TestConfig:
     @pytest.mark.parametrize("hop_len", [0, -64])
     def test_hop_below_one_rejected(self, hop_len):
-        with pytest.raises(DspError, match=f"hop_len must be at least 1, got {hop_len}"):
+        with pytest.raises(ConfigError, match=f"hop_len must be at least 1, got {hop_len}"):
             dsp.DspConfig(hop_len=hop_len)
 
     @pytest.mark.parametrize("frame_len", [1, 0])
     def test_frame_below_two_rejected(self, frame_len):
         # a Hamming window of one sample would divide by frame_len - 1 = 0
-        with pytest.raises(DspError, match=f"frame_len must be at least 2, got {frame_len}"):
+        with pytest.raises(ConfigError, match=f"frame_len must be at least 2, got {frame_len}"):
             dsp.DspConfig(frame_len=frame_len, hop_len=1)
 
     def test_frame_longer_than_a_clip_rejected(self):
         # a 1-second clip would hold no frame; this used to fail only inside
         # frame_signal, once a clip was featurized
-        with pytest.raises(DspError, match="frame_len 4096 exceeds sample_rate 4000"):
+        with pytest.raises(ConfigError, match="frame_len 4096 exceeds sample_rate 4000"):
             dsp.DspConfig(sample_rate=4000, frame_len=4096, hop_len=64, n_fft=4096,
                           fmax=1900.0)
 
@@ -35,7 +35,7 @@ class TestConfig:
 
     def test_sample_rate_above_wav_bound_rejected(self):
         # the front end once tried to allocate a 109 TiB frame array
-        with pytest.raises(DspError, match="sample_rate must be at most 384000 Hz, got 384001"):
+        with pytest.raises(ConfigError, match="sample_rate must be at most 384000 Hz, got 384001"):
             dsp.DspConfig(sample_rate=384_001)
 
     @pytest.mark.parametrize("sample_rate,n_fft", [(4000, 4096), (4096, 4096),
@@ -47,13 +47,13 @@ class TestConfig:
                                                          (16000, 2 ** 44, 16384)])
     def test_n_fft_past_a_second_rejected(self, sample_rate, n_fft, bound):
         # the FFT once tried to allocate a 12.3 PiB spectrum
-        with pytest.raises(DspError, match=f"n_fft {n_fft} exceeds {bound}, the smallest "
+        with pytest.raises(ConfigError, match=f"n_fft {n_fft} exceeds {bound}, the smallest "
                                            f"power of two >= sample_rate {sample_rate}"):
             dsp.DspConfig(sample_rate=sample_rate, n_fft=n_fft, fmax=1900.0)
 
     @pytest.mark.parametrize("fmin", [-5000.0, -1e-9])
     def test_negative_fmin_rejected(self, fmin):
-        with pytest.raises(DspError, match=f"fmin must be at least 0, got {fmin}"):
+        with pytest.raises(ConfigError, match=f"fmin must be at least 0, got {fmin}"):
             dsp.DspConfig(fmin=fmin)
 
     def test_zero_fmin_accepted(self):
@@ -63,13 +63,14 @@ class TestConfig:
     def test_log_floor_out_of_range_rejected(self, log_floor):
         # a NaN floor lets log(0) through as -inf; an infinite one makes
         # every feature inf
-        with pytest.raises(DspError, match=f"log_floor must be finite and positive, got {log_floor}"):
+        with pytest.raises(ConfigError,
+                           match=f"log_floor must be finite and positive, got {log_floor}"):
             dsp.DspConfig(log_floor=log_floor)
 
     @pytest.mark.parametrize("n_mfcc", [0, -3])
     def test_n_mfcc_below_one_rejected(self, n_mfcc):
         # dct_ii would slice a negative n_mfcc from the end of its basis
-        with pytest.raises(DspError, match=f"n_mfcc must be at least 1, got {n_mfcc}"):
+        with pytest.raises(ConfigError, match=f"n_mfcc must be at least 1, got {n_mfcc}"):
             dsp.DspConfig(n_mfcc=n_mfcc)
 
 

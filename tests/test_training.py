@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import struct
@@ -21,6 +22,15 @@ from kwspot.training import (
 )
 
 from oracles import softmax_minus_onehot
+
+# sha256 of repr([(name, shape), ...]) of _tiny_model(arch, input_shape=(8, 12),
+# conv_channels=(2, 3)).arrays(), the order the checkpoint stores them in
+ARRAY_LAYOUTS = {
+    "cnn": "04cce18e41fd0c8f84d624f190cdc0e283b5944f7d05ed530d2056a06367d7f9",
+    "cnn_bilstm": "5e54278d48cc6f2f0cb9f598237e2c11b84962bbedc651ecf9786f662e238511",
+    "attention_rnn": "3497eb3ee607c5e25f6e1a54d86ae61510afcfd94f07e99076312ceb9b51e73f",
+    "multilayer_attention": "1bcc9c9df4f5b07a87d66230e0101ce3bbb89a6357c43feaa1b6b8bdac0a53fb",
+}
 
 
 def _tiny_model(arch="cnn", **overrides):
@@ -460,21 +470,21 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_load_draws_no_init(self, tmp_path, monkeypatch, arch):
-        model = _tiny_model(arch=arch, input_shape=(8, 12))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-
         def no_draw(*args):
             raise AssertionError("load_checkpoint drew an initial value")
 
-        monkeypatch.setattr(models, "_glorot", no_draw)
-        loaded, _ = load_checkpoint(path)
-        for name, p in model.params.items():
-            assert loaded.params[name].data.dtype == p.data.dtype
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-        for name, stats in model.bn_stats.items():
-            assert np.array_equal(loaded.bn_stats[name].mean, stats.mean)
-            assert np.array_equal(loaded.bn_stats[name].var, stats.var)
+        x = np.random.default_rng(0).normal(size=(4, 8, 12))
+        path = tmp_path / "model.ckpt"
+        for dtype in DTYPES:
+            model = _tiny_model(arch=arch, input_shape=(8, 12), dtype=dtype)
+            save_checkpoint(model, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_glorot", no_draw)
+                loaded, _ = load_checkpoint(path)
+            assert [(name, a.dtype, a.tobytes()) for name, a in loaded.arrays()] == [
+                (name, a.dtype, a.tobytes()) for name, a in model.arrays()]
+            model.set_mode("infer")
+            assert model_forward(model, x).data.tobytes() == model_forward(loaded, x).data.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_load_draws_at_checkpoint_dtype(self, tmp_path, monkeypatch, dtype):
@@ -518,54 +528,44 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=r"cut\.ckpt"):
                 load_checkpoint(cut)
 
-    @staticmethod
-    def _array_offset(blob: bytes, name: str) -> int:
-        encoded = name.encode()
-        return blob.index(struct.pack("<I", len(encoded)) + encoded)
+    def _sealed_arrays(self, tmp_path):
+        # the file names no array: the arrays follow the metadata in
+        # Model.arrays() order, so only the section's size tells a missing
+        # or an extra array
+        model = _tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        body = path.read_bytes()[:-4]
+        last = list(model.arrays())[-1][1]  # conv0_bn_running_var
+        return path, body, len(split_metadata(body)[2]), last.nbytes
 
     def test_missing_array_named(self, tmp_path):
-        # a file cut at an array boundary must not keep the seeded init
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
-        body = path.read_bytes()[:-4]
-        write_sealed_checkpoint(path, body[:self._array_offset(body, "conv0_bn_running_var")])
-        with pytest.raises(CheckpointError, match="conv0_bn_running_var"):
+        # a file cut at an array boundary must not keep a zero fill
+        path, body, needed, last = self._sealed_arrays(tmp_path)
+        write_sealed_checkpoint(path, body[:-last])
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt: the arrays take {needed - last} "
+                                                  rf"bytes, but the metadata's model needs "
+                                                  rf"{needed}; conv0_bn_running_var is not "
+                                                  rf"stored whole$"):
             load_checkpoint(path)
 
     def test_duplicate_array_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
-        body = path.read_bytes()[:-4]
-        write_sealed_checkpoint(
-            path, body + body[self._array_offset(body, "conv0_bn_running_var"):]
-        )
-        with pytest.raises(CheckpointError, match="conv0_bn_running_var.*twice"):
-            load_checkpoint(path)
-
-    def test_empty_array_name_rejected(self, tmp_path):
-        # found by tests/test_fuzz.py: a zero name length before an array
-        # header makes its name bytes read as a rank of 11 and dims with a
-        # 0 among huge values, which numpy refused to reshape to with a
-        # bare ValueError
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(arch="cnn"), path)
-        body = path.read_bytes()[:-4]
-        at = self._array_offset(body, "conv0_gamma")
-        write_sealed_checkpoint(path, body[:at] + b"\x00" * 4 + body[at:])
-        with pytest.raises(CheckpointError, match=r"model\.ckpt: unknown parameter ''"):
+        # the last array stored twice must not go unread
+        path, body, needed, last = self._sealed_arrays(tmp_path)
+        write_sealed_checkpoint(path, body + body[-last:])
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt: the arrays take {needed + last} "
+                                                  rf"bytes, but the metadata's model needs "
+                                                  rf"{needed}$"):
             load_checkpoint(path)
 
     def test_undecodable_text_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
-        body = path.read_bytes()[:-4]
-        meta_len = len(split_metadata(body)[1])
-        for offset, what in ((12, "metadata"), (12 + meta_len + 4, "array name")):
-            bad = bytearray(body)
-            bad[offset] = 0xFF
-            write_sealed_checkpoint(path, bytes(bad))
-            with pytest.raises(CheckpointError, match=rf"model\.ckpt: {what}"):
-                load_checkpoint(path)
+        bad = bytearray(path.read_bytes()[:-4])
+        bad[12] = 0xFF  # first metadata byte
+        write_sealed_checkpoint(path, bytes(bad))
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: metadata at byte 12 is not UTF-8"):
+            load_checkpoint(path)
 
     def test_invalid_metadata_value(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -587,11 +587,11 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=r"flip\.ckpt: checksum mismatch"):
                 load_checkpoint(bad)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_rejected(self, tmp_path, version):
         # version 1 stored one array per gate, version 2 float64 arrays
         # without a dtype line, version 3 each LSTM direction's arrays under
-        # their own names
+        # their own names, version 4 a name, rank and dims with each array
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path)
         blob = path.read_bytes()
@@ -663,20 +663,25 @@ class TestCheckpoint:
         assert meta.decode() == "\n".join(expected)
 
     def test_size_audit(self, tmp_path):
-        # fixed overhead + per-array (8 + name + 4 * rank) + itemsize bytes
-        # a value
+        # magic, version, metadata length and CRC32, the metadata, and
+        # itemsize bytes a value
         model, config = self._trained()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
-        expected = 4 + 4 + 4  # magic + version + CRC32 trailer
-        expected += 4 + len(split_metadata(path.read_bytes())[1])
-        items = [(k, v.data) for k, v in model.params.items()]
-        for name, stats in model.bn_stats.items():
-            items += [(f"{name}_running_mean", stats.mean),
-                      (f"{name}_running_var", stats.var)]
-        for name, arr in items:
-            expected += 8 + len(name) + 4 * arr.ndim + arr.itemsize * arr.size
-        assert path.stat().st_size == expected
+        meta = split_metadata(path.read_bytes())[1]
+        values = sum(a.size for _, a in model.arrays())
+        assert path.stat().st_size == 16 + len(meta) + 4 * values
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_array_layout_pinned(self, arch):
+        # the file holds only the values, in Model.arrays() order, so a new
+        # order (say, gamma after beta) would load old files swapped
+        model = _tiny_model(arch=arch, input_shape=(8, 12), conv_channels=(2, 3))
+        layout = repr([(name, a.shape) for name, a in model.arrays()])
+        assert (training.CHECKPOINT_VERSION, hashlib.sha256(layout.encode()).hexdigest()) \
+            == (5, ARRAY_LAYOUTS[arch]), (
+            f"{arch} stores {layout}: a change to the checkpoint's array layout needs a "
+            f"new CHECKPOINT_VERSION, and this pin then moves to it")
 
 
 class TestAtomicWrite:
