@@ -156,16 +156,24 @@ def scan_dataset(root, label_set) -> DatasetIndex:
     return DatasetIndex(entries=tuple(entries), label_set=label_set)
 
 
-def split_dataset(index: DatasetIndex, ratios, seed: int):
-    """Stratified (train, val, test) split, deterministic in the seed.
-
-    Per label: floor(n * ratio) entries to val and test, remainder to train.
-    """
+def check_ratios(ratios):
+    """Refuse (train, val, test) split ratios that are negative or do not
+    sum to 1 with ConfigError."""
     train_r, val_r, test_r = ratios
     # written so that a NaN ratio, which every comparison rejects, fails it
     if not (min(train_r, val_r, test_r) >= 0 and abs(train_r + val_r + test_r - 1.0) <= 1e-9):
         raise ConfigError("train_ratio, val_ratio and test_ratio must be non-negative and "
                           f"sum to 1, got {ratios}")
+
+
+def split_dataset(index: DatasetIndex, ratios, seed: int):
+    """Stratified (train, val, test) split, deterministic in the seed; the
+    ratios pass check_ratios.
+
+    Per label: floor(n * ratio) entries to val and test, remainder to train.
+    """
+    check_ratios(ratios)
+    _, val_r, test_r = ratios
     n_nonzero = sum(1 for r in ratios if r > 0)
     rng = np.random.default_rng(seed)
     buckets: dict[str, list] = {label: [] for label in index.label_set}

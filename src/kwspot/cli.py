@@ -66,8 +66,8 @@ def _collect_overrides(args) -> dict:
 def _cmd_featurize(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("featurize", cfg)
-    clip = audio_io.read_wav(args.wav)
-    features = dsp.mfcc_pipeline(clip, from_config(dsp.DspConfig, cfg), cfg["feature_kind"])
+    dsp_cfg = from_config(dsp.DspConfig, cfg)  # a bad setting is refused before the read
+    features = dsp.mfcc_pipeline(audio_io.read_wav(args.wav), dsp_cfg, cfg["feature_kind"])
     rows = "\n".join(
         ",".join(f"{v:.6f}" for v in frame) for frame in features.values
     )
@@ -83,9 +83,6 @@ def read_synth_spec(path) -> tuple:
     """(SynthSpec, seed) of a synth spec file; a missing required key or a
     bad value raises ConfigError naming the file."""
     values = read_key_values(read_text(path, ConfigError), SYNTH_KEYS, path)
-    missing = sorted(SYNTH_KEYS.keys() - values.keys())
-    if missing:
-        raise ConfigError(f"{path}: missing synth keys {missing}")
     seed = values.pop("seed")
     if seed < 0:
         raise ConfigError(f"{path}: seed must not be negative, got {seed}")
@@ -119,20 +116,20 @@ def _scan(data_dir, labels=None) -> audio_io.DatasetIndex:
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("train", cfg)
-    # checks the seed, among others, before the split draws with it
+    # the settings are refused before --data is scanned
     train_cfg = from_config(training.TrainConfig, cfg)
+    dsp_cfg = from_config(dsp.DspConfig, cfg)
+    ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
+    audio_io.check_ratios(ratios)
     index = _scan(args.data)
     # refuse a label the checkpoint could not store before training for it
     write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
     # and a model setting before the front end runs
-    dsp_cfg = from_config(dsp.DspConfig, cfg)
     kind = cfg["feature_kind"]
     model = build_model(from_config(ModelConfig, dict(
         cfg, n_classes=len(index.label_set), input_shape=dsp.feature_shape(dsp_cfg, kind),
         dtype=ModelConfig.dtype)))
-    train_idx, val_idx, _ = audio_io.split_dataset(
-        index, (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"]), cfg["seed"]
-    )
+    train_idx, val_idx, _ = audio_io.split_dataset(index, ratios, cfg["seed"])
     train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
     val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")
     model, history = training.fit(model, train_data, val_data, train_cfg)

@@ -1,9 +1,9 @@
 """MFCC front end: pre-emphasis, framing, windowing, power spectrum,
 triangular mel filterbank, log compression and DCT-II.
 
-mfcc_pipeline chains the public stages; the window is built once per
-(frame length, window kind), the FFT zero-pads each frame to n_fft itself,
-and squaring and the log run in place."""
+mfcc_pipeline chains the public stages; the Hamming window is built once
+per frame length, the FFT zero-pads each frame to n_fft itself, and
+squaring and the log run in place."""
 
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class DspConfig:
     fmin: float = 20.0
     fmax: float = 8000.0
     log_floor: float = 1e-10
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frame_len < 2:  # a Hamming window divides by frame_len - 1
@@ -76,8 +75,6 @@ class DspConfig:
             raise ConfigError("n_mfcc cannot exceed n_mel_filters")
         if not 0 < self.log_floor < math.inf:
             raise ConfigError(f"log_floor must be finite and positive, got {self.log_floor}")
-        if self.window not in ("hamming", "rectangular"):
-            raise ConfigError(f"unknown window {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -127,21 +124,16 @@ def frame_signal(signal: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _window(n: int, window: str) -> np.ndarray:
-    """The n-point window, built once per (n, window) and read-only."""
-    if window == "rectangular":
-        w = np.ones(n)
-    elif window == "hamming":
-        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-    else:
-        raise DspError(f"unknown window {window!r}")
+def _hamming(n: int) -> np.ndarray:
+    """The n-point Hamming window, built once per n and read-only."""
+    w = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     w.flags.writeable = False
     return w
 
 
-def apply_window(frames: np.ndarray, window: str = "hamming") -> np.ndarray:
+def apply_window(frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
-    return frames * _window(frames.shape[1], window)
+    return frames * _hamming(frames.shape[1])
 
 
 def power_spectrum(frames: np.ndarray, n_fft: int) -> np.ndarray:
@@ -228,7 +220,7 @@ def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
         )
     emphasized = pre_emphasis(clip.samples, config.pre_emphasis_alpha)
     frames = frame_signal(emphasized, config.frame_len, config.hop_len)
-    spectra = power_spectrum(apply_window(frames, config.window), config.n_fft)
+    spectra = power_spectrum(apply_window(frames), config.n_fft)
     bank = build_mel_filterbank(config)
     logmel = log_compress(mel_energies(spectra, bank), config.log_floor)
     values = logmel if kind == "log_mel" else dct_ii(logmel, config.n_mfcc)

@@ -81,7 +81,7 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
         )
     if not index.entries:
         raise DataError("the evaluation split holds no clips")
-    shape, want = dsp.feature_shape(dsp_config, kind), tuple(model.config.input_shape)
+    shape, want = dsp.feature_shape(dsp_config, kind), model.config.input_shape
     if shape != want:
         width = "n_mel_filters" if kind == "log_mel" else "n_mfcc"
         keys = ", ".join(f"{key} = {getattr(dsp_config, key)}"

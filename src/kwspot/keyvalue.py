@@ -66,10 +66,10 @@ def parse_value(keys: dict, key: str, raw: str, where: str, error=ConfigError):
 
 def read_key_values(text: str, keys: dict, where, error=ConfigError) -> dict:
     """The defaults of `keys` updated from the `key = value` lines of
-    `text`; `#` starts a comment. A required key left unset is absent from
-    the result. A line without `=`, an unknown key, a key set twice and a
-    value its parser rejects raise `error` naming `where`, the line and the
-    key."""
+    `text`; `#` starts a comment. A line without `=`, an unknown key, a key
+    set twice and a value its parser rejects raise `error` naming `where`,
+    the line and the key; a required key left unset raises `error` naming
+    `where` and every such key."""
     values = {key: default for key, (_, default) in keys.items() if default is not REQUIRED}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -84,6 +84,9 @@ def read_key_values(text: str, keys: dict, where, error=ConfigError) -> dict:
             raise error(f"{where}:{lineno}: key {key!r} is set twice")
         seen.add(key)
         values[key] = parse_value(keys, key, raw, f"{where}:{lineno}", error)
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise error(f"{where}: required keys not set: {', '.join(missing)}")
     return values
 
 

@@ -42,7 +42,7 @@ class ModelConfig:
     arch: str
     n_classes: int
     input_shape: tuple[int, int]  # (T, D)
-    conv_channels: tuple[int, ...] | None = None
+    conv_channels: tuple[int, ...] | None = None  # None: the architecture's default
     lstm_hidden: int = 64
     dense_hidden: int = 64
     dropout_rate: float = 0.25
@@ -58,21 +58,19 @@ class ModelConfig:
             raise ConfigError("lstm_hidden must be positive")
         if self.dense_hidden <= 0:
             raise ConfigError("dense_hidden must be positive")
-        if self.conv_channels is not None and not (
-            self.conv_channels and all(c > 0 for c in self.conv_channels)
-        ):
+        # held as a checkpoint reads them back, so that a loaded config is equal
+        channels = (self.conv_channels if self.conv_channels is not None
+                    else (32, 64, 64) if self.arch == "cnn" else (32, 64))
+        if not (channels and all(c > 0 for c in channels)):
             raise ConfigError("conv_channels must be one or more positive integers")
+        object.__setattr__(self, "conv_channels", tuple(channels))
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
-
-    def resolved_channels(self) -> tuple:
-        if self.conv_channels is not None:
-            return tuple(self.conv_channels)
-        return (32, 64, 64) if self.arch == "cnn" else (32, 64)
 
 
 @dataclass
@@ -115,19 +113,6 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_bilstm(draw, param, params, prefix, in_dim, hidden):
-    # each gate's blocks are drawn with that gate's own fans, W then U gate
-    # by gate, the forward direction's gates before the reversed one's; the
-    # forget gate's bias starts at 1
-    draws = [[(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
-             for _ in range(2)]
-    for k, name in enumerate("WU"):
-        params[f"{prefix}_{name}"] = param(
-            [np.concatenate([gate[k] for gate in direction], axis=1) for direction in draws])
-    bias = np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES])
-    params[f"{prefix}_b"] = param([bias, bias])
-
-
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize all parameters of the chosen architecture.
     The draw that would take the weights past MAX_WEIGHTS raises ConfigError
@@ -168,9 +153,21 @@ def make_model(config: ModelConfig, draw) -> Model:
         params[f"{name}_W"] = param(draw((fan_in, fan_out)))
         params[f"{name}_b"] = param(np.zeros(fan_out))
 
+    def bilstm_params(name, in_dim, hidden):
+        # each gate's blocks are drawn with that gate's own fans, W then U
+        # gate by gate, the forward direction's gates before the reversed
+        # one's; the forget gate's bias starts at 1
+        draws = [[(draw((in_dim, hidden)), draw((hidden, hidden))) for _ in LSTM_GATES]
+                 for _ in range(2)]
+        for k, part in enumerate("WU"):
+            params[f"{name}_{part}"] = param(
+                [np.concatenate([gate[k] for gate in direction], axis=1) for direction in draws])
+        bias = np.concatenate([np.full(hidden, float(gate == "f")) for gate in LSTM_GATES])
+        params[f"{name}_b"] = param([bias, bias])
+
     h, w = config.input_shape
     in_c = 1
-    for i, c in enumerate(config.resolved_channels()):
+    for i, c in enumerate(config.conv_channels):
         if h < 2 or w < 2:
             raise ConfigError(
                 f"input {config.input_shape} too small for conv block {i} "
@@ -195,11 +192,11 @@ def make_model(config: ModelConfig, draw) -> Model:
         dense_params("fc1", dh, dh)
         dense_params("fc2", dh, n_cls)
     elif config.arch == "cnn_bilstm":
-        _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
+        bilstm_params("lstm1", seq_dim, hidden)
         dense_params("out", 2 * hidden, n_cls)
     else:
-        _init_bilstm(draw, param, params, "lstm1", seq_dim, hidden)
-        _init_bilstm(draw, param, params, "lstm2", 2 * hidden, hidden)
+        bilstm_params("lstm1", seq_dim, hidden)
+        bilstm_params("lstm2", 2 * hidden, hidden)
         params["query_proj"] = param(draw((2 * hidden, 2 * hidden)))
         if config.arch == "multilayer_attention":
             params["stage1_proj"] = param(draw((config.input_shape[1], seq_dim)))
@@ -213,7 +210,7 @@ def make_model(config: ModelConfig, draw) -> Model:
 
 def _conv_blocks(model: Model, x: Tensor, rng) -> Tensor:
     cfg = model.config
-    for i, _ in enumerate(cfg.resolved_channels()):
+    for i in range(len(cfg.conv_channels)):
         kernel, gamma, beta, stats = (
             model.params[f"conv{i}_kernel"], model.params[f"conv{i}_gamma"],
             model.params[f"conv{i}_beta"], model.bn_stats[f"conv{i}_bn"])

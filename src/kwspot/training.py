@@ -55,7 +55,8 @@ class TrainConfig:
 # they are written
 METADATA_KEYS = {
     **schema(ModelConfig, required=True),
-    "labels": (tuple_of(checked(str, bool)), None),  # non-empty names
+    # `kwspot eval` joins each label onto --data: one directory name there
+    "labels": (tuple_of(checked(str, lambda v: v not in ("", ".", "..") and "/" not in v)), None),
     **{key: (parse, None) for key, (parse, _) in schema(TrainConfig, prefix="train.").items()},
 }
 
@@ -294,15 +295,18 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
                     labels=None):
     """Serialize parameters and running statistics; the training history is
-    persisted separately via write_metrics_csv."""
+    persisted separately via write_metrics_csv. Metadata that
+    load_checkpoint would refuse, such as a label that is not one directory
+    name, raises DataError."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
-    values = dict(vars(model.config), conv_channels=model.config.resolved_channels(),
-                  labels=labels)
+    values = dict(vars(model.config), labels=labels)
     if train_config is not None:
         values.update({f"train.{key}": v for key, v in vars(train_config).items()})
-    meta = write_key_values(values, METADATA_KEYS, path).encode("utf-8")
+    text = write_key_values(values, METADATA_KEYS, path)
+    read_key_values(text, METADATA_KEYS, f"{path}: metadata", DataError)  # as a load reads it
+    meta = text.encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
     for _, arr in model.arrays():
@@ -346,8 +350,6 @@ def load_checkpoint(path):
     try:
         config = from_config(ModelConfig, meta)
         model = make_model(config, zeros)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: metadata field {exc} is missing") from None
     except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
     stored = np.dtype(config.dtype).newbyteorder("<")

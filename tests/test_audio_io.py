@@ -62,6 +62,12 @@ class TestReadWav:
         with pytest.raises(FormatError):
             audio_io.read_wav(p)
 
+    def test_short_fmt_chunk(self, tmp_path):
+        p = tmp_path / "short.wav"
+        _write_pcm(p, np.zeros(100, dtype=np.int16), fmt=b"fmt " + struct.pack("<I", 8) + bytes(8))
+        with pytest.raises(FormatError, match=r"short\.wav: truncated fmt chunk"):
+            audio_io.read_wav(p)
+
     def test_data_chunk_past_eof(self, tmp_path):
         p = tmp_path / "cut.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16))
@@ -166,6 +172,17 @@ class TestScanDataset:
         (root / "yes" / "readme.txt").write_text("notes")
         index = audio_io.scan_dataset(root, ["yes", "no"])
         assert len(index) == 3
+
+
+class TestDatasetIndex:
+    def test_duplicate_labels_refused(self):
+        with pytest.raises(DatasetError, match="label_set contains duplicates"):
+            audio_io.DatasetIndex(entries=(), label_set=("a", "b", "a"))
+
+    def test_entry_of_unknown_label_refused(self):
+        clip = AudioClip(np.zeros(10), 10)
+        with pytest.raises(DatasetError, match="entry label 'c' not in label_set"):
+            audio_io.DatasetIndex(entries=((clip, "a"), (clip, "c")), label_set=("a", "b"))
 
 
 class TestSplitDataset:

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 import zlib
 
@@ -23,6 +24,12 @@ class TestForwardValues:
     def test_matmul_shape_error(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("a,b", [((3,), (3, 2)), ((2, 3), (3,))])
+    def test_matmul_rank_one_refused(self, a, b):
+        message = f"matmul needs rank >= 2 operands, got {a} @ {b}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            Tensor(np.zeros(a)) @ Tensor(np.zeros(b))
 
     def test_softmax_contract(self):
         out = Tensor(np.array([1.0, 2.0, 3.0])).softmax()

@@ -84,6 +84,13 @@ class TestParseConfig:
         assert code == 1
         assert "bad.cfg" in capsys.readouterr().err
 
+    def test_window_key_refused(self, tmp_path):
+        # the front end has one window, the Hamming window
+        path = tmp_path / "c.cfg"
+        path.write_text("window = hamming\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:1: unknown key 'window'"):
+            parse_config(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("\n# comment\nsample_rate = 4000  # inline\n\n")
@@ -95,7 +102,7 @@ class TestSchemas:
         assert parse_config() == {
             "sample_rate": 16000, "frame_len": 400, "hop_len": 160, "n_fft": 512,
             "pre_emphasis_alpha": 0.97, "n_mel_filters": 40, "n_mfcc": 20,
-            "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-10, "window": "hamming",
+            "fmin": 20.0, "fmax": 8000.0, "log_floor": 1e-10,
             "feature_kind": "log_mel", "arch": "multilayer_attention",
             "lstm_hidden": 64, "dense_hidden": 64, "dropout_rate": 0.25,
             "conv_channels": None, "max_epochs": 40, "batch_size": 64, "base_lr": 1e-3,
@@ -150,7 +157,9 @@ class TestSynth:
         spec.write_text("n_classes = 2\n")
         code = run_cli(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
         assert code == 1
-        assert "missing synth keys" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {spec}: required keys not set: clips_per_class, sample_rate, "
+            f"class_frequencies\n")
 
     @pytest.mark.parametrize("body, message", [
         (b"n_classes = 2\nbanana = 1\n", "bad.spec:2: unknown key 'banana'"),
@@ -203,6 +212,15 @@ class TestFeaturize:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 61
         assert all(len(r.split(",")) == 20 for r in rows)
+
+    def test_rows_to_stdout_without_out(self, synth_dir, small_config_file, capsys):
+        wav = next((synth_dir / "class0").glob("*.wav"))
+        code = run_cli(["featurize", str(wav), "--config", str(small_config_file)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if not line.startswith(("kwspot ", "  "))]
+        assert len(rows) == 61
+        assert all(len(row.split(",")) == 20 for row in rows)
 
     def test_mfcc_kind_width(self, synth_dir, small_config_file, tmp_path):
         wav = next((synth_dir / "class0").glob("*.wav"))
@@ -341,6 +359,21 @@ class TestMinusOne:
             assert code == 1 and "Traceback" not in err
             assert err.startswith(f"error: {error}"), err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command,setting,error", [
+        ("featurize", "hop_len=0", "hop_len must be at least 1, got 0"),
+        ("train", "hop_len=0", "hop_len must be at least 1, got 0"),
+        ("train", "train_ratio=-1", "train_ratio, val_ratio and test_ratio must be "
+                                    "non-negative and sum to 1, got (-1.0, 0.1, 0.1)"),
+    ], ids=["featurize-hop", "train-hop", "train-ratio"])
+    def test_setting_refused_before_the_input_is_read(self, tmp_path, capsys, command,
+                                                      setting, error):
+        # each once exited 2 on the missing input instead of naming the setting
+        args = {"featurize": [str(tmp_path / "nope.wav")],
+                "train": ["--data", str(tmp_path / "nodir"), "--out", str(tmp_path / "m.ckpt")]}
+        code = run_cli([command, *args[command], "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
     def test_seed_refused_before_the_split(self, synth_dir, small_config_file, tmp_path,
                                            capsys, monkeypatch):
@@ -548,6 +581,17 @@ class TestTrainEval:
         assert code == 2
         assert "error: the evaluation split holds no clips" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_eval_duplicate_checkpoint_labels_refused(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelConfig(
+            arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
+        )), ckpt, labels=["a", "a"])
+        (tmp_path / "data" / "a").mkdir(parents=True)
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
+                        "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: label_set contains duplicates"]
 
     @staticmethod
     def _small_cnn_checkpoint(path):

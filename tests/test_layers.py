@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +306,14 @@ class TestBatchNorm:
         assert _rel_err(leaves[0].grad, ref[0].grad, term) < 1e-12
         assert _rel_err(leaves[1].grad, ref[1].grad) < 1e-12
         assert _rel_err(leaves[2].grad, ref[2].grad) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (1, 2, 3, 4, 5)])
+    def test_non_nchw_input_refused(self, shape):
+        stats = BnStats(mean=np.zeros(3), var=np.ones(3))
+        with pytest.raises(ShapeError, match=rf"batch_norm expects NCHW input, got "
+                                             rf"{re.escape(str(shape))}"):
+            batch_norm(Tensor(np.zeros(shape)), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
+                       "train")
 
     # about 4x the largest error of each result measured at the paper shapes
     # (out 1.1e-6, running mean 1.4e-7 and var 9.4e-8, dx 1.3e-7, dgamma

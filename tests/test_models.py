@@ -45,9 +45,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed must not be negative, got -3"):
             _small_config("cnn", seed=-3)
 
+    def test_unknown_mode_refused(self):
+        model = build_model(_small_config("cnn"))
+        with pytest.raises(ConfigError, match="unknown mode 'eval'"):
+            model.set_mode("eval")
+        assert model.mode == "train"
+
     def test_default_channels(self):
-        assert _small_config("cnn", conv_channels=None).resolved_channels() == (32, 64, 64)
-        assert _small_config("cnn_bilstm", conv_channels=None).resolved_channels() == (32, 64)
+        assert _small_config("cnn", conv_channels=None).conv_channels == (32, 64, 64)
+        assert _small_config("cnn_bilstm", conv_channels=None).conv_channels == (32, 64)
 
     def test_input_too_small_for_stack(self):
         with pytest.raises(ConfigError):
@@ -210,7 +216,7 @@ class TestForward:
 def _composed_conv_blocks(model, x, rng):
     # the train-mode block order, conv2d -> batch_norm -> max_pool -> relu
     # -> dropout, on the running statistics
-    for i, _ in enumerate(model.config.resolved_channels()):
+    for i in range(len(model.config.conv_channels)):
         x = conv2d(x, model.params[f"conv{i}_kernel"])
         x = batch_norm(x, model.params[f"conv{i}_gamma"], model.params[f"conv{i}_beta"],
                        model.bn_stats[f"conv{i}_bn"], model.mode)

@@ -601,7 +601,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("line,error", [
-        (b"", "metadata field 'dtype' is missing"),
+        (b"", "metadata: required keys not set: dtype"),
         (b"dtypo=float32", "metadata:9: unknown key 'dtypo'"),
         (b"dtype=float16", "invalid metadata .dtype must be one of float32, float64"),
     ], ids=["missing", "dtypo", "unknown"])
@@ -639,6 +639,41 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=message):
             save_checkpoint(_tiny_model(), path, labels=["x", label, "y"])
         assert not path.exists()
+
+    @pytest.mark.parametrize("label", [".", "..", "../outside", "a/b", "/abs"])
+    def test_label_leaving_the_data_dir_refused(self, tmp_path, label):
+        # kwspot eval joins each label onto --data, and "../outside" once
+        # scored the clips beside it; a save refuses it, and so does a load
+        path = tmp_path / "model.ckpt"
+        message = rf"model\.ckpt: metadata:10: cannot parse labels = 'x,{re.escape(label)},y'"
+        with pytest.raises(DataError, match=message):
+            save_checkpoint(_tiny_model(), path, labels=["x", label, "y"])
+        assert not path.exists()
+        save_checkpoint(_tiny_model(), path, labels=["x", "b", "y"])
+        write_metadata(path, lambda meta: meta.replace(b"labels=x,b,y",
+                                                       f"labels=x,{label},y".encode()))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_metadata_length_past_the_body_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_model(), path)
+        body = path.read_bytes()[:-4]
+        write_sealed_checkpoint(path, body[:8] + struct.pack("<I", len(body)) + body[12:])
+        with pytest.raises(CheckpointError, match=r"model\.ckpt: truncated checkpoint file$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("channels", [None, [2, 3]], ids=["default", "list"])
+    def test_loaded_config_equals_built(self, tmp_path, arch, channels):
+        # a built config once kept conv_channels=None and a list input_shape,
+        # so it was unequal to the tuples a load reads back, and a list made
+        # hash() raise TypeError
+        model = _tiny_model(arch=arch, input_shape=[16, 12], conv_channels=channels)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)[0].config
+        assert loaded == model.config and hash(loaded) == hash(model.config)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("extras", ["none", "labels", "train", "both"])
