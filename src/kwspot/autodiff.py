@@ -126,8 +126,6 @@ class Tensor:
         other = _ensure(other, self)
         return record(self.data + other.data, (self, other), lambda g: (g, g))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = _ensure(other, self)
         # each side's gradient reads the other side's value: save a value
@@ -141,18 +139,9 @@ class Tensor:
 
         return record(self.data * other.data, (self, other), bw)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-        base = self.data
-        return record(base ** p, (self,), lambda g: (g * p * base ** (p - 1.0),))
-
     # ---- structure ---------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         src_shape = self.shape
         return record(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
@@ -193,31 +182,20 @@ class Tensor:
 
     # ---- reductions --------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         src_shape = self.shape
 
         def bw(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, src_shape),)
 
-        return record(self.data.sum(axis=axis, keepdims=keepdims), (self,), bw)
+        return record(self.data.sum(axis=axis), (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self, axis: int) -> "Tensor":
+        return self.sum(axis=axis) * (1.0 / self.shape[axis])
 
     # ---- nonlinearities ----------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return record(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def relu(self) -> "Tensor":
         # the backward reads a boolean mask, so that neither the input nor
@@ -300,38 +278,3 @@ def backward(loss: Tensor):
         node._backward = None
         node._parents = ()
 
-
-def grad_check(fn, params, eps: float = 1e-5, rng=None, max_per_param: int | None = None) -> float:
-    """Compare analytic gradients of fn() against central finite differences.
-
-    fn is a no-argument callable returning a scalar Tensor and re-running
-    the forward pass; params are the leaf tensors to perturb. Returns the
-    max over checked elements of |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|). Set max_per_param to subsample large tensors.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = fn()
-    backward(loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        indices = np.arange(flat.size)
-        if max_per_param is not None and flat.size > max_per_param:
-            rng = rng or np.random.default_rng(0)
-            indices = rng.choice(flat.size, size=max_per_param, replace=False)
-        for i in indices:
-            saved = flat[i]
-            flat[i] = saved + eps
-            hi = fn().item()
-            flat[i] = saved - eps
-            lo = fn().item()
-            flat[i] = saved
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(a_flat[i] - numeric) / max(1e-8, abs(a_flat[i]) + abs(numeric))
-            worst = max(worst, err)
-    return worst

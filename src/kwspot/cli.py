@@ -116,19 +116,20 @@ def _scan(data_dir, labels=None) -> audio_io.DatasetIndex:
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("train", cfg)
-    # the settings are refused before --data is scanned
+    # the settings are refused before --data is scanned; the scan gives
+    # n_classes, which replaces the least valid one and is checked then
     train_cfg = from_config(training.TrainConfig, cfg)
     dsp_cfg = from_config(dsp.DspConfig, cfg)
     ratios = (cfg["train_ratio"], cfg["val_ratio"], cfg["test_ratio"])
     audio_io.check_ratios(ratios)
+    kind = cfg["feature_kind"]
+    model_cfg = from_config(ModelConfig, dict(
+        cfg, n_classes=2, input_shape=dsp.feature_shape(dsp_cfg, kind), dtype=ModelConfig.dtype))
     index = _scan(args.data)
     # refuse a label the checkpoint could not store before training for it
     write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
-    # and a model setting before the front end runs
-    kind = cfg["feature_kind"]
-    model = build_model(from_config(ModelConfig, dict(
-        cfg, n_classes=len(index.label_set), input_shape=dsp.feature_shape(dsp_cfg, kind),
-        dtype=ModelConfig.dtype)))
+    # and a model too large before the front end runs
+    model = build_model(dataclasses.replace(model_cfg, n_classes=len(index.label_set)))
     train_idx, val_idx, _ = audio_io.split_dataset(index, ratios, cfg["seed"])
     train_data = training.featurize_index(train_idx, dsp_cfg, kind, "train")
     val_data = training.featurize_index(val_idx, dsp_cfg, kind, "validation")

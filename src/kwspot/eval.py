@@ -1,5 +1,5 @@
-"""Per-keyword evaluation: confusion matrix, accuracy report, CSV/text
-emission and re-parsing."""
+"""Per-keyword evaluation: confusion matrix, accuracy report and its CSV or
+text emission."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from . import dsp
 from .audio_io import DatasetIndex
-from .errors import ConfigError, DataError, read_text, write_atomic
+from .errors import ConfigError, DataError, write_atomic
 from .models import Model
 from .training import evaluate_arrays, featurize_index
 
@@ -35,11 +35,6 @@ class ConfusionMatrix:
     def overall_accuracy(self) -> float:
         n = self.n_samples
         return float(np.trace(self.counts)) / n if n else 0.0
-
-    @property
-    def per_keyword(self) -> dict:
-        """label -> accuracy; empty rows absent."""
-        return {label: accuracy for label, accuracy, _ in self.rows()}
 
     def rows(self):
         """(label, accuracy, n) of each class with at least one sample."""
@@ -121,26 +116,3 @@ def emit_report(cm: ConfusionMatrix, path, fmt: str = "csv"):
         raise DataError(f"unknown report format {fmt!r}")
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
-
-def parse_report_csv(path):
-    """Re-parse an emitted CSV into (per-keyword map, overall, n_samples).
-    A foreign file or a malformed row raises DataError."""
-    lines = read_text(path, DataError).strip().splitlines()
-    if not lines or lines[0] != "label,accuracy,n":
-        raise DataError(f"{path}: not a kwspot report CSV")
-    per_keyword, overall, n_samples = {}, None, None
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            label, acc, n = line.split(",")
-            acc, n = float(acc), int(n)
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: expected label,accuracy,n, got {line!r}"
-            ) from None
-        if label == "__overall__":
-            overall, n_samples = acc, n
-        else:
-            per_keyword[label] = acc
-    if overall is None:
-        raise DataError(f"{path}: missing __overall__ row")
-    return per_keyword, overall, n_samples

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, ufunc_buffer
+from .dsp import FeatureMatrix
 from .errors import ConfigError, ShapeError
 from .layers import (
     LSTM_GATES,
@@ -296,15 +297,14 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
     return (logits, (a1, a2, a3)) if stages else logits
 
 
-def predict(model: Model, features):
-    """(argmax class index, float64 softmax probabilities) of one clip, in
-    infer mode whatever the model's mode, which is restored afterwards;
-    ties break to the lowest index."""
-    values = features.values if hasattr(features, "values") else features
+def predict(model: Model, features: FeatureMatrix):
+    """(argmax class index, float64 softmax probabilities) of one clip's
+    features, in infer mode whatever the model's mode, which is restored
+    afterwards; ties break to the lowest index."""
     saved = model.mode
     model.set_mode("infer")
     try:
-        logits = model_forward(model, np.asarray(values)[None])
+        logits = model_forward(model, features.values[None])
     finally:
         model.set_mode(saved)
     row = logits.data[0].astype(np.float64)

@@ -51,12 +51,15 @@ class TrainConfig:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
 
 
+# `kwspot eval` joins each label onto --data: one directory name there
+_label = checked(str, lambda v: v not in ("", ".", "..") and "/" not in v)
+
 # the ModelConfig fields, then what save_checkpoint was given, in the order
 # they are written
 METADATA_KEYS = {
     **schema(ModelConfig, required=True),
-    # `kwspot eval` joins each label onto --data: one directory name there
-    "labels": (tuple_of(checked(str, lambda v: v not in ("", ".", "..") and "/" not in v)), None),
+    # one label per class, each given once
+    "labels": (checked(tuple_of(_label), lambda v: len(set(v)) == len(v)), None),
     **{key: (parse, None) for key, (parse, _) in schema(TrainConfig, prefix="train.").items()},
 }
 
@@ -292,6 +295,18 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 # every preceding byte
 
 
+def _read_metadata(text: str, path, error) -> dict:
+    """The METADATA_KEYS values of a checkpoint's metadata text. A line the
+    key = value reader refuses, and labels that are not n_classes many,
+    raise `error` naming the file."""
+    where = f"{path}: metadata"
+    meta = read_key_values(text, METADATA_KEYS, where, error)
+    labels, n_classes = meta["labels"], meta["n_classes"]
+    if labels is not None and len(labels) != n_classes:
+        raise error(f"{where}: labels names {len(labels)} classes, but n_classes is {n_classes}")
+    return meta
+
+
 def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
                     labels=None):
     """Serialize parameters and running statistics; the training history is
@@ -305,7 +320,7 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     if train_config is not None:
         values.update({f"train.{key}": v for key, v in vars(train_config).items()})
     text = write_key_values(values, METADATA_KEYS, path)
-    read_key_values(text, METADATA_KEYS, f"{path}: metadata", DataError)  # as a load reads it
+    _read_metadata(text, path, DataError)  # as a load reads it
     meta = text.encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
@@ -337,7 +352,7 @@ def load_checkpoint(path):
         text = str(body[12:12 + meta_len], "utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: metadata at byte {12 + exc.start} is not UTF-8") from None
-    meta = read_key_values(text, METADATA_KEYS, f"{path}: metadata", CheckpointError)
+    meta = _read_metadata(text, path, CheckpointError)
     section = body[12 + meta_len:]
     budget = [len(section)]
 

@@ -12,6 +12,7 @@ from kwspot.audio_io import PCM_SUBFORMAT, AudioClip, SynthSpec, synth_dataset, 
 from kwspot.autodiff import Tensor, backward
 from kwspot.cli import run_cli
 from kwspot.dsp import DspConfig
+from kwspot.errors import DataError, read_text
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.layers import LSTM_GATES, BnStats, batch_norm
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
@@ -214,6 +215,35 @@ def csv_bytes(tmp_path_factory):
     cm = confusion_matrix(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]), 3, ["a", "b", "c"])
     emit_report(cm, root / "report.csv")
     return (root / "metrics.csv").read_bytes(), (root / "report.csv").read_bytes()
+
+
+def accuracy_by_label(report):
+    """label -> accuracy of each row of a confusion matrix's report."""
+    return {label: accuracy for label, accuracy, _ in report.rows()}
+
+
+def parse_report_csv(path):
+    """Re-parse an emitted CSV into (per-keyword map, overall, n_samples).
+    A foreign file or a malformed row raises DataError."""
+    lines = read_text(path, DataError).strip().splitlines()
+    if not lines or lines[0] != "label,accuracy,n":
+        raise DataError(f"{path}: not a kwspot report CSV")
+    per_keyword, overall, n_samples = {}, None, None
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            label, acc, n = line.split(",")
+            acc, n = float(acc), int(n)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: expected label,accuracy,n, got {line!r}"
+            ) from None
+        if label == "__overall__":
+            overall, n_samples = acc, n
+        else:
+            per_keyword[label] = acc
+    if overall is None:
+        raise DataError(f"{path}: missing __overall__ row")
+    return per_keyword, overall, n_samples
 
 
 def record_calls(monkeypatch, owner, name):

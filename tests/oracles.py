@@ -1,10 +1,11 @@
 """Reference implementations and tolerance helpers for the kernel tests: loop
-oracles, whole-batch passes whose bits a kernel must match, and graphs
-composed of autodiff primitives, the one part of kwspot imported here."""
+oracles, whole-batch passes whose bits a kernel must match, graphs composed
+of autodiff primitives, the one part of kwspot imported here, and the
+finite-difference gradient check."""
 
 import numpy as np
 
-from kwspot.autodiff import Tensor, record
+from kwspot.autodiff import Tensor, backward, record
 
 
 def _rel_err(got, want, scale=0.0):
@@ -179,10 +180,10 @@ def composed_batch_norm(x, gamma, beta, eps=1e-5):
     fused backward; x + mu * -1.0 is x - mu exactly."""
     axes = (0, 2, 3)
     shape = (1, -1, 1, 1)
-    mu = x.mean(axis=axes, keepdims=True)
-    var = ((x + mu * -1.0) * (x + mu * -1.0)).mean(axis=axes, keepdims=True)
-    xhat = (x + mu * -1.0) * ((var + eps) ** -0.5)
-    return gamma.reshape(shape) * xhat + beta.reshape(shape)
+    mu = mean_keepdims(x, axes)
+    var = mean_keepdims((x + mu * -1.0) * (x + mu * -1.0), axes)
+    xhat = (x + mu * -1.0) * power(var + eps, -0.5)
+    return gamma.reshape(*shape) * xhat + beta.reshape(*shape)
 
 
 def two_pass_batch_norm(x, gamma, beta, mean, var, upstream, eps=1e-5):
@@ -262,6 +263,32 @@ def naive_lstm(x, W, U, b, reverse=False):
     return out
 
 
+def square(y):
+    """y * y, the product of a tensor with itself."""
+    return y * y
+
+
+def tanh(x):
+    """tanh as one primitive; the backward reads the output."""
+    out = np.tanh(x.data)
+    return record(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def power(x, p):
+    """x ** p for a float p as one primitive."""
+    base = x.data
+    return record(base ** p, (x,), lambda g: (g * p * base ** (p - 1.0),))
+
+
+def mean_keepdims(x, axes):
+    """The mean over several axes, kept as size-1 dimensions: one sum
+    primitive, then a product with 1 / count."""
+    src_shape = x.shape
+    total = record(x.data.sum(axis=axes, keepdims=True), (x,),
+                   lambda g: (np.broadcast_to(g, src_shape),))
+    return total * (1.0 / (x.size // total.size))
+
+
 def sigmoid(x):
     """The logistic function as one primitive, with the float operations
     of bilstm_sequence's gates, forward and backward."""
@@ -291,8 +318,8 @@ def composed_lstm(seq, W, U, b, reverse=False):
         z = proj[:, t, :] + h @ U
         ifo = sigmoid(z[:, :3 * hidden])
         i, f, o = (ifo[:, k * hidden:(k + 1) * hidden] for k in range(3))
-        c = f * c + i * z[:, 3 * hidden:].tanh()
-        h = o * c.tanh()
+        c = f * c + i * tanh(z[:, 3 * hidden:])
+        h = o * tanh(c)
         outputs[t] = h.reshape(n, 1, hidden)
     return concat(outputs, axis=1)
 
@@ -301,3 +328,35 @@ def composed_bilstm(seq, W, U, b):
     """bilstm_sequence as the two composed directions side by side."""
     return concat([composed_lstm(seq, W[0], U[0], b[0]),
                    composed_lstm(seq, W[1], U[1], b[1], reverse=True)], axis=2)
+
+
+def grad_check(fn, params, eps: float = 1e-5) -> float:
+    """Compare analytic gradients of fn() against central finite differences.
+
+    fn is a no-argument callable returning a scalar Tensor and re-running
+    the forward pass; params are the leaf tensors to perturb. Returns the
+    max over their elements of |analytic - numeric| / max(1e-8,
+    |analytic| + |numeric|).
+    """
+    for p in params:
+        p.zero_grad()
+    loss = fn()
+    backward(loss)
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
+    ]
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        a_flat = a.reshape(-1)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            hi = fn().item()
+            flat[i] = saved - eps
+            lo = fn().item()
+            flat[i] = saved
+            numeric = (hi - lo) / (2.0 * eps)
+            err = abs(a_flat[i] - numeric) / max(1e-8, abs(a_flat[i]) + abs(numeric))
+            worst = max(worst, err)
+    return worst

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from kwspot import dsp
-from kwspot.autodiff import Tensor, grad_check
+from kwspot.autodiff import Tensor
 from kwspot.cli import run_cli
 from kwspot.errors import CheckpointError
-from kwspot.eval import confusion_matrix, emit_report, parse_report_csv
+from kwspot.eval import confusion_matrix, emit_report
 from kwspot.layers import (
     BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, max_pool,
 )
@@ -24,8 +24,10 @@ from kwspot.training import (
 )
 
 import conftest
-from conftest import _bilstm_params, script_validation
-from oracles import _worst_rel_err, naive_dct_ii, naive_dft_power, naive_mel_energies
+from conftest import _bilstm_params, accuracy_by_label, parse_report_csv, script_validation
+from oracles import (
+    _worst_rel_err, grad_check, naive_dct_ii, naive_dft_power, naive_mel_energies, square, tanh,
+)
 
 
 def _verdict(number, name, ok, detail=""):
@@ -114,12 +116,12 @@ def _layer_gradchecks():
     # finite-difference noise floor)
     rng.normal(size=3)
     worst = max(worst, grad_check(
-        lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
+        lambda: square(conv2d(x, kernels)).sum(), [x, kernels]
     ))
 
     xp = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
     worst = max(worst, grad_check(
-        lambda: (max_pool(xp) ** 2.0).sum(), [xp]
+        lambda: square(max_pool(xp)).sum(), [xp]
     ))
 
     xb = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
@@ -128,7 +130,7 @@ def _layer_gradchecks():
     coeff = Tensor(rng.normal(size=(4, 2, 3, 3)))
     stats = BnStats(mean=np.zeros(2), var=np.ones(2))
     worst = max(worst, grad_check(
-        lambda: (coeff * batch_norm(xb, gamma, beta, stats, "train") ** 2.0).sum(),
+        lambda: (coeff * square(batch_norm(xb, gamma, beta, stats, "train"))).sum(),
         [xb, gamma, beta],
     ))
 
@@ -136,7 +138,7 @@ def _layer_gradchecks():
     wd = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     bd = Tensor(rng.normal(size=5), requires_grad=True)
     worst = max(worst, grad_check(
-        lambda: (dense(xd, wd, bd).tanh() ** 2.0).sum(), [xd, wd, bd]
+        lambda: square(tanh(dense(xd, wd, bd))).sum(), [xd, wd, bd]
     ))
 
     lstm = _bilstm_params(rng, 3, 2, scale=2.0)
@@ -416,7 +418,7 @@ def test_criterion_9_report_integrity(tmp_path):
     report = cm
     trace_ok = report.overall_accuracy == np.trace(cm.counts) / cm.n_samples
     recall_ok = all(
-        report.per_keyword[label] == cm.counts[i, i] / cm.counts[i].sum()
+        accuracy_by_label(report)[label] == cm.counts[i, i] / cm.counts[i].sum()
         for i, label in enumerate(cm.labels)
     )
     path = tmp_path / "report.csv"
@@ -425,7 +427,7 @@ def test_criterion_9_report_integrity(tmp_path):
     reparse_ok = (
         n == report.n_samples
         and overall == report.overall_accuracy
-        and per_keyword == report.per_keyword
+        and per_keyword == accuracy_by_label(report)
     )
     elapsed = time.perf_counter() - t0
     ok = trace_ok and recall_ok and reparse_ok and elapsed < 1.0

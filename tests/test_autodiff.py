@@ -6,9 +6,11 @@ import zlib
 import numpy as np
 import pytest
 
-from kwspot.autodiff import Tensor, backward, grad_check
+from kwspot.autodiff import Tensor, backward
 from kwspot.errors import ShapeError, UsageError
 from kwspot.layers import max_pool
+
+from oracles import grad_check, square, tanh
 
 
 class TestForwardValues:
@@ -46,8 +48,8 @@ class TestForwardValues:
 
     def test_deterministic_forward(self):
         x = np.random.default_rng(2).normal(size=(3, 3))
-        a = (Tensor(x).tanh() @ Tensor(x)).data
-        b = (Tensor(x).tanh() @ Tensor(x)).data
+        a = (tanh(Tensor(x)) @ Tensor(x)).data
+        b = (tanh(Tensor(x)) @ Tensor(x)).data
         assert np.array_equal(a, b)
 
 
@@ -203,7 +205,7 @@ PRIMITIVE_CASES = [
     ("slice", lambda a: a[1:, ::2].sum(), 1),
     ("sum_axis", lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), 1),
     ("mean_axis", lambda a: (a.mean(axis=1) * a.mean(axis=1)).sum(), 1),
-    ("tanh", lambda a: a.tanh().sum(), 1),
+    ("tanh", lambda a: tanh(a).sum(), 1),
     ("softmax", lambda a: (a.softmax(axis=1) * a).sum(), 1),
 ]
 
@@ -239,7 +241,7 @@ def test_broadcast_gradient():
     a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
     params = [a, b]
-    assert grad_check(lambda: ((params[0] + params[1]) ** 2.0).sum(), params) < 1e-6
+    assert grad_check(lambda: square(params[0] + params[1]).sum(), params) < 1e-6
 
 
 def test_random_shapes_property():
@@ -247,7 +249,7 @@ def test_random_shapes_property():
     for trial in range(10):
         shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
         a = Tensor(rng.normal(size=shape), requires_grad=True)
-        assert grad_check(lambda: (a * a.tanh()).sum(), [a]) < 1e-6
+        assert grad_check(lambda: (a * tanh(a)).sum(), [a]) < 1e-6
 
 
 class TestGradCheckItself:
@@ -261,5 +263,5 @@ class TestGradCheckItself:
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         params = [w, x]
         # the engine has no sigmoid: sigmoid(z) = tanh(z / 2) / 2 + 1 / 2
-        assert grad_check(lambda: ((params[1] @ params[0] * 0.5).tanh() * 0.5 + 0.5).sum(),
+        assert grad_check(lambda: (tanh(params[1] @ params[0] * 0.5) * 0.5 + 0.5).sum(),
                           params) < 1e-6

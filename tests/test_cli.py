@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SYNTH_SPEC, record_calls, write_sealed_checkpoint
+from conftest import SYNTH_SPEC, record_calls, write_metadata, write_sealed_checkpoint
 from kwspot import audio_io, errors, eval as evaluation, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
 from kwspot.errors import ConfigError
@@ -365,7 +365,9 @@ class TestMinusOne:
         ("train", "hop_len=0", "hop_len must be at least 1, got 0"),
         ("train", "train_ratio=-1", "train_ratio, val_ratio and test_ratio must be "
                                     "non-negative and sum to 1, got (-1.0, 0.1, 0.1)"),
-    ], ids=["featurize-hop", "train-hop", "train-ratio"])
+        ("train", "lstm_hidden=0", "lstm_hidden must be positive"),
+        ("train", "dropout_rate=2", "dropout_rate must be in [0, 1)"),
+    ], ids=["featurize-hop", "train-hop", "train-ratio", "train-lstm-hidden", "train-dropout"])
     def test_setting_refused_before_the_input_is_read(self, tmp_path, capsys, command,
                                                       setting, error):
         # each once exited 2 on the missing input instead of naming the setting
@@ -583,15 +585,18 @@ class TestTrainEval:
         assert not report.exists()
 
     def test_eval_duplicate_checkpoint_labels_refused(self, tmp_path, capsys):
+        # a save refuses them too, so the metadata is edited after one
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(ModelConfig(
             arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
-        )), ckpt, labels=["a", "a"])
+        )), ckpt, labels=["a", "b"])
+        write_metadata(ckpt, lambda meta: meta.replace(b"labels=a,b", b"labels=a,a"))
         (tmp_path / "data" / "a").mkdir(parents=True)
         code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data"),
                         "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == ["error: label_set contains duplicates"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: metadata:10: cannot parse labels = 'a,a'"]
 
     @staticmethod
     def _small_cnn_checkpoint(path):

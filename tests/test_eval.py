@@ -5,12 +5,10 @@ from kwspot import eval as evaluation
 from kwspot.audio_io import DatasetIndex, load_clip
 from kwspot.dsp import mfcc_pipeline
 from kwspot.errors import DataError
-from kwspot.eval import (
-    EVAL_BATCH, confusion_matrix, emit_report, evaluate, parse_report_csv,
-)
+from kwspot.eval import EVAL_BATCH, confusion_matrix, emit_report, evaluate
 from kwspot.models import ModelConfig, build_model, predict
 
-from conftest import record_calls
+from conftest import accuracy_by_label, parse_report_csv, record_calls
 
 
 class TestConfusionMatrix:
@@ -45,19 +43,19 @@ class TestReport:
         cm = confusion_matrix([0, 1, 2], [0, 1, 2], 3, ["a", "b", "c"])
         report = cm
         assert report.overall_accuracy == 1.0
-        assert report.per_keyword == {"a": 1.0, "b": 1.0, "c": 1.0}
+        assert accuracy_by_label(report) == {"a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_degenerate_constant_predictor(self):
         # always predicts class 0 on a balanced two-class set
         cm = confusion_matrix([0, 0, 0, 0], [0, 0, 1, 1], 2, ["a", "b"])
         report = cm
         assert report.overall_accuracy == 0.5
-        assert report.per_keyword == {"a": 1.0, "b": 0.0}
+        assert accuracy_by_label(report) == {"a": 1.0, "b": 0.0}
 
     def test_empty_rows_absent(self):
         cm = confusion_matrix([0, 0], [0, 0], 3, ["a", "b", "c"])
         report = cm
-        assert set(report.per_keyword) == {"a"}
+        assert set(accuracy_by_label(report)) == {"a"}
 
     def test_accuracy_identity(self):
         rng = np.random.default_rng(0)
@@ -81,7 +79,7 @@ class TestEmitAndParse:
         per_keyword, overall, n = parse_report_csv(path)
         assert n == 60
         assert overall == pytest.approx(report.overall_accuracy, abs=5e-5)
-        for label, acc in report.per_keyword.items():
+        for label, acc in accuracy_by_label(report).items():
             assert per_keyword[label] == pytest.approx(acc, abs=5e-5)
 
     def test_reemit_byte_identical(self, tmp_path):
@@ -109,26 +107,6 @@ class TestEmitAndParse:
         with pytest.raises(DataError):
             emit_report(self._report(), tmp_path / "x", fmt="yaml")
 
-    def test_parse_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError):
-            parse_report_csv(path)
-        path.write_bytes(b"label,accuracy,n\n\xff,0.5,2\n")
-        with pytest.raises(DataError, match=r"other\.csv"):
-            parse_report_csv(path)
-        for row in ("yes,0.9000", "yes,high,10", "__overall__,0.5000,ten",
-                    "yes,0.9,10,extra"):
-            path.write_text(f"label,accuracy,n\n{row}\n__overall__,0.5000,2\n")
-            with pytest.raises(DataError, match=r"other\.csv:2"):
-                parse_report_csv(path)
-
-    def test_parse_requires_overall(self, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("label,accuracy,n\nyes,0.9000,10\n")
-        with pytest.raises(DataError):
-            parse_report_csv(path)
-
 
 class TestReportedFigures:
     def test_published_style_summary(self, tmp_path):
@@ -151,7 +129,7 @@ class TestReportedFigures:
                 truths += [i] * counts[i, j]
         report = confusion_matrix(preds, truths, 20, labels)
         assert report.n_samples == 10000
-        assert report.per_keyword["down"] == pytest.approx(0.892)
+        assert accuracy_by_label(report)["down"] == pytest.approx(0.892)
         assert report.overall_accuracy == pytest.approx(0.9507)
         path = tmp_path / "report.csv"
         emit_report(report, path)
@@ -173,7 +151,7 @@ class TestEvaluate:
         assert report.n_samples == 60
         assert report.counts.sum() == 60
         assert 0.0 <= report.overall_accuracy <= 1.0
-        assert set(report.per_keyword) <= {"class0", "class1", "class2"}
+        assert set(accuracy_by_label(report)) <= {"class0", "class1", "class2"}
 
     def test_matches_predict(self, synth_index, small_dsp_config):
         # eight-clip forwards give the argmax of a per-clip predict: 60 clips

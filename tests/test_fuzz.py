@@ -1,10 +1,9 @@
 """Mutation fuzz of files kwspot reads: the `key = value` metadata block and
 the array section of a sealed checkpoint, a config file, a synth spec, a
-metrics CSV, a report CSV and a WAV clip (plain PCM and
-WAVE_FORMAT_EXTENSIBLE). Every mutated input either loads or raises a
-KwspotError subclass. Runs are derandomized, so a
-failure reproduces on every run; each shrunk failure is kept as a plain
-test."""
+metrics CSV and a WAV clip (plain PCM and WAVE_FORMAT_EXTENSIBLE); and of
+a report CSV as the tests re-parse it. Every mutated input either loads or
+raises a KwspotError subclass. Runs are derandomized, so a failure
+reproduces on every run; each shrunk failure is kept as a plain test."""
 
 import numpy as np
 import pytest
@@ -14,12 +13,13 @@ from kwspot.audio_io import SynthSpec, read_wav
 from kwspot.cli import parse_config, read_synth_spec
 from kwspot.dsp import DspConfig
 from kwspot.errors import CheckpointError, KwspotError
-from kwspot.eval import parse_report_csv
 from kwspot.keyvalue import from_config
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
 from kwspot.training import EpochRecord, TrainConfig, load_checkpoint, read_metrics_csv
 
-from conftest import SMALL_CONFIG, SYNTH_SPEC, join_metadata, write_sealed_checkpoint
+from conftest import (
+    SMALL_CONFIG, SYNTH_SPEC, join_metadata, parse_report_csv, write_sealed_checkpoint,
+)
 
 FUZZ = settings(
     derandomize=True, database=None, max_examples=150, deadline=None,

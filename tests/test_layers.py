@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kwspot
-from kwspot.autodiff import Tensor, backward, grad_check
+from kwspot.autodiff import Tensor, backward
 from kwspot.errors import ConfigError, ShapeError, UsageError
 from kwspot.layers import (
     BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, dropout, max_pool,
@@ -22,9 +22,9 @@ from kwspot.training import cross_entropy_loss
 
 from conftest import PAPER_BN_SHAPES, _bilstm_params, _paper_bn_inputs, _train_bn
 from oracles import (
-    _bits, _rel_err, composed_batch_norm, composed_bilstm, naive_batch_norm, naive_conv2d,
-    naive_lstm, naive_max_pool, shift_add_input_grad, two_pass_batch_norm,
-    whole_batch_pool, whole_batch_train_bn,
+    _bits, _rel_err, composed_batch_norm, composed_bilstm, grad_check, naive_batch_norm,
+    naive_conv2d, naive_lstm, naive_max_pool, shift_add_input_grad, square,
+    two_pass_batch_norm, whole_batch_pool, whole_batch_train_bn,
 )
 
 
@@ -75,7 +75,7 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
         kernels = _kernels(rng, 3, 2, 3, 3)
         assert grad_check(
-            lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
+            lambda: square(conv2d(x, kernels)).sum(), [x, kernels]
         ) < 1e-5
 
     @pytest.mark.parametrize("kh,kw", [(2, 3), (1, 2), (2, 2)])
@@ -84,7 +84,7 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
         kernels = _kernels(rng, 3, 2, kh, kw)
         assert grad_check(
-            lambda: (conv2d(x, kernels) ** 2.0).sum(), [x, kernels]
+            lambda: square(conv2d(x, kernels)).sum(), [x, kernels]
         ) < 1e-5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -179,7 +179,7 @@ class TestMaxPool:
     def test_gradients(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-        assert grad_check(lambda: (max_pool(x) ** 2.0).sum(), [x]) < 1e-5
+        assert grad_check(lambda: square(max_pool(x)).sum(), [x]) < 1e-5
 
     @pytest.mark.parametrize("h, w", [(4, 6), (5, 7), (4, 7), (5, 6)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -432,7 +432,7 @@ class TestBatchNorm:
         # near-zero true gradient swamped by finite-difference noise
         coeff = Tensor(rng.normal(size=(4, 2, 3, 3)))
         assert grad_check(
-            lambda: (coeff * batch_norm(x, g, b, stats, "train") ** 2.0).sum(),
+            lambda: (coeff * square(batch_norm(x, g, b, stats, "train"))).sum(),
             leaves,
         ) < 1e-5
 

@@ -1,9 +1,14 @@
 """Each test helper has one home: reference implementations in oracles.py,
 shared fixtures and builders in conftest.py. No test module imports
-another, not even from a script held in a string and run in a subprocess."""
+another, not even from a script held in a string and run in a subprocess.
+And src/kwspot defines nothing that only the tests reach."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imports(tree):
@@ -32,3 +37,26 @@ def test_one_home_per_helper():
                    if isinstance(node, ast.FunctionDef) and path.name != "oracles.py"
                    and node.name.startswith(("naive_", "composed_", "whole_batch_", "two_pass_"))]
     assert not faults, faults
+
+
+def _definitions(tree):
+    """The names of a module's top-level functions and classes and of the
+    methods of those classes, dunder methods apart."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_no_test_only_definitions():
+    # a name is reached if src/kwspot or perfbench/ name it once more than
+    # src/kwspot defines it
+    sources = [path.read_text() for path in sorted((ROOT / "src" / "kwspot").glob("*.py"))]
+    defined = Counter(name for text in sources for name in _definitions(ast.parse(text)))
+    text = "\n".join(sources + [path.read_text()
+                                for path in sorted((ROOT / "perfbench").rglob("*.py"))])
+    unreached = sorted(name for name, count in defined.items()
+                       if len(re.findall(rf"\b{name}\b", text)) <= count)
+    assert not unreached, unreached

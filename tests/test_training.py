@@ -10,7 +10,7 @@ import pytest
 from conftest import script_validation, split_metadata, write_metadata, write_sealed_checkpoint
 from kwspot import errors, models, training
 from kwspot.audio_io import AudioClip, DatasetIndex
-from kwspot.autodiff import Tensor, backward, grad_check
+from kwspot.autodiff import Tensor, backward
 from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
@@ -21,7 +21,7 @@ from kwspot.training import (
     train_epoch, write_metrics_csv,
 )
 
-from oracles import softmax_minus_onehot
+from oracles import grad_check, softmax_minus_onehot
 
 # sha256 of repr([(name, shape), ...]) of _tiny_model(arch, input_shape=(8, 12),
 # conv_channels=(2, 3)).arrays(), the order the checkpoint stores them in
@@ -653,6 +653,21 @@ class TestCheckpoint:
         write_metadata(path, lambda meta: meta.replace(b"labels=x,b,y",
                                                        f"labels=x,{label},y".encode()))
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("labels,error", [
+        ("x,x,y", "metadata:10: cannot parse labels = 'x,x,y'"),
+        ("x,y", "metadata: labels names 2 classes, but n_classes is 3"),
+        ("w,x,y,z", "metadata: labels names 4 classes, but n_classes is 3"),
+    ], ids=["duplicate", "fewer", "more"])
+    def test_labels_not_one_per_class_refused(self, tmp_path, labels, error):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(DataError, match=rf"model\.ckpt: {error}$"):
+            save_checkpoint(_tiny_model(), path, labels=labels.split(","))
+        assert not path.exists()
+        save_checkpoint(_tiny_model(), path, labels=["x", "b", "y"])
+        write_metadata(path, lambda meta: meta.replace(b"x,b,y", labels.encode()))
+        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}$"):
             load_checkpoint(path)
 
     def test_metadata_length_past_the_body_refused(self, tmp_path):
