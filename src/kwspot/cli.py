@@ -106,13 +106,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _scan(data_dir, labels=None) -> audio_io.DatasetIndex:
-    root = Path(data_dir)
-    if labels is None:
-        labels = sorted(p.name for p in root.iterdir() if p.is_dir())
-    return audio_io.scan_dataset(root, labels)
-
-
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _print_header("train", cfg)
@@ -125,7 +118,8 @@ def _cmd_train(args) -> int:
     kind = cfg["feature_kind"]
     model_cfg = from_config(ModelConfig, dict(
         cfg, n_classes=2, input_shape=dsp.feature_shape(dsp_cfg, kind), dtype=ModelConfig.dtype))
-    index = _scan(args.data)
+    data = Path(args.data)
+    index = audio_io.scan_dataset(data, sorted(p.name for p in data.iterdir() if p.is_dir()))
     # refuse a label the checkpoint could not store before training for it
     write_key_values({"labels": index.label_set}, training.METADATA_KEYS, args.out)
     # and a model too large before the front end runs
@@ -152,7 +146,7 @@ def _cmd_eval(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     dsp_cfg = from_config(dsp.DspConfig, cfg)
     model, meta = training.load_checkpoint(args.ckpt)
-    index = _scan(args.data, meta.get("labels"))
+    index = audio_io.scan_dataset(args.data, meta["labels"])
     # the model is the checkpoint's: only the front end comes from the config
     _print_header("eval", {key: cfg[key] for key in FRONT_END_KEYS}
                   | dataclasses.asdict(model.config))

@@ -86,11 +86,8 @@ class MelFilterBank:
 @dataclass(frozen=True)
 class FeatureMatrix:
     values: np.ndarray  # T frames x D coefficients
-    kind: str           # one of FEATURE_KINDS
 
     def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise DspError(f"unknown feature kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
             raise DspError("feature matrix contains non-finite values")
 
@@ -213,6 +210,8 @@ def dct_ii(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
 
 def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
     """Full front end on a 1-second clip; stops before the DCT for log_mel."""
+    if kind not in FEATURE_KINDS:
+        raise DspError(f"unknown feature kind {kind!r}")
     if clip.sample_rate != config.sample_rate:
         raise DspError(
             f"clip sample rate {clip.sample_rate} differs from config "
@@ -224,4 +223,4 @@ def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
     bank = build_mel_filterbank(config)
     logmel = log_compress(mel_energies(spectra, bank), config.log_floor)
     values = logmel if kind == "log_mel" else dct_ii(logmel, config.n_mfcc)
-    return FeatureMatrix(values=values, kind=kind)
+    return FeatureMatrix(values)

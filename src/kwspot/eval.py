@@ -67,13 +67,12 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
     features are held at a time. The result is a function of the index's
     order and EVAL_BATCH: a batched matmul may sum in another order than a
     batch of 1, so predict's logits for a clip may differ from these in
-    the last bits. A front end whose features do not have the model's
-    input shape raises ConfigError before any clip is featurized."""
-    if len(index.label_set) > model.config.n_classes:
-        raise DataError(
-            f"dataset has {len(index.label_set)} labels but the model only "
-            f"knows {model.config.n_classes} classes"
-        )
+    the last bits. An index with other than n_classes labels raises
+    DataError, and a front end whose features do not have the model's
+    input shape ConfigError, before any clip is featurized."""
+    if len(index.label_set) != model.config.n_classes:
+        raise DataError(f"the index names {len(index.label_set)} labels, but the model "
+                        f"has {model.config.n_classes} classes")
     if not index.entries:
         raise DataError("the evaluation split holds no clips")
     shape, want = dsp.feature_shape(dsp_config, kind), model.config.input_shape
@@ -89,11 +88,8 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
         x, y = featurize_index(chunk, dsp_config, kind, "evaluation")
         preds.append(evaluate_arrays(model, x, y, batch_size=EVAL_BATCH)[2])
         truths.append(y)
-    return confusion_matrix(
-        np.concatenate(preds), np.concatenate(truths), model.config.n_classes,
-        label_names=list(index.label_set)
-        + [f"class{i}" for i in range(len(index.label_set), model.config.n_classes)],
-    )
+    return confusion_matrix(np.concatenate(preds), np.concatenate(truths),
+                            model.config.n_classes, label_names=index.label_set)
 
 
 def emit_report(cm: ConfusionMatrix, path, fmt: str = "csv"):

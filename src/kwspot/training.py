@@ -15,7 +15,9 @@ import numpy as np
 from . import audio_io, autodiff, dsp
 from .autodiff import Tensor, backward
 from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
-from .keyvalue import checked, from_config, read_key_values, schema, tuple_of, write_key_values
+from .keyvalue import (
+    REQUIRED, checked, from_config, read_key_values, schema, tuple_of, write_key_values,
+)
 from .models import Model, ModelConfig, make_model, model_forward
 
 CHECKPOINT_MAGIC = b"KWSA"
@@ -59,7 +61,7 @@ _label = checked(str, lambda v: v not in ("", ".", "..") and "/" not in v)
 METADATA_KEYS = {
     **schema(ModelConfig, required=True),
     # one label per class, each given once
-    "labels": (checked(tuple_of(_label), lambda v: len(set(v)) == len(v)), None),
+    "labels": (checked(tuple_of(_label), lambda v: len(set(v)) == len(v)), REQUIRED),
     **{key: (parse, None) for key, (parse, _) in schema(TrainConfig, prefix="train.").items()},
 }
 
@@ -302,17 +304,16 @@ def _read_metadata(text: str, path, error) -> dict:
     where = f"{path}: metadata"
     meta = read_key_values(text, METADATA_KEYS, where, error)
     labels, n_classes = meta["labels"], meta["n_classes"]
-    if labels is not None and len(labels) != n_classes:
+    if len(labels) != n_classes:
         raise error(f"{where}: labels names {len(labels)} classes, but n_classes is {n_classes}")
     return meta
 
 
-def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
-                    labels=None):
+def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None, *, labels):
     """Serialize parameters and running statistics; the training history is
     persisted separately via write_metrics_csv. Metadata that
-    load_checkpoint would refuse, such as a label that is not one directory
-    name, raises DataError."""
+    load_checkpoint would refuse, such as labels=None or a label that is not
+    one directory name, raises DataError."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)

@@ -13,7 +13,6 @@ from kwspot.autodiff import Tensor, backward
 from kwspot.cli import run_cli
 from kwspot.dsp import DspConfig
 from kwspot.errors import DataError, read_text
-from kwspot.eval import confusion_matrix, emit_report
 from kwspot.layers import LSTM_GATES, BnStats, batch_norm
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
 
@@ -206,15 +205,13 @@ def sealed_bodies(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def csv_bytes(tmp_path_factory):
-    """A two-epoch metrics CSV and a three-label report CSV."""
-    root = tmp_path_factory.mktemp("csv")
+    """The bytes of a two-epoch metrics CSV."""
+    path = tmp_path_factory.mktemp("csv") / "metrics.csv"
     history = training.TrainHistory(records=[
         training.EpochRecord(1, 1.2, 0.4, 1.3, 0.35, 1e-3, 0.5),
         training.EpochRecord(2, 0.9, 0.6, 1.0, 0.55, 9e-4, 0.5)])
-    training.write_metrics_csv(history, root / "metrics.csv")
-    cm = confusion_matrix(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]), 3, ["a", "b", "c"])
-    emit_report(cm, root / "report.csv")
-    return (root / "metrics.csv").read_bytes(), (root / "report.csv").read_bytes()
+    training.write_metrics_csv(history, path)
+    return path.read_bytes()
 
 
 def accuracy_by_label(report):

@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+import kwspot
 from conftest import SYNTH_SPEC, record_calls, write_metadata, write_sealed_checkpoint
 from kwspot import audio_io, errors, eval as evaluation, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
@@ -598,6 +602,26 @@ class TestTrainEval:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {ckpt}: metadata:10: cannot parse labels = 'a,a'"]
 
+    def test_eval_label_less_checkpoint_refused(self, synth_dir, small_config_file, tmp_path,
+                                                capsys):
+        # a 3-class checkpoint without labels on data without its "b" once
+        # took --data's two directories as its first two classes and scored
+        # "c" by the model's "b" column
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.csv"
+        save_checkpoint(build_model(ModelConfig(
+            arch="cnn", n_classes=3, input_shape=(61, 20), conv_channels=(2,),
+        )), ckpt, labels=["a", "b", "c"])
+        write_metadata(ckpt, lambda meta: meta.replace(b"\nlabels=a,b,c", b""))
+        (synth_dir / "class0").rename(synth_dir / "a")
+        (synth_dir / "class2").rename(synth_dir / "c")
+        (synth_dir / "class1").rename(tmp_path / "b")
+        code = run_cli(["eval", "--ckpt", str(ckpt), "--data", str(synth_dir),
+                        "--config", str(small_config_file), "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: metadata: required keys not set: labels"]
+        assert not report.exists()
+
     @staticmethod
     def _small_cnn_checkpoint(path):
         """An untrained cnn checkpoint for SMALL_CONFIG's 61 x 20 features
@@ -680,7 +704,7 @@ class TestTrainEval:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model(ModelConfig(
             arch="cnn", n_classes=2, input_shape=(8, 8), conv_channels=(2,),
-        )), ckpt)
+        )), ckpt, labels=["a", "b"])
         body = bytearray(ckpt.read_bytes()[:-4])
         body[12] = 0xFF  # first metadata byte
         write_sealed_checkpoint(ckpt, bytes(body))
@@ -688,3 +712,23 @@ class TestTrainEval:
                         "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "model.ckpt: metadata" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    # the tests above call run_cli in process; this runs the module, whose
+    # main() the kwspot console script calls, and reads its exit codes
+    env = dict(os.environ, PYTHONPATH=str(Path(kwspot.__file__).parents[1]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "kwspot.cli", *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith("usage: kwspot")
+    assert run().returncode == 1
+    missing = run("eval", "--ckpt", "missing.ckpt", "--data", "data", "--out", "r.csv")
+    assert missing.returncode == 2
+    assert "Traceback" not in missing.stderr
+    assert [line for line in missing.stderr.splitlines() if line] == [
+        "error: [Errno 2] No such file or directory: 'missing.ckpt'"]

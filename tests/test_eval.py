@@ -179,9 +179,22 @@ class TestEvaluate:
             arch="cnn", n_classes=2, input_shape=(61, 20), conv_channels=(2,),
             dense_hidden=4,
         ))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="the index names 3 labels, but the model has 2 "
+                                            "classes$"):
             evaluate(model, synth_index, small_dsp_config, "log_mel")
         assert calls == []  # checked before any clip is featurized
+
+    def test_too_few_labels(self, synth_index, small_dsp_config, monkeypatch):
+        # the fourth class once got the padded name class3
+        calls = record_calls(monkeypatch, evaluation, "featurize_index")
+        model = build_model(ModelConfig(
+            arch="cnn", n_classes=4, input_shape=(61, 20), conv_channels=(2,),
+            dense_hidden=4,
+        ))
+        with pytest.raises(DataError, match="the index names 3 labels, but the model has 4 "
+                                            "classes$"):
+            evaluate(model, synth_index, small_dsp_config, "log_mel")
+        assert calls == []
 
     def test_streams_in_chunks(self, synth_index, small_dsp_config, monkeypatch):
         calls = record_calls(monkeypatch, evaluation, "featurize_index")

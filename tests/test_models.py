@@ -445,7 +445,7 @@ class TestPredict:
         model = build_model(_small_config("cnn"))
         model.set_mode("infer")
         x = np.random.default_rng(5).normal(size=(16, 12))
-        cls, probs = predict(model, FeatureMatrix(x, "log_mel"))
+        cls, probs = predict(model, FeatureMatrix(x))
         assert isinstance(cls, int)
         assert probs.shape == (4,)
         assert np.all(probs > 0)
@@ -456,7 +456,7 @@ class TestPredict:
         model = build_model(_small_config("cnn_bilstm"))
         model.set_mode("infer")
         x = np.random.default_rng(6).normal(size=(16, 12))
-        cls, _ = predict(model, FeatureMatrix(x, "log_mel"))
+        cls, _ = predict(model, FeatureMatrix(x))
         logits = model_forward(model, x[None]).data[0]
         assert cls == int(np.argmax(logits))
 
@@ -467,7 +467,7 @@ class TestPredict:
         model = build_model(_small_config(arch, dropout_rate=0.25))
         stats = {k: (s.mean.copy(), s.var.copy()) for k, s in model.bn_stats.items()}
         x = np.random.default_rng(7).normal(size=(16, 12))
-        features = FeatureMatrix(x, "log_mel")
+        features = FeatureMatrix(x)
         first, second = predict(model, features), predict(model, features)
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
@@ -484,6 +484,6 @@ class TestPredict:
         model.set_mode("infer")
         model.params["fc2_W"].data[:] = 0.0
         model.params["fc2_b"].data[:] = 0.0
-        cls, probs = predict(model, FeatureMatrix(np.zeros((16, 12)), "log_mel"))
+        cls, probs = predict(model, FeatureMatrix(np.zeros((16, 12))))
         assert cls == 0
         assert np.abs(probs - 0.25).max() < 1e-12

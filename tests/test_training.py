@@ -462,7 +462,7 @@ class TestCheckpoint:
     def test_running_stats_survive(self, tmp_path):
         model, config = self._trained()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, config)
+        save_checkpoint(model, path, config, labels=["a", "b", "c"])
         loaded, _ = load_checkpoint(path)
         for name, stats in model.bn_stats.items():
             assert np.array_equal(stats.mean, loaded.bn_stats[name].mean)
@@ -477,7 +477,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         for dtype in DTYPES:
             model = _tiny_model(arch=arch, input_shape=(8, 12), dtype=dtype)
-            save_checkpoint(model, path)
+            save_checkpoint(model, path, labels=["a", "b", "c"])
             with monkeypatch.context() as patch:
                 patch.setattr(models, "_glorot", no_draw)
                 loaded, _ = load_checkpoint(path)
@@ -489,7 +489,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_load_draws_at_checkpoint_dtype(self, tmp_path, monkeypatch, dtype):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(arch="multilayer_attention", dtype=dtype), path)
+        save_checkpoint(_tiny_model(arch="multilayer_attention", dtype=dtype), path,
+                        labels=["a", "b", "c"])
         drawn = []
 
         def recording_make_model(config, draw):
@@ -512,7 +513,7 @@ class TestCheckpoint:
     def test_truncation(self, tmp_path):
         model, config = self._trained()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, config)
+        save_checkpoint(model, path, config, labels=["a", "b", "c"])
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(CheckpointError):
@@ -534,7 +535,7 @@ class TestCheckpoint:
         # or an extra array
         model = _tiny_model()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, labels=["a", "b", "c"])
         body = path.read_bytes()[:-4]
         last = list(model.arrays())[-1][1]  # conv0_bn_running_var
         return path, body, len(split_metadata(body)[2]), last.nbytes
@@ -560,7 +561,7 @@ class TestCheckpoint:
 
     def test_undecodable_text_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         bad = bytearray(path.read_bytes()[:-4])
         bad[12] = 0xFF  # first metadata byte
         write_sealed_checkpoint(path, bytes(bad))
@@ -569,7 +570,7 @@ class TestCheckpoint:
 
     def test_invalid_metadata_value(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         body = path.read_bytes()[:-4]
         write_sealed_checkpoint(path, body.replace(b"arch=cnn", b"arch=rnn", 1))
         with pytest.raises(CheckpointError, match="invalid metadata"):
@@ -593,7 +594,7 @@ class TestCheckpoint:
         # without a dtype line, version 3 each LSTM direction's arrays under
         # their own names, version 4 a name, rank and dims with each array
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(CheckpointError,
@@ -607,7 +608,7 @@ class TestCheckpoint:
     ], ids=["missing", "dtypo", "unknown"])
     def test_bad_dtype_line_rejected(self, tmp_path, line, error):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         write_metadata(path, lambda meta: meta.replace(b"dtype=float32", line, 1))
         with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
@@ -618,7 +619,8 @@ class TestCheckpoint:
         (b"seed=0", b"seed=0\ngarbage line", "metadata:9: expected key = value"),
         (b"lstm_hidden=3", b"lstm_hidden=3\nlstm_hidden=65",
          "metadata:6: key 'lstm_hidden' is set twice"),
-        (b"n_classes=3", b"n_classes=1000000000000000",
+        # n_classes must match the labels' count, so the forged size is the head's
+        (b"dense_hidden=4", b"dense_hidden=1000000000000000",
          "metadata describes more values than the file stores"),
         (b"dense_hidden=4", b"dense_hidden=-4",
          "invalid metadata .dense_hidden must be positive"),
@@ -627,7 +629,7 @@ class TestCheckpoint:
     ], ids=["int", "pair", "no-equals", "twice", "oversized", "dense", "channels"])
     def test_bad_metadata_line_named(self, tmp_path, old, new, error):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         write_metadata(path, lambda meta: meta.replace(old, new, 1))
         with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
@@ -670,9 +672,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}$"):
             load_checkpoint(path)
 
+    def test_label_less_checkpoint_refused(self, tmp_path):
+        # a checkpoint always names its classes: one without labels is
+        # neither written nor read
+        path = tmp_path / "model.ckpt"
+        message = r"model\.ckpt: metadata: required keys not set: labels$"
+        with pytest.raises(DataError, match=message):
+            save_checkpoint(_tiny_model(), path, TrainConfig(), labels=None)
+        assert not path.exists()
+        save_checkpoint(_tiny_model(), path, TrainConfig(), labels=["a", "b", "c"])
+        write_metadata(path, lambda meta: meta.replace(b"labels=a,b,c\n", b""))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_metadata_length_past_the_body_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(_tiny_model(), path)
+        save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         body = path.read_bytes()[:-4]
         write_sealed_checkpoint(path, body[:8] + struct.pack("<I", len(body)) + body[12:])
         with pytest.raises(CheckpointError, match=r"model\.ckpt: truncated checkpoint file$"):
@@ -686,7 +701,7 @@ class TestCheckpoint:
         # hash() raise TypeError
         model = _tiny_model(arch=arch, input_shape=[16, 12], conv_channels=channels)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, labels=["a", "b", "c"])
         loaded = load_checkpoint(path)[0].config
         assert loaded == model.config and hash(loaded) == hash(model.config)
 
@@ -698,15 +713,20 @@ class TestCheckpoint:
         labels = ["yes", "no", "up"] if extras in ("labels", "both") else None
         train = TrainConfig(base_lr=0.002) if extras in ("train", "both") else None
         model = _tiny_model(arch=arch, input_shape=(8, 12), conv_channels=None)
-        save_checkpoint(model, path, train, labels)
+        if not labels:  # a checkpoint always names its classes
+            with pytest.raises(DataError, match=r"model\.ckpt: metadata: required keys not "
+                                                r"set: labels$"):
+                save_checkpoint(model, path, train, labels=labels)
+            assert not path.exists()
+            return
+        save_checkpoint(model, path, train, labels=labels)
         meta = split_metadata(path.read_bytes())[1]
         channels = "32,64,64" if arch == "cnn" else "32,64"
         expected = [
             f"arch={arch}", "n_classes=3", "input_shape=8,12", f"conv_channels={channels}",
             "lstm_hidden=3", "dense_hidden=4", "dropout_rate=0.0", "seed=0", "dtype=float32",
+            "labels=yes,no,up",
         ]
-        if labels:
-            expected.append("labels=yes,no,up")
         if train:
             expected += ["train.max_epochs=40", "train.batch_size=64", "train.base_lr=0.002",
                          "train.lr_decay=0.97", "train.patience=10", "train.seed=0"]
@@ -738,7 +758,8 @@ class TestAtomicWrite:
     HISTORY = TrainHistory(records=[EpochRecord(1, 0.5, 0.5, 0.5, 0.5, 1e-3, 0.1)])
     REPORT = confusion_matrix([0, 1], [0, 1], 2, ["a", "b"])
     WRITERS = {
-        "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), IoError),
+        "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"]),
+                       IoError),
         "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), IoError),
         "report": (lambda path: emit_report(TestAtomicWrite.REPORT, path), IoError),
     }
