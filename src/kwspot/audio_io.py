@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, FormatError, SplitError, UnsupportedError
+from .errors import ConfigError, DataError
 
 
 MAX_SAMPLE_RATE = 384_000  # Hz, the highest rate in common PCM use
@@ -35,10 +35,10 @@ class DatasetIndex:
 
     def __post_init__(self):
         if len(set(self.label_set)) != len(self.label_set):
-            raise DatasetError("label_set contains duplicates")
+            raise DataError("label_set contains duplicates")
         for _, label in self.entries:
             if label not in self.label_set:
-                raise DatasetError(f"entry label {label!r} not in label_set")
+                raise DataError(f"entry label {label!r} not in label_set")
 
     def __len__(self):
         return len(self.entries)
@@ -57,19 +57,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if not 1 <= self.sample_rate <= MAX_SAMPLE_RATE:
-            raise DatasetError(
+            raise ConfigError(
                 f"sample_rate must be 1 to {MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
             )
         if self.clips_per_class < 1:
-            raise DatasetError(f"clips_per_class must be at least 1, got {self.clips_per_class}")
+            raise ConfigError(f"clips_per_class must be at least 1, got {self.clips_per_class}")
         if not self.noise_amplitude >= 0:
-            raise DatasetError(f"noise_amplitude must be at least 0, got {self.noise_amplitude}")
+            raise ConfigError(f"noise_amplitude must be at least 0, got {self.noise_amplitude}")
         if len(self.class_frequencies) != self.n_classes:
-            raise DatasetError("need one frequency per class")
+            raise ConfigError("need one frequency per class")
         if len(set(self.class_frequencies)) != self.n_classes:
-            raise DatasetError("class frequencies must be distinct")
+            raise ConfigError("class frequencies must be distinct")
         if not all(0 < f < self.sample_rate / 2 for f in self.class_frequencies):
-            raise DatasetError("class frequencies must be above 0 Hz and below Nyquist")
+            raise ConfigError("class frequencies must be above 0 Hz and below Nyquist")
 
 
 def read_wav(path) -> AudioClip:
@@ -78,7 +78,7 @@ def read_wav(path) -> AudioClip:
     SubFormat GUID."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
+        raise DataError(f"{path}: not a RIFF/WAVE file")
     pos = 12
     fmt = None
     data = None
@@ -88,39 +88,39 @@ def read_wav(path) -> AudioClip:
         body = raw[pos + 8:pos + 8 + chunk_len]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise FormatError(f"{path}: truncated fmt chunk")
+                raise DataError(f"{path}: truncated fmt chunk")
             fmt = body
         elif chunk_id == b"data":
             if len(body) < chunk_len:
-                raise FormatError(
+                raise DataError(
                     f"{path}: data chunk declares {chunk_len} bytes, "
                     f"{len(body)} present"
                 )
             data = body
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or data is None:
-        raise FormatError(f"{path}: missing fmt or data chunk")
+        raise DataError(f"{path}: missing fmt or data chunk")
     audio_format, channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if audio_format == WAVE_FORMAT_EXTENSIBLE:
         # the format proper is the SubFormat GUID at bytes 24-40 of the chunk
         if len(fmt) < 40:
-            raise FormatError(
+            raise DataError(
                 f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes, "
                 f"expected at least 40"
             )
         if fmt[24:40] != PCM_SUBFORMAT:
-            raise UnsupportedError(
+            raise DataError(
                 f"{path}: WAVE_FORMAT_EXTENSIBLE with non-PCM subformat {fmt[24:40].hex()}"
             )
     elif audio_format != WAVE_FORMAT_PCM:
-        raise UnsupportedError(f"{path}: non-PCM audio format {audio_format}")
+        raise DataError(f"{path}: non-PCM audio format {audio_format}")
     if channels != 1:
-        raise UnsupportedError(f"{path}: {channels} channels, expected mono")
+        raise DataError(f"{path}: {channels} channels, expected mono")
     if bits != 16:
-        raise UnsupportedError(f"{path}: {bits} bits/sample, expected 16")
+        raise DataError(f"{path}: {bits} bits/sample, expected 16")
     # the clip holds one second, so the rate sets the allocation
     if not 0 < sample_rate <= MAX_SAMPLE_RATE:
-        raise UnsupportedError(
+        raise DataError(
             f"{path}: sample rate {sample_rate} Hz, expected 1 to {MAX_SAMPLE_RATE}"
         )
     pcm = np.frombuffer(data[: 2 * min(len(data) // 2, sample_rate)], dtype="<i2")
@@ -148,7 +148,7 @@ def scan_dataset(root, label_set) -> DatasetIndex:
     for label in label_set:
         sub = root / label
         if not sub.is_dir():
-            raise DatasetError(f"missing directory for label {label!r} under {root}")
+            raise DataError(f"missing directory for label {label!r} under {root}")
         for wav in sub.iterdir():
             if wav.suffix == ".wav" and wav.is_file():
                 entries.append((wav, label))
@@ -171,6 +171,8 @@ def split_dataset(index: DatasetIndex, ratios, seed: int):
     ratios pass check_ratios.
 
     Per label: floor(n * ratio) entries to val and test, remainder to train.
+    A label with fewer entries than non-zero ratios, none included, raises
+    DataError.
     """
     check_ratios(ratios)
     _, val_r, test_r = ratios
@@ -182,8 +184,8 @@ def split_dataset(index: DatasetIndex, ratios, seed: int):
     splits = ([], [], [])
     for label in index.label_set:
         group = buckets[label]
-        if 0 < len(group) < n_nonzero:
-            raise SplitError(
+        if len(group) < n_nonzero:
+            raise DataError(
                 f"label {label!r} has {len(group)} entries, fewer than "
                 f"{n_nonzero} non-empty splits"
             )

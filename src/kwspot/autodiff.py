@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ConfigError
 
 
 # numpy gathers the operands of a strided or broadcast elementwise pass into
@@ -164,11 +164,11 @@ class Tensor:
     def __matmul__(self, other):
         other = _ensure(other, self)
         if self.ndim < 2 or other.ndim < 2:
-            raise ShapeError(
+            raise ConfigError(
                 f"matmul needs rank >= 2 operands, got {self.shape} @ {other.shape}"
             )
         if self.shape[-1] != other.shape[-2]:
-            raise ShapeError(
+            raise ConfigError(
                 f"matmul inner dimensions differ: {self.shape} @ {other.shape}"
             )
         for_self = other.data if self.requires_grad else None
@@ -249,7 +249,7 @@ def backward(loss: Tensor):
     forward pass is needed before the next backward.
     """
     if loss.size != 1:
-        raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
+        raise ConfigError(f"backward requires a scalar loss, got shape {loss.shape}")
     root = loss if loss._node is None else loss._node
     topo: list = []
     seen: set[int] = set()

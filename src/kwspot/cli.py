@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import audio_io, dsp, eval as evaluation, training
-from .errors import ConfigError, DatasetError, KwspotError, UsageError, read_text, write_atomic
+from .errors import ConfigError, KwspotError, read_text, write_atomic
 from .keyvalue import (
     PARSERS, REQUIRED, checked, from_config, parse_value, read_key_values, schema,
     write_key_values,
@@ -88,7 +88,7 @@ def read_synth_spec(path) -> tuple:
         raise ConfigError(f"{path}: seed must not be negative, got {seed}")
     try:
         return audio_io.SynthSpec(**values), seed
-    except DatasetError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -225,7 +225,7 @@ def run_cli(argv) -> int:
         return args.fn(args)
     except (KwspotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (ConfigError, UsageError)) else 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 def main():

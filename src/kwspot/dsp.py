@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import MAX_SAMPLE_RATE
-from .errors import ConfigError, DspError
+from .errors import ConfigError, DataError
 
 FEATURE_KINDS = ("mfcc", "log_mel")
 
@@ -75,6 +75,14 @@ class DspConfig:
             raise ConfigError("n_mfcc cannot exceed n_mel_filters")
         if not 0 < self.log_floor < math.inf:
             raise ConfigError(f"log_floor must be finite and positive, got {self.log_floor}")
+        # the bound above keeps the edges' allocation small; mel spacing may
+        # still put two edges on one bin, where a filter would have no width
+        if np.any(np.diff(_mel_edge_bins(self)) < 1):
+            raise ConfigError(
+                f"adjacent mel filter centers collapsed onto the same FFT bin: n_mel_filters "
+                f"{self.n_mel_filters} at n_fft {self.n_fft}, fmin {self.fmin}, fmax "
+                f"{self.fmax} and sample_rate {self.sample_rate}; increase n_fft or reduce "
+                f"n_mel_filters")
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
-            raise DspError("feature matrix contains non-finite values")
+            raise DataError("feature matrix contains non-finite values")
 
 
 def n_frames(signal_len: int, frame_len: int, hop_len: int) -> int:
@@ -116,7 +124,7 @@ def frame_signal(signal: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray
     trailing remainder dropped."""
     signal = np.asarray(signal, dtype=np.float64)
     if len(signal) < frame_len:
-        raise DspError(f"signal of {len(signal)} samples shorter than frame {frame_len}")
+        raise DataError(f"signal of {len(signal)} samples shorter than frame {frame_len}")
     return sliding_window_view(signal, frame_len)[::hop_len]
 
 
@@ -149,6 +157,13 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edge_bins(config: DspConfig) -> np.ndarray:
+    """The FFT bins of the n_mel_filters + 2 filter edges, equally spaced on
+    the mel scale from fmin to fmax; DspConfig checks that they are distinct."""
+    mels = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax), config.n_mel_filters + 2)
+    return np.floor((config.n_fft + 1) * mel_to_hz(mels) / config.sample_rate).astype(np.int64)
+
+
 @lru_cache(maxsize=16)
 def build_mel_filterbank(config: DspConfig) -> MelFilterBank:
     """Triangular filters with centers equally spaced on the mel scale.
@@ -158,15 +173,7 @@ def build_mel_filterbank(config: DspConfig) -> MelFilterBank:
     (DspConfig is frozen, so hashable); every caller shares the read-only
     arrays.
     """
-    m = config.n_mel_filters
-    mels = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax), m + 2)
-    hz = mel_to_hz(mels)
-    bins = np.floor((config.n_fft + 1) * hz / config.sample_rate).astype(np.int64)
-    if np.any(np.diff(bins) < 1):
-        raise DspError(
-            "adjacent mel filter centers collapsed onto the same FFT bin; "
-            "increase n_fft or reduce n_mel_filters"
-        )
+    bins = _mel_edge_bins(config)
     k = np.arange(config.n_fft // 2 + 1)
     left, center, right = bins[:-2, None], bins[1:-1, None], bins[2:, None]
     # the rising edge is the smaller one up to the center, the falling one
@@ -182,7 +189,7 @@ def mel_energies(spectra: np.ndarray, bank: MelFilterBank) -> np.ndarray:
     """Per-filter energies: out[t, m] = sum_k H_m(k) * |X_t(k)|^2."""
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.shape[1] != bank.weights.shape[1]:
-        raise DspError(
+        raise DataError(
             f"spectra have {spectra.shape[1]} bins, filterbank expects "
             f"{bank.weights.shape[1]}"
         )
@@ -211,9 +218,9 @@ def dct_ii(logmel: np.ndarray, n_mfcc: int) -> np.ndarray:
 def mfcc_pipeline(clip, config: DspConfig, kind: str) -> FeatureMatrix:
     """Full front end on a 1-second clip; stops before the DCT for log_mel."""
     if kind not in FEATURE_KINDS:
-        raise DspError(f"unknown feature kind {kind!r}")
+        raise ConfigError(f"unknown feature kind {kind!r}")
     if clip.sample_rate != config.sample_rate:
-        raise DspError(
+        raise DataError(
             f"clip sample rate {clip.sample_rate} differs from config "
             f"{config.sample_rate}"
         )

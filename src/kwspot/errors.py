@@ -1,56 +1,26 @@
-"""Exception hierarchy shared by all kwspot modules, the one text-file read
-that maps undecodable bytes onto it, and the one artifact write."""
+"""The exception classes shared by all kwspot modules, one per exit status,
+the one text-file read that maps undecodable bytes onto them, and the one
+artifact write."""
 
 import os
 from pathlib import Path
 
 
 class KwspotError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class FormatError(KwspotError):
-    """Malformed file container (bad RIFF header, truncated chunk, ...)."""
-
-
-class UnsupportedError(KwspotError):
-    """Well-formed file in an encoding we refuse (non-PCM, stereo, 8-bit)."""
-
-
-class DatasetError(KwspotError):
-    """Dataset directory layout violation."""
-
-
-class SplitError(KwspotError):
-    """Dataset cannot be split as requested."""
-
-
-class DspError(KwspotError):
-    """Signal-processing precondition violation."""
-
-
-class ShapeError(KwspotError):
-    """Tensor shapes do not conform for an operation."""
-
-
-class UsageError(KwspotError):
-    """API misuse (e.g. backward on a non-scalar)."""
+    """Base class for all errors raised by this package; a subclass fixes
+    the command's exit status."""
 
 
 class ConfigError(KwspotError):
-    """Invalid configuration value or key."""
+    """A refused setting, or a function called in a way it cannot serve
+    (a bad key or value, shapes that do not conform, backward on a
+    non-scalar): exit status 1."""
 
 
 class DataError(KwspotError):
-    """Invalid data value (label out of range, ...)."""
-
-
-class CheckpointError(KwspotError):
-    """Unreadable or corrupt checkpoint file."""
-
-
-class IoError(KwspotError):
-    """Filesystem failure while writing an artifact."""
+    """A refused input file, its contents or a dataset, or a failed write
+    (a malformed WAV, a corrupt checkpoint, a split that cannot be made):
+    exit status 2."""
 
 
 def read_text(path, error: type) -> str:
@@ -66,7 +36,7 @@ def write_atomic(path, data):
     """Replace `path` with `data` in one step: the bytes go to a temporary
     file in the same directory, which is flushed to disk and then renamed
     over the target. A failure leaves the previous file as it was and
-    removes the temporary file; an OSError is raised as IoError naming
+    removes the temporary file; an OSError is raised as DataError naming
     `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -79,5 +49,5 @@ def write_atomic(path, data):
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise IoError(f"cannot write {path}: {exc}") from exc
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise

@@ -44,7 +44,9 @@ class ConfusionMatrix:
                 yield label, float(self.counts[i, i]) / n, n
 
 
-def confusion_matrix(predictions, labels, n_classes: int, label_names=None) -> ConfusionMatrix:
+def confusion_matrix(predictions, labels, label_names) -> ConfusionMatrix:
+    """C x C counts of (true, predicted) class indices, C = len(label_names)."""
+    n_classes = len(label_names)
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape:
@@ -54,10 +56,7 @@ def confusion_matrix(predictions, labels, n_classes: int, label_names=None) -> C
             raise DataError(f"{what} outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (labels, predictions), 1)
-    names = tuple(label_names) if label_names else tuple(
-        str(i) for i in range(n_classes)
-    )
-    return ConfusionMatrix(counts=counts, labels=names)
+    return ConfusionMatrix(counts=counts, labels=tuple(label_names))
 
 
 def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> ConfusionMatrix:
@@ -88,8 +87,7 @@ def evaluate(model: Model, index, dsp_config: dsp.DspConfig, kind: str) -> Confu
         x, y = featurize_index(chunk, dsp_config, kind, "evaluation")
         preds.append(evaluate_arrays(model, x, y, batch_size=EVAL_BATCH)[2])
         truths.append(y)
-    return confusion_matrix(np.concatenate(preds), np.concatenate(truths),
-                            model.config.n_classes, label_names=index.label_set)
+    return confusion_matrix(np.concatenate(preds), np.concatenate(truths), index.label_set)
 
 
 def emit_report(cm: ConfusionMatrix, path, fmt: str = "csv"):

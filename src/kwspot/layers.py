@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError
 
 
 # column blocks of each direction's W, U and b in bilstm_sequence: input,
@@ -67,7 +67,7 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     n, c, h, w = x.shape
     oc, ic, kh, kw = kernels.shape
     if ic != c:
-        raise ShapeError(f"conv2d: input has {c} channels, kernels expect {ic}")
+        raise ConfigError(f"conv2d: input has {c} channels, kernels expect {ic}")
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xp = np.zeros((n, c, h + kh - 1, w + kw - 1), x.data.dtype)
     xp[:, :, pt:pt + h, pl:pl + w] = x.data
@@ -127,7 +127,7 @@ def max_pool(x: Tensor) -> Tensor:
     h, w = x.shape[2:]
     oh, ow = h // 2, w // 2
     if oh == 0 or ow == 0:
-        raise ShapeError(f"max_pool: 2x2 window exceeds input {h}x{w}")
+        raise ConfigError(f"max_pool: 2x2 window exceeds input {h}x{w}")
     n, c = x.shape[:2]
     rows = x.data[:, :, :2 * oh]
     # one strided view per window position of one sample, in scan order
@@ -178,7 +178,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
     otherwise.
 
     Infer mode is a forward only, in place on one fresh array; an input that
-    requires a gradient there raises UsageError. Train mode keeps the
+    requires a gradient there raises ConfigError. Train mode keeps the
     centered input d = x - mean, takes the variance in a second pass as
     sum(d * d) / count, and writes d * (gamma / sigma) + beta; its backward
     folds 1 / sigma into per-channel coefficients, so no pass forms xhat,
@@ -189,11 +189,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats, mode: str
     temporary, faster than a sum over axes (0, 2, 3), and the values of
     whole-batch passes."""
     if x.ndim != 4:
-        raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
+        raise ConfigError(f"batch_norm expects NCHW input, got {x.shape}")
     shape = (1, -1, 1, 1)
     if mode != "train":
         if x.requires_grad or gamma.requires_grad or beta.requires_grad:
-            raise UsageError("batch_norm: infer mode has no backward")
+            raise ConfigError("batch_norm: infer mode has no backward")
         out = x.data - stats.mean.reshape(shape)
         out *= ((stats.var + BN_EPS) ** -0.5).reshape(shape)
         out *= gamma.data.reshape(shape)
@@ -400,7 +400,7 @@ def attention(query: Tensor, keys: Tensor, values: Tensor) -> tuple:
     """
     n, t_len, d_k = keys.shape
     if query.shape[-1] != d_k:
-        raise ShapeError(
+        raise ConfigError(
             f"attention: query dim {query.shape[-1]} does not match key dim {d_k}"
         )
     scores = (keys @ query.reshape(n, d_k, 1)).reshape(n, t_len) * (1.0 / np.sqrt(d_k))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, ufunc_buffer
 from .dsp import FeatureMatrix
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import (
     LSTM_GATES,
     BnStats,
@@ -258,7 +258,7 @@ def model_forward(model: Model, batch, rng=None, stages: bool = False):
     n = batch.shape[0]
     t, d = cfg.input_shape
     if batch.shape[1:] != (t, d):
-        raise ShapeError(
+        raise ConfigError(
             f"batch shape {batch.shape[1:]} does not match configured "
             f"input {cfg.input_shape}"
         )

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import audio_io, autodiff, dsp
 from .autodiff import Tensor, backward
-from .errors import CheckpointError, ConfigError, DataError, read_text, write_atomic
+from .errors import ConfigError, DataError, read_text, write_atomic
 from .keyvalue import (
     REQUIRED, checked, from_config, read_key_values, schema, tuple_of, write_key_values,
 )
@@ -297,15 +297,15 @@ def featurize_index(index, dsp_config, kind: str, split: str = "dataset"):
 # every preceding byte
 
 
-def _read_metadata(text: str, path, error) -> dict:
+def _read_metadata(text: str, path) -> dict:
     """The METADATA_KEYS values of a checkpoint's metadata text. A line the
     key = value reader refuses, and labels that are not n_classes many,
-    raise `error` naming the file."""
+    raise DataError naming the file."""
     where = f"{path}: metadata"
-    meta = read_key_values(text, METADATA_KEYS, where, error)
+    meta = read_key_values(text, METADATA_KEYS, where, DataError)
     labels, n_classes = meta["labels"], meta["n_classes"]
     if len(labels) != n_classes:
-        raise error(f"{where}: labels names {len(labels)} classes, but n_classes is {n_classes}")
+        raise DataError(f"{where}: labels names {len(labels)} classes, but n_classes is {n_classes}")
     return meta
 
 
@@ -321,7 +321,7 @@ def save_checkpoint(model: Model, path, train_config: TrainConfig | None = None,
     if train_config is not None:
         values.update({f"train.{key}": v for key, v in vars(train_config).items()})
     text = write_key_values(values, METADATA_KEYS, path)
-    _read_metadata(text, path, DataError)  # as a load reads it
+    _read_metadata(text, path)  # as a load reads it
     meta = text.encode("utf-8")
     blob += struct.pack("<I", len(meta)) + meta
     stored = np.dtype(model.config.dtype).newbyteorder("<")
@@ -335,39 +335,39 @@ def load_checkpoint(path):
     """Returns (model, typed METADATA_KEYS dict). Rejects bad magic, version,
     checksum, truncation, undecodable metadata, metadata that the key = value
     reader refuses, and an array section of another size than the
-    metadata's model with CheckpointError."""
+    metadata's model with DataError."""
     raw = Path(path).read_bytes()
     if len(raw) < 16:  # magic, version, metadata length and CRC32
-        raise CheckpointError(f"{path}: truncated checkpoint file")
+        raise DataError(f"{path}: truncated checkpoint file")
     magic, version, meta_len = struct.unpack_from("<4sII", raw)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
+        raise DataError(f"{path}: bad magic bytes")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     body = memoryview(raw)[:-4]
     if zlib.crc32(body) != int.from_bytes(raw[-4:], "little"):
-        raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated file)")
+        raise DataError(f"{path}: checksum mismatch (corrupt or truncated file)")
     if 12 + meta_len > len(body):
-        raise CheckpointError(f"{path}: truncated checkpoint file")
+        raise DataError(f"{path}: truncated checkpoint file")
     try:
         text = str(body[12:12 + meta_len], "utf-8")
     except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: metadata at byte {12 + exc.start} is not UTF-8") from None
-    meta = _read_metadata(text, path, CheckpointError)
+        raise DataError(f"{path}: metadata at byte {12 + exc.start} is not UTF-8") from None
+    meta = _read_metadata(text, path)
     section = body[12 + meta_len:]
     budget = [len(section)]
 
     def zeros(shape):  # so that a forged size in the metadata cannot exhaust memory
         budget[0] -= math.prod(shape) * np.dtype(config.dtype).itemsize
         if budget[0] < 0:
-            raise CheckpointError(f"{path}: metadata describes more values than the file stores")
+            raise DataError(f"{path}: metadata describes more values than the file stores")
         return np.zeros(shape, config.dtype)
 
     try:
         config = from_config(ModelConfig, meta)
         model = make_model(config, zeros)
     except (ValueError, ConfigError) as exc:
-        raise CheckpointError(f"{path}: invalid metadata ({exc})") from exc
+        raise DataError(f"{path}: invalid metadata ({exc})") from exc
     stored = np.dtype(config.dtype).newbyteorder("<")
     names, arrays = zip(*model.arrays())
     expected = stored.itemsize * sum(arr.size for arr in arrays)
@@ -377,8 +377,8 @@ def load_checkpoint(path):
             ends = np.cumsum([arr.nbytes for arr in arrays])
             cut = names[np.searchsorted(ends, len(section), side="right")]
             short = f"; {cut} is not stored whole"
-        raise CheckpointError(f"{path}: the arrays take {len(section)} bytes, but the "
-                              f"metadata's model needs {expected}{short}")
+        raise DataError(f"{path}: the arrays take {len(section)} bytes, but the "
+                        f"metadata's model needs {expected}{short}")
     values = np.frombuffer(section, dtype=stored)
     start = 0
     for arr in arrays:

@@ -12,7 +12,7 @@ import pytest
 from kwspot import dsp
 from kwspot.autodiff import Tensor
 from kwspot.cli import run_cli
-from kwspot.errors import CheckpointError
+from kwspot.errors import DataError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.layers import (
     BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, max_pool,
@@ -391,7 +391,7 @@ def test_criterion_8_checkpoint_round_trip(tmp_path):
     try:
         load_checkpoint(bad)
         rejected = False
-    except CheckpointError:
+    except DataError:
         rejected = True
     elapsed = time.perf_counter() - t0
     ok = bit_identical and rejected and elapsed < 1.0
@@ -414,7 +414,7 @@ def test_criterion_9_report_integrity(tmp_path):
         row_preds = [true] * hits + list(rng.integers(0, 4, 50 - hits))
         preds += row_preds
         labels += [true] * 50
-    cm = confusion_matrix(preds, labels, 4, ["up", "down", "left", "right"])
+    cm = confusion_matrix(preds, labels, ["up", "down", "left", "right"])
     report = cm
     trace_ok = report.overall_accuracy == np.trace(cm.counts) / cm.n_samples
     recall_ok = all(

@@ -5,7 +5,7 @@ import pytest
 
 from kwspot import audio_io, dsp
 from kwspot.audio_io import AudioClip, SynthSpec
-from kwspot.errors import ConfigError, DatasetError, FormatError, SplitError, UnsupportedError
+from kwspot.errors import ConfigError, DataError
 
 from conftest import extensible_fmt, riff_wave
 
@@ -53,33 +53,33 @@ class TestReadWav:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.wav"
         p.write_bytes(b"OGGS" + b"\x00" * 100)
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError):
             audio_io.read_wav(p)
 
     def test_missing_data_chunk(self, tmp_path):
         p = tmp_path / "nodata.wav"
         p.write_bytes(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError):
             audio_io.read_wav(p)
 
     def test_short_fmt_chunk(self, tmp_path):
         p = tmp_path / "short.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), fmt=b"fmt " + struct.pack("<I", 8) + bytes(8))
-        with pytest.raises(FormatError, match=r"short\.wav: truncated fmt chunk"):
+        with pytest.raises(DataError, match=r"short\.wav: truncated fmt chunk"):
             audio_io.read_wav(p)
 
     def test_data_chunk_past_eof(self, tmp_path):
         p = tmp_path / "cut.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16))
         p.write_bytes(p.read_bytes()[:-10])
-        with pytest.raises(FormatError,
+        with pytest.raises(DataError,
                            match=r"cut\.wav: data chunk declares 200 bytes, 190 present"):
             audio_io.read_wav(p)
 
     def test_float_format_rejected(self, tmp_path):
         p = tmp_path / "f32.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), audio_format=3)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(DataError):
             audio_io.read_wav(p)
 
     def test_extensible_pcm_reads_as_pcm(self, tmp_path):
@@ -91,13 +91,13 @@ class TestReadWav:
         assert np.array_equal(ext.samples, plain.samples)
 
     @pytest.mark.parametrize("fmt, error, message", [
-        (extensible_fmt(16000, subformat=FLOAT_SUBFORMAT), UnsupportedError,
+        (extensible_fmt(16000, subformat=FLOAT_SUBFORMAT), DataError,
          "ext.wav: WAVE_FORMAT_EXTENSIBLE with non-PCM subformat 03000000"),
-        (extensible_fmt(16000, channels=2), UnsupportedError, "ext.wav: 2 channels"),
-        (extensible_fmt(16000, bits=24), UnsupportedError, "ext.wav: 24 bits/sample"),
+        (extensible_fmt(16000, channels=2), DataError, "ext.wav: 2 channels"),
+        (extensible_fmt(16000, bits=24), DataError, "ext.wav: 24 bits/sample"),
         # the 16 PCM bytes of a fmt chunk that declares WAVE_FORMAT_EXTENSIBLE
         (b"fmt " + struct.pack("<IHHIIHH", 16, 0xFFFE, 1, 16000, 32000, 2, 16),
-         FormatError, "ext.wav: WAVE_FORMAT_EXTENSIBLE fmt chunk of 16 bytes"),
+         DataError, "ext.wav: WAVE_FORMAT_EXTENSIBLE fmt chunk of 16 bytes"),
     ], ids=["float", "stereo", "24-bit", "short-fmt"])
     def test_extensible_refused(self, tmp_path, fmt, error, message):
         p = tmp_path / "ext.wav"
@@ -108,7 +108,7 @@ class TestReadWav:
     def test_stereo_rejected(self, tmp_path):
         p = tmp_path / "st.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), channels=2)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(DataError):
             audio_io.read_wav(p)
 
     @pytest.mark.parametrize("sample_rate", [0, 384_001, 2**31 - 1])
@@ -117,7 +117,7 @@ class TestReadWav:
         # allocate up to 32 GiB (8 bytes a sample)
         p = tmp_path / "rate.wav"
         _write_pcm(p, np.zeros(100, dtype=np.int16), sample_rate=sample_rate)
-        with pytest.raises(UnsupportedError, match=rf"rate\.wav: sample rate {sample_rate} Hz"):
+        with pytest.raises(DataError, match=rf"rate\.wav: sample rate {sample_rate} Hz"):
             audio_io.read_wav(p)
 
     def test_chunk_id_over_sample_rate(self, tmp_path):
@@ -128,7 +128,7 @@ class TestReadWav:
         blob = bytearray(p.read_bytes())
         blob[24:28] = b"RIFF"
         p.write_bytes(bytes(blob))
-        with pytest.raises(UnsupportedError, match=r"fuzz\.wav: sample rate 1179011410 Hz"):
+        with pytest.raises(DataError, match=r"fuzz\.wav: sample rate 1179011410 Hz"):
             audio_io.read_wav(p)
 
     def test_round_trip(self, tmp_path):
@@ -158,7 +158,7 @@ class TestScanDataset:
 
     def test_missing_label_dir(self, tmp_path):
         root = self._layout(tmp_path)
-        with pytest.raises(DatasetError, match="maybe"):
+        with pytest.raises(DataError, match="maybe"):
             audio_io.scan_dataset(root, ["yes", "maybe"])
 
     def test_empty_label_dir_allowed(self, tmp_path):
@@ -176,12 +176,12 @@ class TestScanDataset:
 
 class TestDatasetIndex:
     def test_duplicate_labels_refused(self):
-        with pytest.raises(DatasetError, match="label_set contains duplicates"):
+        with pytest.raises(DataError, match="label_set contains duplicates"):
             audio_io.DatasetIndex(entries=(), label_set=("a", "b", "a"))
 
     def test_entry_of_unknown_label_refused(self):
         clip = AudioClip(np.zeros(10), 10)
-        with pytest.raises(DatasetError, match="entry label 'c' not in label_set"):
+        with pytest.raises(DataError, match="entry label 'c' not in label_set"):
             audio_io.DatasetIndex(entries=((clip, "a"), (clip, "c")), label_set=("a", "b"))
 
 
@@ -235,8 +235,13 @@ class TestSplitDataset:
         ]
 
     def test_too_few_entries(self):
-        with pytest.raises(SplitError):
+        with pytest.raises(DataError):
             audio_io.split_dataset(self._index({"a": 2}), (0.6, 0.2, 0.2), 0)
+
+    def test_empty_label_refused(self):
+        # a label without entries would train as a class no clip teaches
+        with pytest.raises(DataError, match="label 'b' has 0 entries, fewer than 1 non-empty"):
+            audio_io.split_dataset(self._index({"a": 10, "b": 0}), (1.0, 0.0, 0.0), 0)
 
     def test_bad_ratios(self):
         with pytest.raises(ConfigError, match="train_ratio, val_ratio and test_ratio must be"):
@@ -292,21 +297,21 @@ class TestSynthDataset:
             assert spectrum.argmax() == round(freq * 256 / 4096)
 
     def test_invalid_spec(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ConfigError):
             SynthSpec(2, 1, 4000, (500.0, 2500.0))
-        with pytest.raises(DatasetError):
+        with pytest.raises(ConfigError):
             SynthSpec(2, 1, 4000, (500.0, 500.0))
 
     @pytest.mark.parametrize("sample_rate", [0, -8000, audio_io.MAX_SAMPLE_RATE + 1, 10**9])
     def test_sample_rate_bounded(self, sample_rate):
         # above MAX_SAMPLE_RATE read_wav refuses the written clips, and 10**9
         # would allocate 8 GB per clip
-        with pytest.raises(DatasetError, match=f"sample_rate must be 1 to .*, got {sample_rate}"):
+        with pytest.raises(ConfigError, match=f"sample_rate must be 1 to .*, got {sample_rate}"):
             SynthSpec(2, 1, sample_rate, (1.0, 2.0))
 
     @pytest.mark.parametrize("clips", [0, -3])
     def test_clips_per_class_at_least_one(self, clips):
-        with pytest.raises(DatasetError, match=f"clips_per_class must be at least 1, got {clips}"):
+        with pytest.raises(ConfigError, match=f"clips_per_class must be at least 1, got {clips}"):
             SynthSpec(2, clips, 4000, (500.0, 900.0))
 
     @pytest.mark.parametrize("amplitude", [-0.5, -1e-9])
@@ -314,15 +319,15 @@ class TestSynthDataset:
         # synth_dataset adds noise only above 0: a negative amplitude would
         # give clean tones without a word
         message = f"noise_amplitude must be at least 0, got {amplitude}"
-        with pytest.raises(DatasetError, match=message):
+        with pytest.raises(ConfigError, match=message):
             SynthSpec(2, 1, 4000, (500.0, 900.0), noise_amplitude=amplitude)
 
     def test_nan_frequency_refused(self):
-        with pytest.raises(DatasetError, match="below Nyquist"):
+        with pytest.raises(ConfigError, match="below Nyquist"):
             SynthSpec(2, 1, 4000, (float("nan"), 900.0))
 
     @pytest.mark.parametrize("frequencies", [(-100.0, 100.0), (0.0, 900.0), (500.0, -1e-9)])
     def test_non_positive_frequency_refused(self, frequencies):
         # -f Hz is the tone of f Hz up to phase, and 0 Hz a constant clip
-        with pytest.raises(DatasetError, match="above 0 Hz and below Nyquist"):
+        with pytest.raises(ConfigError, match="above 0 Hz and below Nyquist"):
             SynthSpec(2, 1, 4000, frequencies)

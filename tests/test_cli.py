@@ -12,7 +12,7 @@ import kwspot
 from conftest import SYNTH_SPEC, record_calls, write_metadata, write_sealed_checkpoint
 from kwspot import audio_io, errors, eval as evaluation, training
 from kwspot.cli import CONFIG_KEYS, SYNTH_KEYS, parse_config, run_cli
-from kwspot.errors import ConfigError
+from kwspot.errors import ConfigError, DataError
 from kwspot.keyvalue import PARSERS, REQUIRED, read_key_values, schema
 from kwspot.models import ModelConfig, build_model
 from kwspot.training import save_checkpoint
@@ -270,6 +270,18 @@ class TestFeaturize:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error,status", [(ConfigError, 1), (DataError, 2), (OSError, 2)])
+    def test_exit_status_follows_the_error_class(self, tmp_path, capsys, monkeypatch,
+                                                 error, status):
+        # one exit status per class, whatever step raises it
+        def fail(path):
+            raise error("refused")
+
+        monkeypatch.setattr(audio_io, "read_wav", fail)
+        code = run_cli(["featurize", str(tmp_path / "a.wav")])
+        assert code == status
+        assert capsys.readouterr().err.splitlines() == ["error: refused"]
+
     def test_zero_hop_refused(self, synth_dir, small_config_file, tmp_path, capsys):
         wav = next((synth_dir / "class0").glob("*.wav"))
         out = tmp_path / "features.csv"
@@ -313,6 +325,11 @@ class TestFeaturize:
             "error: fmin must be at least 0, got -5000.0"
         ]
 
+
+# the refusal of --set n_mel_filters=100 at the default front end
+MEL_COLLAPSE = ("adjacent mel filter centers collapsed onto the same FFT bin: n_mel_filters 100 "
+                "at n_fft 512, fmin 20.0, fmax 8000.0 and sample_rate 16000; increase n_fft or "
+                "reduce n_mel_filters")
 
 # the config keys that hold one int or one float
 NUMBER_KEYS = [key for key, (parse, _) in CONFIG_KEYS.items() if parse in (int, PARSERS[float])]
@@ -371,7 +388,10 @@ class TestMinusOne:
                                     "non-negative and sum to 1, got (-1.0, 0.1, 0.1)"),
         ("train", "lstm_hidden=0", "lstm_hidden must be positive"),
         ("train", "dropout_rate=2", "dropout_rate must be in [0, 1)"),
-    ], ids=["featurize-hop", "train-hop", "train-ratio", "train-lstm-hidden", "train-dropout"])
+        ("featurize", "n_mel_filters=100", MEL_COLLAPSE),
+        ("train", "n_mel_filters=100", MEL_COLLAPSE),
+    ], ids=["featurize-hop", "train-hop", "train-ratio", "train-lstm-hidden", "train-dropout",
+            "featurize-mel-collapse", "train-mel-collapse"])
     def test_setting_refused_before_the_input_is_read(self, tmp_path, capsys, command,
                                                       setting, error):
         # each once exited 2 on the missing input instead of naming the setting
@@ -572,7 +592,21 @@ class TestTrainEval:
             "--out", str(tmp_path / "m.ckpt"),
         ])
         assert code == 2
-        assert "error: the train split holds no clips" in capsys.readouterr().err
+        assert ("error: label 'no' has 0 entries, fewer than 3 non-empty splits"
+                in capsys.readouterr().err)
+
+    def test_empty_class_dir_refused(self, synth_dir, small_config_file, tmp_path, capsys):
+        # an editor's empty folder beside the class directories once trained
+        # as a class of its own, first in the checkpoint's labels
+        (synth_dir / ".ipynb_checkpoints").mkdir()
+        code = run_cli([
+            "train", "--data", str(synth_dir), "--config", str(small_config_file),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: label '.ipynb_checkpoints' has 0 entries, fewer than 3 non-empty splits"]
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_eval_empty_dataset(self, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -649,6 +683,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("setting,error", [
         ("windw=hann", "command line: unknown key 'windw'"),
         ("hop_len=0", "hop_len must be at least 1, got 0"),
+        pytest.param("n_mel_filters=100", MEL_COLLAPSE, id="mel-collapse"),
     ])
     def test_eval_setting_refused_before_the_load(self, tmp_path, capsys, monkeypatch,
                                                   setting, error):

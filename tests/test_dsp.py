@@ -3,7 +3,7 @@ import pytest
 
 from kwspot import dsp
 from kwspot.audio_io import AudioClip
-from kwspot.errors import ConfigError, DspError
+from kwspot.errors import ConfigError, DataError
 
 from conftest import record_calls
 from oracles import naive_dct_ii, naive_dft_power, naive_mel_energies, naive_mel_filterbank
@@ -106,7 +106,7 @@ class TestFraming:
         assert dsp.frame_signal(np.zeros(400), 400, 160).shape == (1, 400)
 
     def test_too_short_rejected(self):
-        with pytest.raises(DspError):
+        with pytest.raises(DataError):
             dsp.frame_signal(np.zeros(399), 400, 160)
 
     def test_frame_contents(self):
@@ -209,13 +209,13 @@ class TestFilterbank:
 
     def test_collapsed_bins_rejected(self):
         # under DspConfig's bound of n_fft // 2 - 1 = 31 filters, yet the
-        # low filters' mel-spaced edges share a bin
-        config = dsp.DspConfig(
-            sample_rate=16000, frame_len=64, hop_len=32, n_fft=64,
-            n_mel_filters=30, n_mfcc=10, fmin=20.0, fmax=8000.0,
-        )
-        with pytest.raises(DspError, match="collapsed onto the same FFT bin"):
-            dsp.build_mel_filterbank(config)
+        # low filters' mel-spaced edges share a bin: the setting is refused
+        # before a filterbank is built, naming the keys that place the edges
+        message = ("collapsed onto the same FFT bin: n_mel_filters 30 at n_fft 64, "
+                   "fmin 20.0, fmax 8000.0 and sample_rate 16000")
+        with pytest.raises(ConfigError, match=message):
+            dsp.DspConfig(sample_rate=16000, frame_len=64, hop_len=32, n_fft=64,
+                          n_mel_filters=30, n_mfcc=10, fmin=20.0, fmax=8000.0)
 
 
 class TestMelEnergies:
@@ -241,7 +241,7 @@ class TestMelEnergies:
 
     def test_dimension_mismatch(self, small_dsp_config):
         bank = dsp.build_mel_filterbank(small_dsp_config)
-        with pytest.raises(DspError):
+        with pytest.raises(DataError):
             dsp.mel_energies(np.zeros((2, 10)), bank)
 
 
@@ -304,14 +304,14 @@ class TestPipeline:
 
     def test_unknown_kind_rejected(self, small_dsp_config):
         clip = AudioClip(samples=np.zeros(4000), sample_rate=4000)
-        with pytest.raises(DspError, match="unknown feature kind 'logmel'"):
+        with pytest.raises(ConfigError, match="unknown feature kind 'logmel'"):
             dsp.mfcc_pipeline(clip, small_dsp_config, "logmel")
 
     def test_unknown_kind_rejected_before_the_front_end_runs(self, small_dsp_config,
                                                              monkeypatch):
         calls = record_calls(monkeypatch, dsp, "power_spectrum")
         clip = AudioClip(samples=np.zeros(4000), sample_rate=4000)
-        with pytest.raises(DspError, match="unknown feature kind 'logmel'"):
+        with pytest.raises(ConfigError, match="unknown feature kind 'logmel'"):
             dsp.mfcc_pipeline(clip, small_dsp_config, "logmel")
         assert calls == []
         dsp.mfcc_pipeline(clip, small_dsp_config, "log_mel")
@@ -328,12 +328,12 @@ class TestPipeline:
     def test_non_finite_clip_refused(self, small_dsp_config, kind):
         samples = np.zeros(4000)
         samples[1000] = np.nan  # an in-memory clip; read_wav gives finite samples
-        with pytest.raises(DspError, match="feature matrix contains non-finite values"):
+        with pytest.raises(DataError, match="feature matrix contains non-finite values"):
             dsp.mfcc_pipeline(AudioClip(samples, 4000), small_dsp_config, kind)
 
     def test_sample_rate_mismatch(self, small_dsp_config):
         clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
-        with pytest.raises(DspError):
+        with pytest.raises(DataError):
             dsp.mfcc_pipeline(clip, small_dsp_config, "mfcc")
 
     def test_frame_count_matches_invariant(self):

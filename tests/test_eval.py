@@ -13,47 +13,48 @@ from conftest import accuracy_by_label, parse_report_csv, record_calls
 
 class TestConfusionMatrix:
     def test_identity_predictions(self):
-        cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], 3)
+        cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], ["a", "b", "c"])
         assert np.array_equal(cm.counts, np.diag([1, 2, 1]))
         assert cm.n_samples == 4
 
     def test_off_diagonal_placement(self):
         # true label selects the row, prediction the column
-        cm = confusion_matrix(predictions=[2], labels=[0], n_classes=3)
+        cm = confusion_matrix(predictions=[2], labels=[0], label_names=["a", "b", "c"])
         assert cm.counts[0, 2] == 1
         assert cm.counts.sum() == 1
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            confusion_matrix([0, 1], [0], 2)
+            confusion_matrix([0, 1], [0], ["a", "b"])
 
     def test_out_of_range(self):
         with pytest.raises(DataError):
-            confusion_matrix([0, 3], [0, 1], 3)
+            confusion_matrix([0, 3], [0, 1], ["a", "b", "c"])
         with pytest.raises(DataError):
-            confusion_matrix([0, 1], [0, -1], 3)
+            confusion_matrix([0, 1], [0, -1], ["a", "b", "c"])
 
-    def test_default_label_names(self):
-        cm = confusion_matrix([0], [0], 2)
-        assert cm.labels == ("0", "1")
+    def test_label_names_give_the_classes(self):
+        cm = confusion_matrix([0], [0], ["yes", "no"])
+        assert cm.labels == ("yes", "no")
+        assert cm.counts.shape == (2, 2)
 
 
 class TestReport:
     def test_perfect_predictor(self):
-        cm = confusion_matrix([0, 1, 2], [0, 1, 2], 3, ["a", "b", "c"])
+        cm = confusion_matrix([0, 1, 2], [0, 1, 2], ["a", "b", "c"])
         report = cm
         assert report.overall_accuracy == 1.0
         assert accuracy_by_label(report) == {"a": 1.0, "b": 1.0, "c": 1.0}
 
     def test_degenerate_constant_predictor(self):
         # always predicts class 0 on a balanced two-class set
-        cm = confusion_matrix([0, 0, 0, 0], [0, 0, 1, 1], 2, ["a", "b"])
+        cm = confusion_matrix([0, 0, 0, 0], [0, 0, 1, 1], ["a", "b"])
         report = cm
         assert report.overall_accuracy == 0.5
         assert accuracy_by_label(report) == {"a": 1.0, "b": 0.0}
 
     def test_empty_rows_absent(self):
-        cm = confusion_matrix([0, 0], [0, 0], 3, ["a", "b", "c"])
+        cm = confusion_matrix([0, 0], [0, 0], ["a", "b", "c"])
         report = cm
         assert set(accuracy_by_label(report)) == {"a"}
 
@@ -61,7 +62,7 @@ class TestReport:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, 200)
         preds = rng.integers(0, 4, 200)
-        report = confusion_matrix(preds, labels, 4)
+        report = confusion_matrix(preds, labels, ["a", "b", "c", "d"])
         assert report.overall_accuracy == pytest.approx((preds == labels).mean())
 
 
@@ -70,7 +71,7 @@ class TestEmitAndParse:
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, 60)
         preds = rng.integers(0, 3, 60)
-        return confusion_matrix(preds, labels, 3, ["yes", "no", "stop"])
+        return confusion_matrix(preds, labels, ["yes", "no", "stop"])
 
     def test_csv_round_trip(self, tmp_path):
         report = self._report()
@@ -127,7 +128,7 @@ class TestReportedFigures:
             for j in range(20):
                 preds += [j] * counts[i, j]
                 truths += [i] * counts[i, j]
-        report = confusion_matrix(preds, truths, 20, labels)
+        report = confusion_matrix(preds, truths, labels)
         assert report.n_samples == 10000
         assert accuracy_by_label(report)["down"] == pytest.approx(0.892)
         assert report.overall_accuracy == pytest.approx(0.9507)
@@ -165,7 +166,7 @@ class TestEvaluate:
         ]
         truths = [synth_index.class_index(label) for _, label in synth_index.entries]
         assert np.array_equal(
-            report.counts, confusion_matrix(preds, truths, 3).counts
+            report.counts, confusion_matrix(preds, truths, synth_index.label_set).counts
         )
 
     def test_restores_mode(self, synth_index, small_dsp_config):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from kwspot.audio_io import SynthSpec, read_wav
 from kwspot.cli import parse_config, read_synth_spec
 from kwspot.dsp import DspConfig
-from kwspot.errors import CheckpointError, KwspotError
+from kwspot.errors import DataError, KwspotError
 from kwspot.keyvalue import from_config
 from kwspot.models import ARCHITECTURES, ModelConfig, build_model
 from kwspot.training import EpochRecord, TrainConfig, load_checkpoint, read_metrics_csv
@@ -79,7 +79,7 @@ def test_checkpoint_array_mutations(tmp_path, sealed_bodies, arch, edit_list):
     path = tmp_path / "fuzz.ckpt"
     write_sealed_checkpoint(path, join_metadata(head, meta, mutated))
     if len(mutated) != len(tail):
-        with pytest.raises(CheckpointError, match=r"fuzz\.ckpt"):
+        with pytest.raises(DataError, match=r"fuzz\.ckpt"):
             load_checkpoint(path)
         return
     model, _ = load_checkpoint(path)

@@ -13,7 +13,7 @@ import pytest
 
 import kwspot
 from kwspot.autodiff import Tensor, backward
-from kwspot.errors import ConfigError, ShapeError, UsageError
+from kwspot.errors import ConfigError
 from kwspot.layers import (
     BnStats, attention, batch_norm, bilstm_sequence, conv2d, dense, dropout, max_pool,
 )
@@ -55,7 +55,7 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             conv2d(Tensor(np.zeros((1, 3, 4, 4))), _kernels(rng, 2, 2, 3, 3))
 
     @pytest.mark.parametrize("trial", range(50))
@@ -158,7 +158,7 @@ class TestMaxPool:
         assert np.array_equal(x.grad.reshape(2, 4), [[1.0, 0.0, 0.0, 0.0]] * 2)
 
     def test_too_small(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             max_pool(Tensor(np.zeros((1, 1, 1, 4))))
 
     @pytest.mark.parametrize("trial", range(50))
@@ -310,7 +310,7 @@ class TestBatchNorm:
     @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (1, 2, 3, 4, 5)])
     def test_non_nchw_input_refused(self, shape):
         stats = BnStats(mean=np.zeros(3), var=np.ones(3))
-        with pytest.raises(ShapeError, match=rf"batch_norm expects NCHW input, got "
+        with pytest.raises(ConfigError, match=rf"batch_norm expects NCHW input, got "
                                              rf"{re.escape(str(shape))}"):
             batch_norm(Tensor(np.zeros(shape)), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats,
                        "train")
@@ -389,7 +389,7 @@ class TestBatchNorm:
         leaves = [Tensor(rng.normal(size=shape)) for shape in ((2, 3, 4, 4), 3, 3)]
         leaves[leaf].requires_grad = True
         stats = BnStats(mean=np.zeros(3), var=np.ones(3))
-        with pytest.raises(UsageError, match="infer mode has no backward"):
+        with pytest.raises(ConfigError, match="infer mode has no backward"):
             batch_norm(*leaves, stats, "infer")
 
     def test_train_normalizes(self):
@@ -535,7 +535,7 @@ class TestDense:
         assert np.abs(out.data - (x @ w + b)).max() < 1e-12
 
     def test_shape_error(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
@@ -730,7 +730,7 @@ class TestAttention:
         assert grad_check(f, leaves) < 1e-5
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             attention(
                 Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4, 5))),
                 Tensor(np.zeros((1, 4, 2))),

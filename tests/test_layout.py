@@ -1,7 +1,8 @@
 """Each test helper has one home: reference implementations in oracles.py,
 shared fixtures and builders in conftest.py. No test module imports
 another, not even from a script held in a string and run in a subprocess.
-And src/kwspot defines nothing that only the tests reach."""
+And src/kwspot defines nothing that only the tests reach, and one exception
+class per exit status."""
 
 import ast
 import re
@@ -60,3 +61,20 @@ def test_no_test_only_definitions():
     unreached = sorted(name for name, count in defined.items()
                        if len(re.findall(rf"\b{name}\b", text)) <= count)
     assert not unreached, unreached
+
+
+def test_one_error_class_per_exit_status():
+    # run_cli exits 1 on a ConfigError and 2 on a DataError; a new class
+    # needs a new exit status first, and no other module defines one
+    def classes(path):
+        return [node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ClassDef)]
+
+    src = ROOT / "src" / "kwspot"
+    assert [node.name for node in classes(src / "errors.py")] == [
+        "KwspotError", "ConfigError", "DataError"]
+    faults = [f"{path.name} defines {node.name}"
+              for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+              for node in classes(path)
+              if any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
+    assert not faults, faults

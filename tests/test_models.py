@@ -8,7 +8,7 @@ import pytest
 from kwspot import autodiff, models
 from kwspot.autodiff import backward, record
 from kwspot.dsp import FeatureMatrix
-from kwspot.errors import ConfigError, ShapeError, UsageError
+from kwspot.errors import ConfigError
 from kwspot.layers import batch_norm, conv2d, dropout, max_pool
 from kwspot.models import (
     ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward, predict,
@@ -162,7 +162,7 @@ class TestForward:
 
     def test_batch_shape_mismatch(self):
         model = build_model(_small_config("cnn"))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             model_forward(model, np.zeros((2, 16, 11)))
 
     def test_batch_consistency(self):
@@ -394,10 +394,10 @@ class TestUfuncBuffer:
             assert (np.getbufsize(), np.geterr()) == caller
             backward(cross_entropy_loss(logits, y))
             assert (np.getbufsize(), np.geterr()) == caller
-            with pytest.raises(ShapeError):
+            with pytest.raises(ConfigError):
                 model_forward(model, x[:, 1:], rng=rng)
             assert (np.getbufsize(), np.geterr()) == caller
-            with pytest.raises(UsageError):
+            with pytest.raises(ConfigError):
                 backward(model_forward(model, x, rng=rng))  # non-scalar
             assert (np.getbufsize(), np.geterr()) == caller
         size = autodiff.UFUNC_BUFSIZE

@@ -11,7 +11,7 @@ from conftest import script_validation, split_metadata, write_metadata, write_se
 from kwspot import errors, models, training
 from kwspot.audio_io import AudioClip, DatasetIndex
 from kwspot.autodiff import Tensor, backward
-from kwspot.errors import CheckpointError, ConfigError, DataError, IoError
+from kwspot.errors import ConfigError, DataError
 from kwspot.eval import confusion_matrix, emit_report
 from kwspot.models import ARCHITECTURES, DTYPES, ModelConfig, build_model, model_forward
 from kwspot.training import (
@@ -507,7 +507,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
@@ -516,7 +516,7 @@ class TestCheckpoint:
         save_checkpoint(model, path, config, labels=["a", "b", "c"])
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
     def test_every_prefix_rejected(self, tmp_path):
@@ -526,7 +526,7 @@ class TestCheckpoint:
         cut = tmp_path / "cut.ckpt"
         for n in range(len(blob)):
             cut.write_bytes(blob[:n])
-            with pytest.raises(CheckpointError, match=r"cut\.ckpt"):
+            with pytest.raises(DataError, match=r"cut\.ckpt"):
                 load_checkpoint(cut)
 
     def _sealed_arrays(self, tmp_path):
@@ -544,7 +544,7 @@ class TestCheckpoint:
         # a file cut at an array boundary must not keep a zero fill
         path, body, needed, last = self._sealed_arrays(tmp_path)
         write_sealed_checkpoint(path, body[:-last])
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt: the arrays take {needed - last} "
+        with pytest.raises(DataError, match=rf"model\.ckpt: the arrays take {needed - last} "
                                                   rf"bytes, but the metadata's model needs "
                                                   rf"{needed}; conv0_bn_running_var is not "
                                                   rf"stored whole$"):
@@ -554,7 +554,7 @@ class TestCheckpoint:
         # the last array stored twice must not go unread
         path, body, needed, last = self._sealed_arrays(tmp_path)
         write_sealed_checkpoint(path, body + body[-last:])
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt: the arrays take {needed + last} "
+        with pytest.raises(DataError, match=rf"model\.ckpt: the arrays take {needed + last} "
                                                   rf"bytes, but the metadata's model needs "
                                                   rf"{needed}$"):
             load_checkpoint(path)
@@ -565,7 +565,7 @@ class TestCheckpoint:
         bad = bytearray(path.read_bytes()[:-4])
         bad[12] = 0xFF  # first metadata byte
         write_sealed_checkpoint(path, bytes(bad))
-        with pytest.raises(CheckpointError, match=r"model\.ckpt: metadata at byte 12 is not UTF-8"):
+        with pytest.raises(DataError, match=r"model\.ckpt: metadata at byte 12 is not UTF-8"):
             load_checkpoint(path)
 
     def test_invalid_metadata_value(self, tmp_path):
@@ -573,7 +573,7 @@ class TestCheckpoint:
         save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         body = path.read_bytes()[:-4]
         write_sealed_checkpoint(path, body.replace(b"arch=cnn", b"arch=rnn", 1))
-        with pytest.raises(CheckpointError, match="invalid metadata"):
+        with pytest.raises(DataError, match="invalid metadata"):
             load_checkpoint(path)
 
     def test_every_byte_flip_rejected(self, tmp_path):
@@ -585,7 +585,7 @@ class TestCheckpoint:
             flipped = bytearray(blob)
             flipped[offset] ^= 0xFF
             bad.write_bytes(bytes(flipped))
-            with pytest.raises(CheckpointError, match=r"flip\.ckpt: checksum mismatch"):
+            with pytest.raises(DataError, match=r"flip\.ckpt: checksum mismatch"):
                 load_checkpoint(bad)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
@@ -597,7 +597,7 @@ class TestCheckpoint:
         save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
-        with pytest.raises(CheckpointError,
+        with pytest.raises(DataError,
                            match=rf"model\.ckpt: unsupported version {version}"):
             load_checkpoint(path)
 
@@ -610,7 +610,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         write_metadata(path, lambda meta: meta.replace(b"dtype=float32", line, 1))
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
+        with pytest.raises(DataError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("old,new,error", [
@@ -631,7 +631,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         write_metadata(path, lambda meta: meta.replace(old, new, 1))
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}"):
+        with pytest.raises(DataError, match=rf"model\.ckpt: {error}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("label", ["a,b", "a#b", "a=b", "a\nb", "a\x85b", " a", "a ", ""])
@@ -654,7 +654,7 @@ class TestCheckpoint:
         save_checkpoint(_tiny_model(), path, labels=["x", "b", "y"])
         write_metadata(path, lambda meta: meta.replace(b"labels=x,b,y",
                                                        f"labels=x,{label},y".encode()))
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("labels,error", [
@@ -669,7 +669,7 @@ class TestCheckpoint:
         assert not path.exists()
         save_checkpoint(_tiny_model(), path, labels=["x", "b", "y"])
         write_metadata(path, lambda meta: meta.replace(b"x,b,y", labels.encode()))
-        with pytest.raises(CheckpointError, match=rf"model\.ckpt: {error}$"):
+        with pytest.raises(DataError, match=rf"model\.ckpt: {error}$"):
             load_checkpoint(path)
 
     def test_label_less_checkpoint_refused(self, tmp_path):
@@ -682,7 +682,7 @@ class TestCheckpoint:
         assert not path.exists()
         save_checkpoint(_tiny_model(), path, TrainConfig(), labels=["a", "b", "c"])
         write_metadata(path, lambda meta: meta.replace(b"labels=a,b,c\n", b""))
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     def test_metadata_length_past_the_body_refused(self, tmp_path):
@@ -690,7 +690,7 @@ class TestCheckpoint:
         save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"])
         body = path.read_bytes()[:-4]
         write_sealed_checkpoint(path, body[:8] + struct.pack("<I", len(body)) + body[12:])
-        with pytest.raises(CheckpointError, match=r"model\.ckpt: truncated checkpoint file$"):
+        with pytest.raises(DataError, match=r"model\.ckpt: truncated checkpoint file$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -756,12 +756,12 @@ class TestCheckpoint:
 
 class TestAtomicWrite:
     HISTORY = TrainHistory(records=[EpochRecord(1, 0.5, 0.5, 0.5, 0.5, 1e-3, 0.1)])
-    REPORT = confusion_matrix([0, 1], [0, 1], 2, ["a", "b"])
+    REPORT = confusion_matrix([0, 1], [0, 1], ["a", "b"])
     WRITERS = {
         "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path, labels=["a", "b", "c"]),
-                       IoError),
-        "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), IoError),
-        "report": (lambda path: emit_report(TestAtomicWrite.REPORT, path), IoError),
+                       DataError),
+        "metrics": (lambda path: write_metrics_csv(TestAtomicWrite.HISTORY, path), DataError),
+        "report": (lambda path: emit_report(TestAtomicWrite.REPORT, path), DataError),
     }
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
@@ -789,5 +789,5 @@ class TestAtomicWrite:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(errors.os, "fsync", fail)
-        with pytest.raises(IoError, match=f"cannot write {re.escape(str(path))}: .*No space"):
+        with pytest.raises(DataError, match=f"cannot write {re.escape(str(path))}: .*No space"):
             write(path)
